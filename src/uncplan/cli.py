@@ -126,6 +126,25 @@ def _verify_scenario(s: Scenario, cfg: SelectionConfig, report, candidates) -> N
         )
 
 
+def _scoped(error: Exception, scenario_id: str) -> Exception:
+    """The error with its message prefixed by the scenario id. The class is kept
+    where it picks the exit code; other ValueErrors become plain ValueErrors."""
+    cls = type(error) if isinstance(error, (ScenarioFormatError, ScenarioInvariantError, OSError)) else ValueError
+    return cls(f"scenario {scenario_id}: {error}")
+
+
+def _evaluate_scenario(path: Path, run: RunConfig, cfg: SelectionConfig, limit: int | None) -> ScenarioMetrics:
+    """Load, select and score one scenario file."""
+    s = load_scenario(path)
+    candidates = _truncate_candidates(s.candidates, limit)
+    report = ucas_select(candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
+    if run.verify:
+        _verify_scenario(s, cfg, report, candidates)
+    return evaluate_trajectory(
+        report.chosen, s.ego_dims, s.ground_truth(), s.scenario_id, s.scenario_class, run.convention
+    )
+
+
 def evaluate_suite(run: RunConfig) -> tuple[dict, list[MetricsRow], list[ScenarioMetrics]]:
     """Select and score every scenario of a suite under one preset."""
     manifest, paths = load_suite(run.suite)
@@ -135,23 +154,9 @@ def evaluate_suite(run: RunConfig) -> tuple[dict, list[MetricsRow], list[Scenari
     per_scenario: list[ScenarioMetrics] = []
     for entry, path in entries:
         try:
-            s = load_scenario(path)
-        except (ScenarioFormatError, ScenarioInvariantError, OSError) as e:
-            raise type(e)(f"scenario {entry['id']}: {e}") from None
-        candidates = _truncate_candidates(s.candidates, limit)
-        report = ucas_select(candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
-        if run.verify:
-            _verify_scenario(s, cfg, report, candidates)
-        per_scenario.append(
-            evaluate_trajectory(
-                report.chosen,
-                s.ego_dims,
-                s.ground_truth(),
-                s.scenario_id,
-                s.scenario_class,
-                run.convention,
-            )
-        )
+            per_scenario.append(_evaluate_scenario(path, run, cfg, limit))
+        except (ValueError, OSError) as e:
+            raise _scoped(e, entry["id"]) from None
     rows = aggregate(per_scenario, stratify=True)
     return manifest, rows, per_scenario
 

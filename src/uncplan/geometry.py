@@ -3,15 +3,27 @@
 Coordinates are ego-frame meters: x forward, y left, headings in radians
 counterclockwise from +x. All types are immutable values and all operations
 are pure functions, so everything here is safe to use concurrently.
+
+The batched kernels (box corners, separating-axis test, point-to-segment
+offsets, segment intersection) take numpy arrays and decide bit for bit as
+the scalar formulas do: trigonometry goes through `math.cos`/`math.sin` per
+heading, and distances within a few ulps of a threshold are recomputed with
+`math.hypot`, because numpy's versions can differ from `math`'s in the last
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 MIN_VERTEX_SEPARATION = 1e-9  # m, closer consecutive polyline vertices are rejected
 MIN_POLYGON_AREA = 1e-12  # m^2, smaller rings are degenerate
+_HYPOT_ULPS = 16  # np.hypot and math.hypot are each within 1 ulp; distances this close to a limit are re-decided
+_PAIR_BLOCK = 1 << 16  # edge pairs per block of the intersection kernel, bounding its temporaries
 
 
 def normalize_heading(theta: float) -> float:
@@ -58,12 +70,7 @@ class Polyline:
     def __post_init__(self) -> None:
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
-            raise ValueError("polyline needs at least 2 points")
-        for k in range(1, len(pts)):
-            a, b = pts[k - 1], pts[k]
-            if math.hypot(b.x - a.x, b.y - a.y) <= MIN_VERTEX_SEPARATION:
-                raise ValueError(f"polyline vertices {k - 1} and {k} are coincident")
+        polyline_array(pts)  # raises on fewer than 2 or coincident vertices
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,8 @@ class OrientedBox:
     def __post_init__(self) -> None:
         if not math.isfinite(self.heading):
             raise ValueError(f"heading must be finite, got {self.heading}")
-        if self.length <= 0 or self.width <= 0:
-            raise ValueError(f"box dimensions must be positive, got {self.length} x {self.width}")
+        if not (0 < self.length < math.inf and 0 < self.width < math.inf):
+            raise ValueError(f"box dimensions must be positive and finite, got {self.length} x {self.width}")
 
     def corners(self) -> list[Point2]:
         return vehicle_corners(Pose2(self.center, self.heading), self.length, self.width)
@@ -126,32 +133,60 @@ class OrientedBox:
 # ring validation helpers
 
 
-def _cross(o: Point2, a: Point2, b: Point2) -> float:
-    """z component of (a - o) x (b - o)."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _xy(points: Sequence[Point2]) -> np.ndarray:
+    """(n, 2) coordinate array of a point sequence."""
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+
+
+def _cross(ox, oy, ax, ay, bx, by):
+    """z component of (a - o) x (b - o); floats or broadcasting arrays."""
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def _on_segment_bbox(a: Point2, b: Point2, p: Point2) -> bool:
     return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
 
 
-def _segments_intersect(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> bool:
-    """Whether two closed segments share any point (touching counts)."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-    if d1 == 0 and _on_segment_bbox(q1, q2, p1):
-        return True
-    if d2 == 0 and _on_segment_bbox(q1, q2, p2):
-        return True
-    if d3 == 0 and _on_segment_bbox(p1, p2, q1):
-        return True
-    if d4 == 0 and _on_segment_bbox(p1, p2, q2):
-        return True
-    return False
+def _in_bbox(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """_on_segment_bbox over (n, 2) arrays."""
+    return ((np.minimum(a, b) <= p) & (p <= np.maximum(a, b))).all(axis=-1)
+
+
+def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Whether closed segments p1-p2 and q1-q2 share any point (touching counts),
+    for (n, 2) endpoint arrays."""
+    d1, d2, d3, d4 = (
+        _cross(o1[:, 0], o1[:, 1], o2[:, 0], o2[:, 1], r[:, 0], r[:, 1])
+        for o1, o2, r in ((q1, q2, p1), (q1, q2, p2), (p1, p2, q1), (p1, p2, q2))
+    )
+    hit = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0)))
+    # an endpoint on the other segment's line: rare, so the bounding-box test runs on those pairs only
+    k = np.flatnonzero((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0))
+    if k.size:
+        hit[k] |= (
+            ((d1[k] == 0) & _in_bbox(q1[k], q2[k], p1[k]))
+            | ((d2[k] == 0) & _in_bbox(q1[k], q2[k], p2[k]))
+            | ((d3[k] == 0) & _in_bbox(p1[k], p2[k], q1[k]))
+            | ((d4[k] == 0) & _in_bbox(p1[k], p2[k], q2[k]))
+        )
+    return hit
+
+
+def _first_crossing(a0, a1, b0, b1, keep=None) -> tuple[int, int] | None:
+    """First (i, j) in row-major order at which segment a0[i]-a1[i] meets
+    segment b0[j]-b1[j] and keep(i, j) holds, or None. Rows go in blocks, so
+    the temporaries stay near _PAIR_BLOCK pairs however long the rings are."""
+    rows = max(1, _PAIR_BLOCK // len(b0))
+    j = np.arange(len(b0))
+    for start in range(0, len(a0), rows):
+        i = np.arange(start, min(start + rows, len(a0)))[:, None]
+        ii, jj = np.nonzero(keep(i, j) if keep is not None else np.ones((len(i), len(j)), dtype=bool))
+        ii += start
+        hit = _segments_intersect(a0[ii], a1[ii], b0[jj], b1[jj])
+        if hit.any():
+            k = int(hit.argmax())
+            return int(ii[k]), int(jj[k])
+    return None
 
 
 def _ring_signed_area(ring: tuple[Point2, ...]) -> float:
@@ -173,48 +208,111 @@ def _validate_ring(ring: tuple[Point2, ...], want_ccw: bool, label: str) -> None
     if (area > 0) != want_ccw:
         want = "counterclockwise" if want_ccw else "clockwise"
         raise ValueError(f"{label} ring must be {want}")
-    n_edges = len(ring) - 1
-    for i in range(n_edges):
-        for j in range(i + 1, n_edges):
-            if j == i + 1 or (i == 0 and j == n_edges - 1):
-                continue  # adjacent edges legitimately share a vertex
-            if _segments_intersect(ring[i], ring[i + 1], ring[j], ring[j + 1]):
-                raise ValueError(f"{label} ring is self-intersecting (edges {i} and {j})")
+    xy = _xy(ring)
+    last = len(ring) - 2
+    # adjacent edges legitimately share a vertex: pairs start at j = i + 2 and skip (0, last)
+    crossing = _first_crossing(
+        xy[:-1], xy[1:], xy[:-1], xy[1:], lambda i, j: (j >= i + 2) & ((i != 0) | (j != last))
+    )
+    if crossing is not None:
+        raise ValueError(f"{label} ring is self-intersecting (edges {crossing[0]} and {crossing[1]})")
 
 
-def _ring_edges(poly: Polygon):
-    for ring in (poly.outer, *poly.holes):
-        for k in range(len(ring) - 1):
-            yield ring[k], ring[k + 1]
+def _ring_edges(poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
+    rings = [_xy(ring) for ring in (poly.outer, *poly.holes)]
+    return np.concatenate([r[:-1] for r in rings]), np.concatenate([r[1:] for r in rings])
 
 
 def _polygons_touch(a: Polygon, b: Polygon) -> bool:
-    for e1 in _ring_edges(a):
-        for e2 in _ring_edges(b):
-            if _segments_intersect(e1[0], e1[1], e2[0], e2[1]):
-                return True
+    if _first_crossing(*_ring_edges(a), *_ring_edges(b)) is not None:
+        return True
     return _point_in_polygon(a.outer[0], b) or _point_in_polygon(b.outer[0], a)
 
 
 # ---------------------------------------------------------------------------
-# operations
+# oriented boxes
+
+_SIGN_X = np.array([1.0, -1.0, -1.0, 1.0])  # corner order: front-left, rear-left, rear-right, front-right
+_SIGN_Y = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _normalized(headings: np.ndarray) -> np.ndarray:
+    """normalize_heading, elementwise; headings already in range pass through."""
+    outside = ~((headings > -math.pi) & (headings <= math.pi))
+    if outside.any():
+        headings = headings.copy()
+        headings[outside] = [normalize_heading(h) for h in headings[outside].tolist()]
+    return headings
+
+
+def _trig(headings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """math.cos and math.sin of every heading (np.cos/np.sin may differ in the last bit)."""
+    flat = headings.ravel().tolist()
+    cos = np.array([math.cos(h) for h in flat], dtype=float).reshape(headings.shape)
+    sin = np.array([math.sin(h) for h in flat], dtype=float).reshape(headings.shape)
+    return cos, sin
+
+
+def box_corners(centers: np.ndarray, headings: np.ndarray, length, width) -> np.ndarray:
+    """Corners (..., 4, 2) of boxes centred at centers (..., 2) with headings
+    (...), counterclockwise from front-left: vehicle_corners, batched and
+    bit-identical to it. length and width broadcast against headings."""
+    lengths, widths = np.asarray(length, dtype=float), np.asarray(width, dtype=float)
+    if not ((0 < lengths) & (lengths < math.inf)).all() or not ((0 < widths) & (widths < math.inf)).all():
+        raise ValueError(f"vehicle dimensions must be positive and finite, got {length} x {width}")
+    c, s = _trig(_normalized(np.asarray(headings, dtype=float)))
+    c, s = c[..., None], s[..., None]
+    lx = (0.5 * lengths)[..., None] * _SIGN_X
+    ly = (0.5 * widths)[..., None] * _SIGN_Y
+    px, py = centers[..., 0, None], centers[..., 1, None]
+    return np.stack((px + c * lx - s * ly, py + s * lx + c * ly), axis=-1)
+
+
+def box_axes(headings: np.ndarray) -> np.ndarray:
+    """Edge normals (..., 2, 2) of boxes with the given raw headings, the axes
+    the separating-axis test projects on: (cos, sin) and (-sin, cos)."""
+    c, s = _trig(np.asarray(headings, dtype=float))
+    axes = np.empty(c.shape + (2, 2))
+    axes[..., 0, 0], axes[..., 0, 1], axes[..., 1, 0], axes[..., 1, 1] = c, s, -s, c
+    return axes
+
+
+def boxes_overlap_batch(corners_a, axes_a, corners_b, axes_b) -> np.ndarray:
+    """Separating-axis test between boxes a and b given by box_corners and
+    box_axes, batched over leading dimensions that broadcast; touching counts
+    as overlap."""
+    axes = np.concatenate(np.broadcast_arrays(axes_a, axes_b), axis=-2)[..., None, :]
+    pa = corners_a[..., None, :, 0] * axes[..., 0] + corners_a[..., None, :, 1] * axes[..., 1]
+    pb = corners_b[..., None, :, 0] * axes[..., 0] + corners_b[..., None, :, 1] * axes[..., 1]
+    separated = (pa.max(axis=-1) < pb.min(axis=-1)) | (pb.max(axis=-1) < pa.min(axis=-1))
+    return ~separated.any(axis=-1)
 
 
 def vehicle_corners(pose: Pose2, length: float, width: float) -> list[Point2]:
     """Footprint corners in counterclockwise order starting at front-left."""
-    if length <= 0 or width <= 0:
-        raise ValueError(f"vehicle dimensions must be positive, got {length} x {width}")
-    hl, hw = 0.5 * length, 0.5 * width
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
-    px, py = pose.position.x, pose.position.y
-    local = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-    return [Point2(px + c * lx - s * ly, py + s * lx + c * ly) for lx, ly in local]
+    xy = box_corners(np.array([[pose.position.x, pose.position.y]]), np.array([pose.heading]), length, width)
+    return [Point2(x, y) for x, y in xy[0].tolist()]
+
+
+def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
+    """Separating-axis test over the two boxes' edge normals; touching counts as overlap."""
+
+    def frame(box: OrientedBox) -> tuple[np.ndarray, np.ndarray]:
+        heading = np.array([box.heading])
+        centers = np.array([[box.center.x, box.center.y]])
+        return box_corners(centers, heading, box.length, box.width), box_axes(heading)
+
+    return bool(boxes_overlap_batch(*frame(a), *frame(b))[0])
+
+
+# ---------------------------------------------------------------------------
+# containment
 
 
 def _point_on_ring(p: Point2, ring: tuple[Point2, ...]) -> bool:
     for k in range(len(ring) - 1):
         a, b = ring[k], ring[k + 1]
-        if _cross(a, b, p) == 0.0 and _on_segment_bbox(a, b, p):
+        if _cross(a.x, a.y, b.x, b.y, p.x, p.y) == 0.0 and _on_segment_bbox(a, b, p):
             return True
     return False
 
@@ -249,37 +347,54 @@ def point_in_multipolygon(p: Point2, area: MultiPolygon) -> bool:
     return any(_point_in_polygon(p, poly) for poly in area.polygons)
 
 
+# ---------------------------------------------------------------------------
+# distances
+
+
+def segment_offsets(px, py, ax, ay, bx, by):
+    """Offset (dx, dy) of p from its closest point on the closed segment a-b;
+    floats or broadcasting arrays."""
+    abx, aby = bx - ax, by - ay
+    apx, apy = px - ax, py - ay
+    t = (apx * abx + apy * aby) / (abx * abx + aby * aby)
+    t = np.clip(t, 0.0, 1.0) if isinstance(t, np.ndarray) else min(max(t, 0.0), 1.0)
+    return apx - t * abx, apy - t * aby
+
+
+def hypot_near(dx: np.ndarray, dy: np.ndarray, limit: float) -> np.ndarray:
+    """np.hypot(dx, dy), with every entry within a few ulps of limit recomputed
+    by math.hypot, so comparisons against limit decide as math.hypot would."""
+    d = np.hypot(dx, dy)
+    near = np.flatnonzero(np.abs(d - limit) <= _HYPOT_ULPS * math.ulp(limit))
+    if near.size:
+        fx, fy = (np.broadcast_to(v, d.shape).ravel() for v in (dx, dy))
+        flat = d.reshape(-1)
+        for k in near.tolist():
+            flat[k] = math.hypot(fx[k], fy[k])
+    return d
+
+
+def polyline_array(points: Sequence[Point2]) -> np.ndarray:
+    """(n, 2) vertices of a valid polyline: at least two, and no two
+    consecutive ones closer than MIN_VERTEX_SEPARATION."""
+    xy = _xy(points)
+    if len(xy) < 2:
+        raise ValueError("polyline needs at least 2 points")
+    step = xy[1:] - xy[:-1]
+    coincident = np.flatnonzero(hypot_near(step[:, 0], step[:, 1], MIN_VERTEX_SEPARATION) <= MIN_VERTEX_SEPARATION)
+    if coincident.size:
+        k = int(coincident[0])
+        raise ValueError(f"polyline vertices {k} and {k + 1} are coincident")
+    return xy
+
+
 def dist_point_segment(p: Point2, a: Point2, b: Point2) -> float:
     """Euclidean distance from p to the closed segment a-b."""
-    abx, aby = b.x - a.x, b.y - a.y
-    apx, apy = p.x - a.x, p.y - a.y
-    t = (apx * abx + apy * aby) / (abx * abx + aby * aby)
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(apx - t * abx, apy - t * aby)
+    return math.hypot(*segment_offsets(p.x, p.y, a.x, a.y, b.x, b.y))
 
 
 def dist_point_polyline(p: Point2, line: Polyline) -> float:
     """Minimum distance from p to any segment of the polyline."""
-    pts = line.points
-    return min(dist_point_segment(p, pts[k], pts[k + 1]) for k in range(len(pts) - 1))
-
-
-def _project(corners: list[Point2], ax: float, ay: float) -> tuple[float, float]:
-    dots = [c.x * ax + c.y * ay for c in corners]
-    return min(dots), max(dots)
-
-
-def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
-    """Separating-axis test over the two boxes' edge normals; touching counts as overlap."""
-    ca, cb = a.corners(), b.corners()
-    for box in (a, b):
-        c, s = math.cos(box.heading), math.sin(box.heading)
-        for ax, ay in ((c, s), (-s, c)):
-            amin, amax = _project(ca, ax, ay)
-            bmin, bmax = _project(cb, ax, ay)
-            if amax < bmin or bmax < amin:
-                return False
-    return True
+    xy = _xy(line.points)
+    dx, dy = segment_offsets(p.x, p.y, xy[:-1, 0], xy[:-1, 1], xy[1:, 0], xy[1:, 1])
+    return min(map(math.hypot, dx.tolist(), dy.tolist()))

@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import MultiPolygon, OrientedBox, Point2, Pose2, boxes_overlap, point_in_multipolygon, vehicle_corners
-from .selection import T_F, CandidateTrajectory
+import numpy as np
+
+from .geometry import MultiPolygon, OrientedBox, Point2, box_axes, box_corners, boxes_overlap_batch, point_in_multipolygon
+from .selection import T_F, CandidateTrajectory, trajectory_arrays
 
 HORIZON_STEPS = (2, 4, 6)  # 1 s / 2 s / 3 s at 0.5 s per step
 CONVENTIONS = ("cumulative", "instantaneous")
@@ -114,9 +116,24 @@ def displacement_error(
     return dists[-1]
 
 
-def _step_collision(traj: CandidateTrajectory, ego_dims: tuple[float, float], gt: GroundTruth, t: int) -> bool:
-    ego_box = OrientedBox(traj.waypoints[t], traj.headings[t], ego_dims[0], ego_dims[1])
-    return any(boxes_overlap(ego_box, seq[t]) for seq in gt.agent_futures)
+def _collision_steps(traj: CandidateTrajectory, ego_dims: tuple[float, float], gt: GroundTruth) -> list[bool]:
+    """Per step: whether the ego box overlaps any agent's true box, from one
+    separating-axis call over the (agents, T) overlap matrix."""
+    boxes = gt.agent_futures
+    if not boxes:
+        return [False] * T_F
+    xy, headings = trajectory_arrays([traj])
+    ego_corners = box_corners(xy[0], headings[0], ego_dims[0], ego_dims[1])
+    table = np.array([[(b.center.x, b.center.y, b.heading, b.length, b.width) for b in seq] for seq in boxes], dtype=float)
+    agent_corners = box_corners(table[..., :2], table[..., 2], table[..., 3], table[..., 4])
+    hit = boxes_overlap_batch(ego_corners, box_axes(headings[0]), agent_corners, box_axes(table[..., 2]))
+    return hit.any(axis=0).tolist()
+
+
+def _collision_at(steps: list[bool], horizon_steps: int, convention: str) -> bool:
+    if convention == "cumulative":
+        return any(steps[:horizon_steps])
+    return steps[horizon_steps - 1]
 
 
 def collision_rate_frame(
@@ -129,9 +146,7 @@ def collision_rate_frame(
     """Whether this trajectory counts as colliding at the given horizon."""
     _check_horizon(horizon_steps)
     _check_convention(convention)
-    if convention == "cumulative":
-        return any(_step_collision(traj, ego_dims, gt, t) for t in range(horizon_steps))
-    return _step_collision(traj, ego_dims, gt, horizon_steps - 1)
+    return _collision_at(_collision_steps(traj, ego_dims, gt), horizon_steps, convention)
 
 
 def dacr_flags(
@@ -139,12 +154,9 @@ def dacr_flags(
 ) -> tuple[bool, ...]:
     """Per-step conflict flags: True when any footprint corner leaves the
     drivable area (boundary itself still counts as inside)."""
-    length, width = ego_dims
-    flags = []
-    for wp, heading in zip(traj.waypoints, traj.headings):
-        corners = vehicle_corners(Pose2(wp, heading), length, width)
-        flags.append(not all(point_in_multipolygon(c, da) for c in corners))
-    return tuple(flags)
+    xy, headings = trajectory_arrays([traj])
+    corners = box_corners(xy[0], headings[0], ego_dims[0], ego_dims[1]).tolist()
+    return tuple(not all(point_in_multipolygon(Point2(x, y), da) for x, y in step) for step in corners)
 
 
 def dacr_frame(
@@ -169,7 +181,8 @@ def evaluate_trajectory(
 ) -> ScenarioMetrics:
     """All three metrics for one trajectory at the standard horizons."""
     de = tuple(displacement_error(traj, gt, h, convention) for h in HORIZON_STEPS)
-    cr = tuple(collision_rate_frame(traj, ego_dims, gt, h, convention) for h in HORIZON_STEPS)
+    steps = _collision_steps(traj, ego_dims, gt)
+    cr = tuple(_collision_at(steps, h, convention) for h in HORIZON_STEPS)
     dacr = tuple(dacr_frame(traj, ego_dims, gt.drivable_area, h) for h in HORIZON_STEPS)
     return ScenarioMetrics(scenario_id, scenario_class, de, cr, dacr)
 

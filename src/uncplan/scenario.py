@@ -80,8 +80,8 @@ class AgentPrediction:
         object.__setattr__(self, "dims", (float(self.dims[0]), float(self.dims[1])))
         if not modes:
             raise ValueError("agent needs at least one mode")
-        if self.dims[0] <= 0 or self.dims[1] <= 0:
-            raise ValueError(f"agent dims must be positive, got {self.dims}")
+        if not all(0 < d < math.inf for d in self.dims):
+            raise ValueError(f"agent dims must be positive and finite, got {self.dims}")
         total = sum(m.confidence for m in modes)
         if total > 1.0 + 1e-6:
             raise ValueError(f"mode confidences sum to {total}, cap is 1")
@@ -513,7 +513,10 @@ def _want(data, key: str, kind, path: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioFormatError(f"field '{path}.{key}' must be a number")
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ScenarioInvariantError(f"field '{path}.{key}': must be finite, got {value}")
+        return value
     if not isinstance(value, kind):
         raise ScenarioFormatError(f"field '{path}.{key}' must be {kind.__name__}")
     return value
@@ -701,15 +704,22 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     )
 
 
+def _decode(text: str, path: Path):
+    """json.loads that refuses the NaN and Infinity tokens Python's decoder accepts by default."""
+
+    def reject(token: str):
+        raise ScenarioFormatError(f"{path}: non-finite number {token} in JSON; only finite numbers are allowed")
+
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as e:
+        raise ScenarioFormatError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate one scenario file; errors name the offending field."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ScenarioFormatError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
-    return scenario_from_dict(data, source=str(path))
+    return scenario_from_dict(_decode(path.read_text(encoding="utf-8"), path), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -758,13 +768,7 @@ def generate_suite(
 def load_suite(manifest_path: str | Path) -> tuple[dict, list[Path]]:
     """Read a suite manifest; returns (manifest dict, resolved scenario paths)."""
     manifest_path = Path(manifest_path)
-    text = manifest_path.read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ScenarioFormatError(
-            f"{manifest_path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
+    data = _decode(manifest_path.read_text(encoding="utf-8"), manifest_path)
     if not isinstance(data, dict) or "version" not in data:
         raise ScenarioVersionError(f"{manifest_path}: missing schema 'version' field")
     if data["version"] != SCHEMA_VERSION:

@@ -6,6 +6,11 @@ filter flags it (boundary-risk NLL below threshold, predicted-agent
 collision, or footprint too close to a map boundary); flagged scores drop to
 zero and the highest-scoring survivor wins. If everything is zeroed a
 deterministic fallback still emits a trajectory.
+
+Each filter is one array kernel over all candidates of a command: risk over a
+(K, T, V) NLL array, the agent check over (K, T) ego boxes x agent boxes, and
+clearance over (K, T, 4, S) corner-to-segment offsets. The per-candidate
+functions are the same kernels called with K = 1.
 """
 
 from __future__ import annotations
@@ -15,9 +20,20 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .geometry import OrientedBox, Point2, Polyline, Pose2, dist_point_polyline, vehicle_corners, boxes_overlap
+import numpy as np
+
+from .geometry import (
+    Point2,
+    Polyline,
+    box_axes,
+    box_corners,
+    boxes_overlap_batch,
+    hypot_near,
+    polyline_array,
+    segment_offsets,
+)
 from .map_model import UncertainMap, boundary_elements
-from .uncertainty import UncertainPolyline, min_nll_to_elements
+from .uncertainty import UncertainPolyline, min_nll_grid
 
 if TYPE_CHECKING:
     from .scenario import AgentPrediction
@@ -132,6 +148,66 @@ def command_filter(
     return list(candidate_set.for_command(command))
 
 
+def trajectory_arrays(candidates: Sequence[CandidateTrajectory]) -> tuple[np.ndarray, np.ndarray]:
+    """(K, T, 2) waypoints and (K, T) headings."""
+    xy = np.array([[(p.x, p.y) for p in c.waypoints] for c in candidates], dtype=float)
+    return xy, np.array([c.headings for c in candidates], dtype=float)
+
+
+def _risks(xy: np.ndarray, elements: Sequence[UncertainPolyline], aggregator: str) -> list[float]:
+    """Per-candidate risk: the per-waypoint minimum NLL aggregated over waypoints."""
+    per_waypoint = min_nll_grid(xy, elements)
+    if aggregator == "min":
+        return per_waypoint.min(axis=1).tolist()
+    if aggregator == "mean":
+        # Python's left-to-right sum: numpy does not promise a summation order
+        return [sum(row) / len(row) for row in per_waypoint.tolist()]
+    raise ValueError(f"unknown aggregator {aggregator!r}")
+
+
+def _agent_flags(
+    ego_corners: np.ndarray,
+    ego_axes: np.ndarray,
+    agents: Sequence["AgentPrediction"],
+    margin: float,
+    all_modes: bool,
+) -> list[bool]:
+    """Per-candidate overlap of the (K, T) ego boxes with the time-aligned boxes
+    of every checked agent mode, in one separating-axis call."""
+    k = len(ego_corners)
+    trajectories, lengths, widths = [], [], []
+    for agent in agents:
+        modes = agent.modes if all_modes else (max(agent.modes, key=lambda m: m.confidence),)
+        for mode in modes:
+            trajectories.append(mode.trajectory)
+            lengths.append(agent.dims[0] + 2.0 * margin)
+            widths.append(agent.dims[1] + 2.0 * margin)
+    if not trajectories:
+        return [False] * k
+    poses = np.array([[(p.position.x, p.position.y, p.heading) for p in traj] for traj in trajectories], dtype=float)
+    headings = poses[..., 2]
+    corners = box_corners(poses[..., :2], headings, np.array(lengths)[:, None], np.array(widths)[:, None])
+    hit = boxes_overlap_batch(ego_corners[:, None], ego_axes[:, None], corners[None], box_axes(headings)[None])
+    return hit.reshape(k, -1).any(axis=1).tolist()
+
+
+def _segments(lines: Sequence[Sequence[Point2]]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points (S, 2) of every segment of the given polylines,
+    validated as Polyline validates them."""
+    arrays = [polyline_array(points) for points in lines]
+    return np.concatenate([xy[:-1] for xy in arrays]), np.concatenate([xy[1:] for xy in arrays])
+
+
+def _clearance_flags(corners: np.ndarray, segments: tuple[np.ndarray, np.ndarray], clearance: float) -> list[bool]:
+    """Per-candidate: any footprint corner (K, T, 4, 2) strictly closer than
+    clearance to a segment, or touching one."""
+    (ax, ay), (bx, by) = segments[0].T, segments[1].T
+    dx, dy = segment_offsets(corners[..., 0, None], corners[..., 1, None], ax, ay, bx, by)
+    d = hypot_near(dx, dy, clearance)
+    hit = (d < clearance) | (d == 0.0)
+    return hit.reshape(len(corners), -1).any(axis=1).tolist()
+
+
 def trajectory_risk(
     traj: CandidateTrajectory,
     boundaries: Sequence[UncertainPolyline],
@@ -141,12 +217,7 @@ def trajectory_risk(
     minimum NLL against all boundary vertices. Lower means riskier."""
     if not boundaries:
         raise ValueError("need at least one boundary element")
-    per_waypoint = [min_nll_to_elements(p, boundaries) for p in traj.waypoints]
-    if aggregator == "min":
-        return min(per_waypoint)
-    if aggregator == "mean":
-        return sum(per_waypoint) / len(per_waypoint)
-    raise ValueError(f"unknown aggregator {aggregator!r}")
+    return _risks(trajectory_arrays([traj])[0], boundaries, aggregator)[0]
 
 
 def agent_collision_check(
@@ -159,32 +230,9 @@ def agent_collision_check(
     """Time-aligned oriented-box overlap between the ego footprint along the
     trajectory and each agent's predicted motion (highest-confidence mode by
     default). Agent boxes are inflated by margin on each side."""
-    length, width = ego_dims
-    ego_boxes = [
-        OrientedBox(wp, heading, length, width)
-        for wp, heading in zip(traj.waypoints, traj.headings)
-    ]
-    for agent in agents:
-        if all_modes:
-            modes = agent.modes
-        else:
-            modes = (max(agent.modes, key=lambda m: m.confidence),)
-        for mode in modes:
-            if len(mode.trajectory) != len(traj.waypoints):
-                raise ValueError(
-                    f"timestep grid mismatch: agent mode has {len(mode.trajectory)} "
-                    f"poses, trajectory has {len(traj.waypoints)}"
-                )
-            for t, pose in enumerate(mode.trajectory):
-                agent_box = OrientedBox(
-                    pose.position,
-                    pose.heading,
-                    agent.dims[0] + 2.0 * margin,
-                    agent.dims[1] + 2.0 * margin,
-                )
-                if boxes_overlap(ego_boxes[t], agent_box):
-                    return True
-    return False
+    xy, headings = trajectory_arrays([traj])
+    corners = box_corners(xy, headings, ego_dims[0], ego_dims[1])
+    return _agent_flags(corners, box_axes(headings), agents, margin, all_modes)[0]
 
 
 def boundary_collision_check(
@@ -197,14 +245,10 @@ def boundary_collision_check(
     `clearance` to a boundary polyline (exact contact always counts)."""
     if not boundaries:
         raise ValueError("need at least one boundary polyline")
-    length, width = ego_dims
-    for wp, heading in zip(traj.waypoints, traj.headings):
-        for corner in vehicle_corners(Pose2(wp, heading), length, width):
-            for line in boundaries:
-                d = dist_point_polyline(corner, line)
-                if d < clearance or d == 0.0:
-                    return True
-    return False
+    xy, headings = trajectory_arrays([traj])
+    corners = box_corners(xy, headings, ego_dims[0], ego_dims[1])
+    segments = _segments([line.points for line in boundaries])
+    return _clearance_flags(corners, segments, clearance)[0]
 
 
 def ucas_select(
@@ -225,6 +269,7 @@ def ucas_select(
     """
     candidates = command_filter(candidate_set, command)
     n = len(candidates)
+    xy, headings = trajectory_arrays(candidates)
 
     if cfg.enable_uncertainty_filter:
         if cfg.risk_on_all_elements:
@@ -233,26 +278,24 @@ def ucas_select(
             risk_elements = boundary_elements(uncertain_map)
         if not risk_elements:
             raise ValueError("uncertainty filter needs at least one boundary element")
-        risks = [trajectory_risk(c, risk_elements, cfg.risk_aggregator) for c in candidates]
+        risks = _risks(xy, risk_elements, cfg.risk_aggregator)
     else:
         risks = [math.inf] * n
 
+    if cfg.enable_agent_filter or cfg.enable_boundary_filter:
+        corners = box_corners(xy, headings, ego_dims[0], ego_dims[1])
+
     if cfg.enable_agent_filter:
-        agent_flags = [
-            agent_collision_check(c, ego_dims, agents, cfg.agent_margin, cfg.check_all_agent_modes)
-            for c in candidates
-        ]
+        agent_flags = _agent_flags(corners, box_axes(headings), agents, cfg.agent_margin, cfg.check_all_agent_modes)
     else:
         agent_flags = [False] * n
 
     if cfg.enable_boundary_filter:
-        mu_lines = [b.mu_polyline() for b in boundary_elements(uncertain_map)]
-        if not mu_lines:
+        bounds = boundary_elements(uncertain_map)
+        if not bounds:
             raise ValueError("boundary filter needs at least one boundary element")
-        boundary_flags = [
-            boundary_collision_check(c, ego_dims, mu_lines, cfg.boundary_clearance)
-            for c in candidates
-        ]
+        segments = _segments([[lp.mu for lp in b.points] for b in bounds])
+        boundary_flags = _clearance_flags(corners, segments, cfg.boundary_clearance)
     else:
         boundary_flags = [False] * n
 

@@ -51,15 +51,15 @@ class UncertainPolyline:
         return Polyline(tuple(lp.mu for lp in self.points))
 
 
+def _nll(x, y, mx, my, b1, b2, log_2b1, log_2b2):
+    """The NLL sum in its fixed order; floats or broadcasting arrays."""
+    return log_2b1 + abs(x - mx) / b1 + log_2b2 + abs(y - my) / b2
+
+
 def laplace_point_nll(gt: Point2, lp: LaplacePoint) -> float:
     """Negative log-likelihood of a ground-truth point under one uncertain vertex."""
     b1, b2 = lp.b
-    return (
-        math.log(2.0 * b1)
-        + abs(gt.x - lp.mu.x) / b1
-        + math.log(2.0 * b2)
-        + abs(gt.y - lp.mu.y) / b2
-    )
+    return _nll(gt.x, gt.y, lp.mu.x, lp.mu.y, b1, b2, math.log(2.0 * b1), math.log(2.0 * b2))
 
 
 def element_nll(gt_points: Sequence[Point2], element: UncertainPolyline) -> float:
@@ -94,16 +94,19 @@ def fit_laplace_mle(observations: Sequence[Point2]) -> LaplacePoint:
     return LaplacePoint(Point2(mx, my), (bx, by))
 
 
+def min_nll_grid(xy: np.ndarray, elements: Iterable[UncertainPolyline]) -> np.ndarray:
+    """Minimum NLL of each point xy[..., :] over every vertex of every element
+    (lower = riskier), from one (..., V) NLL array. log(2b) comes from
+    math.log per vertex: np.log can differ in the last bit."""
+    table = np.array([(lp.mu.x, lp.mu.y, lp.b[0], lp.b[1]) for el in elements for lp in el.points], dtype=float)
+    if not len(table):
+        raise ValueError("need at least one element with at least one point")
+    mx, my, b1, b2 = table.T
+    log_2b1 = np.array([math.log(2.0 * b) for b in b1.tolist()])
+    log_2b2 = np.array([math.log(2.0 * b) for b in b2.tolist()])
+    return _nll(xy[..., 0, None], xy[..., 1, None], mx, my, b1, b2, log_2b1, log_2b2).min(axis=-1)
+
+
 def min_nll_to_elements(p: Point2, elements: Iterable[UncertainPolyline]) -> float:
     """Minimum NLL of p over every vertex of every element (lower = riskier)."""
-    best = math.inf
-    seen = False
-    for element in elements:
-        for lp in element.points:
-            seen = True
-            nll = laplace_point_nll(p, lp)
-            if nll < best:
-                best = nll
-    if not seen:
-        raise ValueError("need at least one element with at least one point")
-    return best
+    return float(min_nll_grid(np.array([p.x, p.y]), elements))

@@ -152,6 +152,42 @@ def test_eval_invariant_violation_exit_code(small_suite, tmp_path):
     assert run(["eval", "--suite", suite_dir / "manifest.json", "--out", tmp_path / "x"]) == EXIT_INVARIANT
 
 
+def _edited_suite(small_suite, tmp_path, name, edit_text):
+    import shutil
+
+    suite_dir = tmp_path / name
+    shutil.copytree(small_suite.parent, suite_dir)
+    manifest = json.loads((suite_dir / "manifest.json").read_text())
+    entry = manifest["scenarios"][0]
+    victim = suite_dir / entry["path"]
+    victim.write_text(edit_text(victim.read_text()))
+    return suite_dir / "manifest.json", entry["id"]
+
+
+def test_eval_nan_dimension_is_parse_error_naming_scenario(small_suite, tmp_path, capsys):
+    def nan_length(text):
+        data = json.loads(text)
+        data["ego"]["dims"]["length"] = "__nan__"
+        return json.dumps(data).replace('"__nan__"', "NaN")
+
+    manifest, sid = _edited_suite(small_suite, tmp_path, "nan", nan_length)
+    assert run(["eval", "--suite", manifest, "--out", tmp_path / "x"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"scenario {sid}:" in err and "NaN" in err
+
+
+def test_selection_error_names_scenario(small_suite, tmp_path, capsys):
+    def no_boundaries(text):
+        data = json.loads(text)
+        for element in data["map"]["elements"]:
+            element["kind"] = "LaneDivider"
+        return json.dumps(data)
+
+    manifest, sid = _edited_suite(small_suite, tmp_path, "nobound", no_boundaries)
+    assert run(["eval", "--suite", manifest, "--out", tmp_path / "x"]) == EXIT_INVARIANT
+    assert f"scenario {sid}: uncertainty filter needs at least one boundary element" in capsys.readouterr().err
+
+
 def test_eval_bad_preset_is_argparse_exit_2(small_suite, tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["eval", "--suite", small_suite, "--preset", "bogus", "--out", tmp_path / "x"])

@@ -219,6 +219,50 @@ def test_load_rejects_bad_confidence(tmp_path):
     assert "candidates.GoStraight[0]" in str(err.value)
 
 
+def test_load_rejects_non_finite_tokens(tmp_path):
+    s = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(), 2)
+    for token in ("NaN", "Infinity", "-Infinity"):
+        data = scenario_to_dict(s)
+        data["ego"]["dims"]["length"] = "__token__"
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(data).replace('"__token__"', token))
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(p)
+        assert token in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["ego"]["dims"].update(length=math.nan), "ego.dims.length"),
+        (lambda d: d["ego"]["dims"].update(width=math.inf), "ego.dims.width"),
+        (lambda d: d["agents"][0]["dims"].update(length=math.nan), "agents[0].dims.length"),
+        (lambda d: d["agent_gt"][0][2].update(width=-math.inf), "agent_gt[0][2].width"),
+    ],
+)
+def test_parse_rejects_non_finite_numbers_naming_field(edit, field):
+    # scenario_from_dict gets no help from the decoder here: the dict holds nan/inf floats
+    from uncplan.scenario import scenario_from_dict
+
+    s = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1), 2)
+    data = scenario_to_dict(s)
+    edit(data)
+    with pytest.raises(ScenarioInvariantError) as err:
+        scenario_from_dict(data)
+    assert field in str(err.value)
+
+
+def test_overflowing_number_is_rejected_naming_field(tmp_path):
+    s = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(), 2)
+    data = scenario_to_dict(s)
+    data["ego"]["dims"]["length"] = "__big__"
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(data).replace('"__big__"', "1e999"))  # decodes to inf
+    with pytest.raises(ScenarioInvariantError) as err:
+        load_scenario(p)
+    assert "ego.dims.length" in str(err.value)
+
+
 # -- suites --------------------------------------------------------------------
 
 
