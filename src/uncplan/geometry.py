@@ -23,7 +23,11 @@ import numpy as np
 MIN_VERTEX_SEPARATION = 1e-9  # m, closer consecutive polyline vertices are rejected
 MIN_POLYGON_AREA = 1e-12  # m^2, smaller rings are degenerate
 _HYPOT_ULPS = 16  # np.hypot and math.hypot are each within 1 ulp; distances this close to a limit are re-decided
-_PAIR_BLOCK = 1 << 16  # edge pairs per block of the intersection kernel, bounding its temporaries
+# Pairs per block of the pairwise kernels (segment intersection, point-to-segment
+# distance). A float temporary of a block is 32 KB, well under the allocator's
+# 128 KB mmap and trim thresholds, so its memory is reused from call to call
+# instead of being mapped, page-faulted in and released again every time.
+_PAIR_BLOCK = 1 << 12
 
 
 def normalize_heading(theta: float) -> float:
@@ -154,38 +158,40 @@ def _in_bbox(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Whether closed segments p1-p2 and q1-q2 share any point (touching counts),
-    for (n, 2) endpoint arrays."""
+    for (..., 2) endpoint arrays that broadcast."""
     d1, d2, d3, d4 = (
-        _cross(o1[:, 0], o1[:, 1], o2[:, 0], o2[:, 1], r[:, 0], r[:, 1])
+        _cross(o1[..., 0], o1[..., 1], o2[..., 0], o2[..., 1], r[..., 0], r[..., 1])
         for o1, o2, r in ((q1, q2, p1), (q1, q2, p2), (p1, p2, q1), (p1, p2, q2))
     )
     hit = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0)))
     # an endpoint on the other segment's line: rare, so the bounding-box test runs on those pairs only
-    k = np.flatnonzero((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0))
-    if k.size:
+    k = np.nonzero((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0))
+    if k[0].size:
+        e1, e2, f1, f2 = (np.broadcast_to(v, hit.shape + (2,))[k] for v in (p1, p2, q1, q2))
         hit[k] |= (
-            ((d1[k] == 0) & _in_bbox(q1[k], q2[k], p1[k]))
-            | ((d2[k] == 0) & _in_bbox(q1[k], q2[k], p2[k]))
-            | ((d3[k] == 0) & _in_bbox(p1[k], p2[k], q1[k]))
-            | ((d4[k] == 0) & _in_bbox(p1[k], p2[k], q2[k]))
+            ((d1[k] == 0) & _in_bbox(f1, f2, e1))
+            | ((d2[k] == 0) & _in_bbox(f1, f2, e2))
+            | ((d3[k] == 0) & _in_bbox(e1, e2, f1))
+            | ((d4[k] == 0) & _in_bbox(e1, e2, f2))
         )
     return hit
 
 
 def _first_crossing(a0, a1, b0, b1, keep=None) -> tuple[int, int] | None:
     """First (i, j) in row-major order at which segment a0[i]-a1[i] meets
-    segment b0[j]-b1[j] and keep(i, j) holds, or None. Rows go in blocks, so
-    the temporaries stay near _PAIR_BLOCK pairs however long the rings are."""
+    segment b0[j]-b1[j] and keep(i, j) holds, or None. Rows go in blocks of
+    at most _PAIR_BLOCK pairs, so the temporaries stay small however long the
+    rings are."""
     rows = max(1, _PAIR_BLOCK // len(b0))
     j = np.arange(len(b0))
     for start in range(0, len(a0), rows):
         i = np.arange(start, min(start + rows, len(a0)))[:, None]
-        ii, jj = np.nonzero(keep(i, j) if keep is not None else np.ones((len(i), len(j)), dtype=bool))
-        ii += start
-        hit = _segments_intersect(a0[ii], a1[ii], b0[jj], b1[jj])
+        hit = _segments_intersect(a0[i], a1[i], b0, b1)
+        if keep is not None:
+            hit &= keep(i, j)
         if hit.any():
             k = int(hit.argmax())
-            return int(ii[k]), int(jj[k])
+            return start + k // len(b0), k % len(b0)
     return None
 
 
@@ -372,6 +378,20 @@ def hypot_near(dx: np.ndarray, dy: np.ndarray, limit: float) -> np.ndarray:
         for k in near.tolist():
             flat[k] = math.hypot(fx[k], fy[k])
     return d
+
+
+def near_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray, limit: float) -> np.ndarray:
+    """Per point of points (N, 2): whether it lies strictly closer than limit
+    to any closed segment a[j]-b[j] (S, 2), or on one. Points go in blocks of
+    at most _PAIR_BLOCK point-segment pairs."""
+    (ax, ay), (bx, by) = a.T, b.T
+    rows = max(1, _PAIR_BLOCK // len(ax))
+    near = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), rows):
+        p = points[start:start + rows]
+        d = hypot_near(*segment_offsets(p[:, 0, None], p[:, 1, None], ax, ay, bx, by), limit)
+        near[start:start + rows] = ((d < limit) | (d == 0.0)).any(axis=1)
+    return near
 
 
 def polyline_array(points: Sequence[Point2]) -> np.ndarray:

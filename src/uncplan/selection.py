@@ -28,9 +28,8 @@ from .geometry import (
     box_axes,
     box_corners,
     boxes_overlap_batch,
-    hypot_near,
+    near_segments,
     polyline_array,
-    segment_offsets,
 )
 from .map_model import UncertainMap, boundary_elements
 from .uncertainty import UncertainPolyline, min_nll_grid
@@ -201,10 +200,7 @@ def _segments(lines: Sequence[Sequence[Point2]]) -> tuple[np.ndarray, np.ndarray
 def _clearance_flags(corners: np.ndarray, segments: tuple[np.ndarray, np.ndarray], clearance: float) -> list[bool]:
     """Per-candidate: any footprint corner (K, T, 4, 2) strictly closer than
     clearance to a segment, or touching one."""
-    (ax, ay), (bx, by) = segments[0].T, segments[1].T
-    dx, dy = segment_offsets(corners[..., 0, None], corners[..., 1, None], ax, ay, bx, by)
-    d = hypot_near(dx, dy, clearance)
-    hit = (d < clearance) | (d == 0.0)
+    hit = near_segments(corners.reshape(-1, 2), segments[0], segments[1], clearance)
     return hit.reshape(len(corners), -1).any(axis=1).tolist()
 
 

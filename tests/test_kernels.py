@@ -7,6 +7,7 @@ arithmetic, so every comparison is exact.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,43 @@ def test_ring_check_in_small_blocks(monkeypatch):
     assert sum(m is not None and "self-intersecting" in m for m in whole) > 20
     monkeypatch.setattr(geometry, "_PAIR_BLOCK", 5)
     assert [_ring_message(r) for r in rings] == whole
+
+
+def test_clearance_in_small_blocks(monkeypatch):
+    """Blocks of a few point-segment pairs decide as one block."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    centers = rng.uniform(-10.0, 10.0, size=(60, 1, 1, 2))
+    corners = centers + rng.uniform(-1.0, 1.0, size=(60, T_F, 4, 2))
+    segments = tuple(rng.uniform(-10.0, 10.0, size=(2, 3, 2)))
+    whole = [_clearance_flags(corners, segments, c) for c in (0.5, 2.0)]
+    assert all(0 < sum(flags) < len(flags) for flags in whole)
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", 5)
+    assert [_clearance_flags(corners, segments, c) for c in (0.5, 2.0)] == whole
+
+
+def test_pairwise_kernels_allocate_per_block():
+    """The ring check and the clearance kernel hold one block of pairs at a
+    time, so their peak allocation does not grow with the number of pairs.
+    Temporaries above the allocator's 128 KB mmap threshold would be mapped
+    and page-faulted in anew on every call."""
+    n = 400
+    ring = tuple(Point2(50.0 * math.cos(math.tau * k / n), 50.0 * math.sin(math.tau * k / n)) for k in range(n))
+    ring += ring[:1]
+    rng = np.random.Generator(np.random.PCG64(7))
+    corners = rng.uniform(-50.0, 50.0, size=(20, T_F, 4, 2))
+    segments = (np.array([(p.x, p.y) for p in ring[:-1]]), np.array([(p.x, p.y) for p in ring[1:]]))
+    tracemalloc.start()
+    try:
+        Polygon(ring)
+        _, ring_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _clearance_flags(corners, segments, 1.0)
+        _, clearance_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 80k edge pairs and 192k point-segment pairs: unblocked, these calls peak at 6.6 and 9.2 MB
+    assert ring_peak < 512 * 1024
+    assert clearance_peak < 512 * 1024
 
 
 @settings(max_examples=100, deadline=None)
