@@ -34,7 +34,15 @@ EXIT_INVARIANT = 4
 EXIT_ORACLE = 5
 EXIT_IO = 6
 
-PRESETS = ("baseline", "unc-only", "multimodal", "cas", "ucas")
+# preset -> (uncertainty filter, agent filter, boundary filter, candidate cap), in report order
+_PRESET_FILTERS = {
+    "baseline": (False, False, False, 1),
+    "unc-only": (False, False, False, 1),
+    "multimodal": (False, False, False, None),
+    "cas": (False, True, True, None),
+    "ucas": (True, True, True, None),
+}
+PRESETS = tuple(_PRESET_FILTERS)
 
 
 class ConfigError(Exception):
@@ -56,39 +64,16 @@ class RunConfig:
 
 def preset_selection(preset: str, base: SelectionConfig) -> tuple[SelectionConfig, int | None]:
     """Filter toggles and candidate-count cap implied by an ablation preset."""
-    if preset == "baseline" or preset == "unc-only":
-        cfg = dataclasses.replace(
-            base,
-            enable_uncertainty_filter=False,
-            enable_agent_filter=False,
-            enable_boundary_filter=False,
-        )
-        return cfg, 1
-    if preset == "multimodal":
-        cfg = dataclasses.replace(
-            base,
-            enable_uncertainty_filter=False,
-            enable_agent_filter=False,
-            enable_boundary_filter=False,
-        )
-        return cfg, None
-    if preset == "cas":
-        cfg = dataclasses.replace(
-            base,
-            enable_uncertainty_filter=False,
-            enable_agent_filter=True,
-            enable_boundary_filter=True,
-        )
-        return cfg, None
-    if preset == "ucas":
-        cfg = dataclasses.replace(
-            base,
-            enable_uncertainty_filter=True,
-            enable_agent_filter=True,
-            enable_boundary_filter=True,
-        )
-        return cfg, None
-    raise ConfigError(f"unknown preset {preset!r}, expected one of {PRESETS}")
+    if preset not in _PRESET_FILTERS:
+        raise ConfigError(f"unknown preset {preset!r}, expected one of {PRESETS}")
+    uncertainty, agent, boundary, limit = _PRESET_FILTERS[preset]
+    cfg = dataclasses.replace(
+        base,
+        enable_uncertainty_filter=uncertainty,
+        enable_agent_filter=agent,
+        enable_boundary_filter=boundary,
+    )
+    return cfg, limit
 
 
 def _truncate_candidates(cands: CandidateSet, limit: int | None) -> CandidateSet:

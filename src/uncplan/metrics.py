@@ -183,7 +183,8 @@ def evaluate_trajectory(
     de = tuple(displacement_error(traj, gt, h, convention) for h in HORIZON_STEPS)
     steps = _collision_steps(traj, ego_dims, gt)
     cr = tuple(_collision_at(steps, h, convention) for h in HORIZON_STEPS)
-    dacr = tuple(dacr_frame(traj, ego_dims, gt.drivable_area, h) for h in HORIZON_STEPS)
+    flags = dacr_flags(traj, ego_dims, gt.drivable_area)
+    dacr = tuple(sum(flags[:h]) / h for h in HORIZON_STEPS)
     return ScenarioMetrics(scenario_id, scenario_class, de, cr, dacr)
 
 

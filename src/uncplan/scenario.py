@@ -504,203 +504,166 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _want(data, key: str, kind, path: str):
-    if not isinstance(data, dict):
-        raise ScenarioFormatError(f"field '{path}' must be an object")
-    if key not in data:
-        raise ScenarioFormatError(f"missing field '{path}.{key}'" if path else f"missing field '{key}'")
-    value = data[key]
+def _name(path) -> str:
+    """Dotted name of a path chain: None is the top level, (parent, key) a field or item of parent."""
+    parts = []
+    while path is not None:
+        path, key = path
+        parts.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    return "".join(reversed(parts)).lstrip(".")
+
+
+def _field(obj, key: str, kind, path, *read):
+    """obj[key] as kind: dict, list, str, int or a finite float; true and false are not numbers.
+    Given read, the items of a list are read by read[0](item, item path, *read[1:])."""
+    if not isinstance(obj, dict):
+        raise ScenarioFormatError(f"field '{_name(path)}' must be an object")
+    if key not in obj:
+        raise ScenarioFormatError(f"missing field '{_name((path, key))}'")
+    value = obj[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioFormatError(f"field '{path}.{key}' must be a number")
-        value = float(value)
+        if type(value) is not float:
+            value = _number(value, (path, key))
         if not math.isfinite(value):
-            raise ScenarioInvariantError(f"field '{path}.{key}': must be finite, got {value}")
-        return value
-    if not isinstance(value, kind):
-        raise ScenarioFormatError(f"field '{path}.{key}' must be {kind.__name__}")
-    return value
+            raise ScenarioInvariantError(f"field '{_name((path, key))}': must be finite, got {value}")
+    elif isinstance(value, bool) or not isinstance(value, kind):
+        raise ScenarioFormatError(f"field '{_name((path, key))}' must be {kind.__name__}")
+    return _list(value, (path, key), *read) if read else value
 
 
-def _parse_pose(data, path: str) -> Pose2:
-    x = _want(data, "x", float, path)
-    y = _want(data, "y", float, path)
-    h = _want(data, "heading", float, path)
-    try:
-        return Pose2(Point2(x, y), h)
-    except ValueError as e:
-        raise ScenarioInvariantError(f"field '{path}': {e}") from None
+def _number(value, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioFormatError(f"field '{_name(path)}' must be a number")
+    return float(value)
 
 
-def _parse_xy(value, path: str) -> Point2:
+def _floats(obj, path, *keys) -> tuple[float, ...]:
+    return tuple([_field(obj, key, float, path) for key in keys])
+
+
+def _list(value, path, read, *args) -> tuple:
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"field '{_name(path)}' must be a list")
+    return tuple([read(item, (path, i), *args) for i, item in enumerate(value)])
+
+
+def _xy(value, path) -> Point2:
     if not (isinstance(value, list) and len(value) == 2):
-        raise ScenarioFormatError(f"field '{path}' must be an [x, y] pair")
+        raise ScenarioFormatError(f"field '{_name(path)}' must be an [x, y] pair")
     for v in value:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioFormatError(f"field '{path}' must hold numbers")
-    try:
-        return Point2(float(value[0]), float(value[1]))
-    except ValueError as e:
-        raise ScenarioInvariantError(f"field '{path}': {e}") from None
+            raise ScenarioFormatError(f"field '{_name(path)}' must hold numbers")
+    return _build(path, Point2, float(value[0]), float(value[1]))
 
 
-def _invariant(builder, path: str):
+def _enum(obj, key: str, path, enum_cls, unknown: str):
+    """The string field obj[key] as a member of enum_cls; unknown words the error for other strings."""
+    name = _field(obj, key, str, path)
     try:
-        return builder()
+        return enum_cls(name)
+    except ValueError:
+        raise ScenarioInvariantError(f"field '{_name((path, key))}': {unknown.format(name)}") from None
+
+
+def _build(path, ctor, *args, **kwargs):
+    """ctor(*args, **kwargs); a ValueError it raises, other than a format error, becomes an invariant error naming path."""
+    try:
+        return ctor(*args, **kwargs)
     except ScenarioFormatError:
         raise
     except ValueError as e:
-        raise ScenarioInvariantError(f"field '{path}': {e}") from None
+        raise ScenarioInvariantError(f"field '{_name(path)}': {e}") from None
+
+
+def _pose(obj, path) -> Pose2:
+    x, y, heading = _floats(obj, path, "x", "y", "heading")
+    return Pose2(Point2(x, y), heading)
+
+
+def _laplace_point(obj, path) -> LaplacePoint:
+    mx, my, bx, by = _floats(obj, path, "mx", "my", "bx", "by")
+    if bx < B_MIN or by < B_MIN:
+        axis, b = ("bx", bx) if bx < B_MIN else ("by", by)
+        raise ScenarioInvariantError(f"field '{_name((path, axis))}': scale must be >= {B_MIN}, got {b}")
+    return LaplacePoint(Point2(mx, my), (bx, by))
+
+
+def _element(obj, path) -> MapElement:
+    kind = _enum(obj, "kind", path, MapElementKind, "unknown kind {!r}")
+    points = _field(obj, "points", list, path, _laplace_point)
+    return MapElement(_build((path, "points"), UncertainPolyline, points), kind)
+
+
+def _polygon(obj, path) -> Polygon:
+    return _build(path, Polygon, _field(obj, "outer", list, path, _xy), _field(obj, "holes", list, path, _list, _xy))
+
+
+def _mode(obj, path) -> AgentMode:
+    confidence = _field(obj, "confidence", float, path)
+    return _build(path, AgentMode, _field(obj, "trajectory", list, path, _pose), confidence)
+
+
+def _agent(obj, path) -> AgentPrediction:
+    agent_id = _field(obj, "id", str, path)
+    dims = _floats(_field(obj, "dims", dict, path), (path, "dims"), "length", "width")
+    return _build(path, AgentPrediction, agent_id, dims, _field(obj, "modes", list, path, _mode))
+
+
+def _box(obj, path) -> OrientedBox:
+    cx, cy, heading, length, width = _floats(obj, path, "cx", "cy", "heading", "length", "width")
+    return _build(path, OrientedBox, Point2(cx, cy), heading, length, width)
+
+
+def _candidate(obj, path) -> CandidateTrajectory:
+    confidence = _field(obj, "confidence", float, path)
+    waypoints = _field(obj, "waypoints", list, path, _xy)
+    return _build(path, CandidateTrajectory, waypoints, _field(obj, "headings", list, path, _number), confidence)
+
+
+def _candidate_set(obj, path) -> CandidateSet:
+    return CandidateSet(*[_field(obj, key, list, path, _candidate) for key in ("TurnLeft", "TurnRight", "GoStraight")])
+
+
+def _check_version(data, source) -> None:
+    if not isinstance(data, dict) or "version" not in data:
+        raise ScenarioVersionError(f"{source}: missing schema 'version' field")
+    if data["version"] != SCHEMA_VERSION:
+        raise ScenarioVersionError(f"{source}: unsupported schema version {data['version']!r}, expected {SCHEMA_VERSION}")
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     """Validate and rebuild a scenario from its plain-data form."""
     if not isinstance(data, dict):
         raise ScenarioFormatError(f"{source}: top level must be an object")
-    if "version" not in data:
-        raise ScenarioVersionError(f"{source}: missing schema 'version' field")
-    if data["version"] != SCHEMA_VERSION:
-        raise ScenarioVersionError(
-            f"{source}: unsupported schema version {data['version']!r}, expected {SCHEMA_VERSION}"
-        )
-
-    scenario_id = _want(data, "id", str, "")
-    seed = _want(data, "seed", int, "")
-    scenario_class = _want(data, "scenario_class", str, "")
-    if scenario_class not in ("Turn", "Straight"):
-        raise ScenarioInvariantError(f"field 'scenario_class': must be Turn or Straight, got {scenario_class!r}")
-    command_name = _want(data, "command", str, "")
-    try:
-        command = Command(command_name)
-    except ValueError:
-        raise ScenarioInvariantError(f"field 'command': unknown command {command_name!r}") from None
-
-    ego = _want(data, "ego", dict, "")
-    ego_pose = _parse_pose(_want(ego, "pose", dict, "ego"), "ego.pose")
-    dims_d = _want(ego, "dims", dict, "ego")
-    ego_dims = (_want(dims_d, "length", float, "ego.dims"), _want(dims_d, "width", float, "ego.dims"))
+    _check_version(data, source)
+    ego_path = (None, "ego")
+    ego = _field(data, "ego", dict, None)
+    ego_pose = _pose(_field(ego, "pose", dict, ego_path), (ego_path, "pose"))
+    ego_dims = _floats(_field(ego, "dims", dict, ego_path), (ego_path, "dims"), "length", "width")
     if ego_dims[0] <= 0 or ego_dims[1] <= 0:
         raise ScenarioInvariantError(f"field 'ego.dims': dimensions must be positive, got {ego_dims}")
-
-    future_raw = _want(data, "ego_gt_future", list, "")
-    ego_gt_future = tuple(
-        _parse_pose(p, f"ego_gt_future[{i}]") for i, p in enumerate(future_raw)
-    )
-
-    map_d = _want(data, "map", dict, "")
-    elements = []
-    for ei, el in enumerate(_want(map_d, "elements", list, "map")):
-        epath = f"map.elements[{ei}]"
-        kind_name = _want(el, "kind", str, epath)
-        try:
-            kind = MapElementKind(kind_name)
-        except ValueError:
-            raise ScenarioInvariantError(f"field '{epath}.kind': unknown kind {kind_name!r}") from None
-        lps = []
-        for pi, pt in enumerate(_want(el, "points", list, epath)):
-            ppath = f"{epath}.points[{pi}]"
-            mx = _want(pt, "mx", float, ppath)
-            my = _want(pt, "my", float, ppath)
-            bx = _want(pt, "bx", float, ppath)
-            by = _want(pt, "by", float, ppath)
-            if bx < B_MIN:
-                raise ScenarioInvariantError(f"field '{ppath}.bx': scale must be >= {B_MIN}, got {bx}")
-            if by < B_MIN:
-                raise ScenarioInvariantError(f"field '{ppath}.by': scale must be >= {B_MIN}, got {by}")
-            lps.append(_invariant(lambda: LaplacePoint(Point2(mx, my), (bx, by)), ppath))
-        polyline = _invariant(lambda: UncertainPolyline(tuple(lps)), f"{epath}.points")
-        elements.append(MapElement(polyline, kind))
-
-    polys = []
-    for gi, poly_d in enumerate(_want(map_d, "drivable_area", list, "map")):
-        gpath = f"map.drivable_area[{gi}]"
-        outer = tuple(_parse_xy(v, f"{gpath}.outer[{k}]") for k, v in enumerate(_want(poly_d, "outer", list, gpath)))
-        holes = tuple(
-            tuple(_parse_xy(v, f"{gpath}.holes[{hi}][{k}]") for k, v in enumerate(hole))
-            for hi, hole in enumerate(_want(poly_d, "holes", list, gpath))
-        )
-        polys.append(_invariant(lambda: Polygon(outer, holes), gpath))
-    drivable = _invariant(lambda: MultiPolygon(tuple(polys)), "map.drivable_area")
-    uncertain_map = _invariant(lambda: UncertainMap(tuple(elements), drivable), "map")
-
-    agents = []
-    for ai, ag in enumerate(_want(data, "agents", list, "")):
-        apath = f"agents[{ai}]"
-        agent_id = _want(ag, "id", str, apath)
-        adims_d = _want(ag, "dims", dict, apath)
-        adims = (_want(adims_d, "length", float, f"{apath}.dims"), _want(adims_d, "width", float, f"{apath}.dims"))
-        modes = []
-        for mi, mo in enumerate(_want(ag, "modes", list, apath)):
-            mpath = f"{apath}.modes[{mi}]"
-            conf = _want(mo, "confidence", float, mpath)
-            traj = tuple(
-                _parse_pose(p, f"{mpath}.trajectory[{k}]")
-                for k, p in enumerate(_want(mo, "trajectory", list, mpath))
-            )
-            modes.append(_invariant(lambda: AgentMode(traj, conf), mpath))
-        agents.append(_invariant(lambda: AgentPrediction(agent_id, adims, tuple(modes)), apath))
-
-    agent_gt = []
-    for ai, seq in enumerate(_want(data, "agent_gt", list, "")):
-        if not isinstance(seq, list):
-            raise ScenarioFormatError(f"field 'agent_gt[{ai}]' must be a list")
-        boxes = []
-        for bi, bd in enumerate(seq):
-            bpath = f"agent_gt[{ai}][{bi}]"
-            cx = _want(bd, "cx", float, bpath)
-            cy = _want(bd, "cy", float, bpath)
-            h = _want(bd, "heading", float, bpath)
-            ln = _want(bd, "length", float, bpath)
-            w = _want(bd, "width", float, bpath)
-            boxes.append(_invariant(lambda: OrientedBox(Point2(cx, cy), h, ln, w), bpath))
-        agent_gt.append(tuple(boxes))
-
-    cands_d = _want(data, "candidates", dict, "")
-
-    def parse_command_list(key: str) -> tuple[CandidateTrajectory, ...]:
-        out = []
-        for ci, cd in enumerate(_want(cands_d, key, list, "candidates")):
-            cpath = f"candidates.{key}[{ci}]"
-            conf = _want(cd, "confidence", float, cpath)
-            wps = tuple(
-                _parse_xy(v, f"{cpath}.waypoints[{k}]")
-                for k, v in enumerate(_want(cd, "waypoints", list, cpath))
-            )
-            heads_raw = _want(cd, "headings", list, cpath)
-            for k, hv in enumerate(heads_raw):
-                if isinstance(hv, bool) or not isinstance(hv, (int, float)):
-                    raise ScenarioFormatError(f"field '{cpath}.headings[{k}]' must be a number")
-            out.append(
-                _invariant(
-                    lambda: CandidateTrajectory(wps, tuple(float(h) for h in heads_raw), conf), cpath
-                )
-            )
-        return tuple(out)
-
-    candidates = _invariant(
-        lambda: CandidateSet(
-            turn_left=parse_command_list("TurnLeft"),
-            turn_right=parse_command_list("TurnRight"),
-            go_straight=parse_command_list("GoStraight"),
-        ),
-        "candidates",
-    )
-
-    return _invariant(
-        lambda: Scenario(
-            scenario_id=scenario_id,
-            seed=seed,
-            map=uncertain_map,
-            agents=tuple(agents),
-            agent_gt=tuple(agent_gt),
-            ego_pose=ego_pose,
-            ego_dims=ego_dims,
-            command=command,
-            candidates=candidates,
-            ego_gt_future=ego_gt_future,
-            scenario_class=scenario_class,
-        ),
-        "<scenario>",
+    map_path = (None, "map")
+    map_data = _field(data, "map", dict, None)
+    elements = _field(map_data, "elements", list, map_path, _element)
+    polygons = _field(map_data, "drivable_area", list, map_path, _polygon)
+    drivable = _build((map_path, "drivable_area"), MultiPolygon, polygons)
+    candidates_path = (None, "candidates")
+    # Arguments are read before _build runs, so read errors keep their own names. The candidate
+    # set is read inside its _build, which gives its invariant errors a second 'candidates' prefix.
+    return _build(
+        (None, "<scenario>"),
+        Scenario,
+        scenario_id=_field(data, "id", str, None),
+        seed=_field(data, "seed", int, None),
+        scenario_class=_enum(data, "scenario_class", None, ScenarioKind, "must be Turn or Straight, got {!r}").value,
+        command=_enum(data, "command", None, Command, "unknown command {!r}"),
+        ego_pose=ego_pose,
+        ego_dims=ego_dims,
+        ego_gt_future=_field(data, "ego_gt_future", list, None, _pose),
+        map=_build(map_path, UncertainMap, elements, drivable),
+        agents=_field(data, "agents", list, None, _agent),
+        agent_gt=_field(data, "agent_gt", list, None, _list, _box),
+        candidates=_build(candidates_path, _candidate_set, _field(data, "candidates", dict, None), candidates_path),
     )
 
 
@@ -769,15 +732,12 @@ def load_suite(manifest_path: str | Path) -> tuple[dict, list[Path]]:
     """Read a suite manifest; returns (manifest dict, resolved scenario paths)."""
     manifest_path = Path(manifest_path)
     data = _decode(manifest_path.read_text(encoding="utf-8"), manifest_path)
-    if not isinstance(data, dict) or "version" not in data:
-        raise ScenarioVersionError(f"{manifest_path}: missing schema 'version' field")
-    if data["version"] != SCHEMA_VERSION:
-        raise ScenarioVersionError(
-            f"{manifest_path}: unsupported schema version {data['version']!r}, expected {SCHEMA_VERSION}"
-        )
-    entries = _want(data, "scenarios", list, "")
-    paths = []
-    for i, entry in enumerate(entries):
-        rel = _want(entry, "path", str, f"scenarios[{i}]")
-        paths.append(manifest_path.parent / rel)
-    return data, paths
+    _check_version(data, manifest_path)
+    return data, list(_field(data, "scenarios", list, None, _suite_entry, manifest_path.parent))
+
+
+def _suite_entry(obj, path, root: Path) -> Path:
+    """A manifest entry's scenario path; its id must be a string too."""
+    rel = _field(obj, "path", str, path)
+    _field(obj, "id", str, path)
+    return root / rel

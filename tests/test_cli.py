@@ -11,8 +11,11 @@ from uncplan.cli import (
     EXIT_ORACLE,
     EXIT_PARSE,
     PRESETS,
+    ConfigError,
     main,
+    preset_selection,
 )
+from uncplan.selection import SelectionConfig
 
 
 def run(args):
@@ -192,6 +195,34 @@ def test_eval_bad_preset_is_argparse_exit_2(small_suite, tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["eval", "--suite", small_suite, "--preset", "bogus", "--out", tmp_path / "x"])
     assert err.value.code == 2
+
+
+def test_unknown_preset_is_config_error():
+    with pytest.raises(ConfigError):
+        preset_selection("bogus", SelectionConfig())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda e: e.pop("id"), "missing field 'scenarios[1].id'"),
+        (lambda e: e.update(id=7), "field 'scenarios[1].id' must be str"),
+        (lambda e: e.update(id=None), "field 'scenarios[1].id' must be str"),
+        (lambda e: e.update(id=True), "field 'scenarios[1].id' must be str"),
+    ],
+    ids=["missing", "int", "null", "bool"],
+)
+def test_eval_manifest_entry_without_string_id_is_parse_error(small_suite, tmp_path, capsys, edit, message):
+    import shutil
+
+    suite_dir = tmp_path / "noid"
+    shutil.copytree(small_suite.parent, suite_dir)
+    manifest_path = suite_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["scenarios"][1])
+    manifest_path.write_text(json.dumps(manifest))
+    assert run(["eval", "--suite", manifest_path, "--out", tmp_path / "x"]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
 
 
 def test_oracle_mismatch_exit_code(small_suite, tmp_path, monkeypatch):

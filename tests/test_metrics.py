@@ -275,3 +275,23 @@ def test_evaluate_trajectory_bundles_everything():
     assert sm.de == (0.0, 0.0, 0.0)
     assert sm.cr == (False, False, False)
     assert sm.dacr[2] == pytest.approx(0.5)
+
+
+def test_evaluate_trajectory_computes_dacr_flags_once(monkeypatch):
+    import uncplan.metrics as metrics_mod
+
+    calls = []
+
+    def counting_flags(*args):
+        calls.append(args)
+        return dacr_flags(*args)
+
+    monkeypatch.setattr(metrics_mod, "dacr_flags", counting_flags)
+    rng = np.random.Generator(np.random.PCG64(5))
+    da = rect_da(0, 10.5, -1.9, 1.9)
+    for _ in range(20):
+        traj = traj_along_x([float(rng.uniform(-1, 1)) for _ in range(T_F)], y=float(rng.uniform(-1, 1)))
+        calls.clear()
+        sm = evaluate_trajectory(traj, EGO_DIMS, gt_straight(da=da), "sid", "Straight")
+        assert len(calls) == 1
+        assert sm.dacr == tuple(dacr_frame(traj, EGO_DIMS, da, h) for h in HORIZON_STEPS)

@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from uncplan.metrics import dacr_frame, scenario_class_of
 from uncplan.scenario import (
@@ -15,6 +22,7 @@ from uncplan.scenario import (
     load_scenario,
     load_suite,
     save_scenario,
+    scenario_from_dict,
     scenario_seed,
     scenario_to_dict,
     splitmix64,
@@ -242,8 +250,6 @@ def test_load_rejects_non_finite_tokens(tmp_path):
 )
 def test_parse_rejects_non_finite_numbers_naming_field(edit, field):
     # scenario_from_dict gets no help from the decoder here: the dict holds nan/inf floats
-    from uncplan.scenario import scenario_from_dict
-
     s = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1), 2)
     data = scenario_to_dict(s)
     edit(data)
@@ -261,6 +267,99 @@ def test_overflowing_number_is_rejected_naming_field(tmp_path):
     with pytest.raises(ScenarioInvariantError) as err:
         load_scenario(p)
     assert "ego.dims.length" in str(err.value)
+
+
+def test_non_list_hole_is_rejected_naming_it():
+    data = scenario_to_dict(generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(), 2))
+    data["map"]["drivable_area"][0]["holes"] = [5]
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == "field 'map.drivable_area[0].holes[0]' must be a list"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(seed=True), "field 'seed' must be int"),
+        (lambda d: d["ego"]["dims"].update(length=False), "field 'ego.dims.length' must be a number"),
+        (lambda d: d.update(id=5), "field 'id' must be str"),
+        (lambda d: d.update(ego=[]), "field 'ego' must be dict"),
+    ],
+    ids=["bool-seed", "bool-number", "int-id", "list-ego"],
+)
+def test_type_errors_name_the_field(edit, message):
+    # booleans are neither ints nor numbers, and top-level fields carry no leading dot
+    data = scenario_to_dict(generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(), 2))
+    edit(data)
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == message
+
+
+def _value_paths(node, prefix=()):
+    """The key or index path of every value below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _value_paths(value, prefix + (key,))
+
+
+_FUZZ_BASES = [
+    scenario_to_dict(generate_scenario(ScenarioKind.TURN, GeneratorParams(n_agents=3), 11)),
+    scenario_to_dict(generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1), 2)),
+]
+_FUZZ_PATHS = [list(_value_paths(base)) for base in _FUZZ_BASES]
+_FAULTS = ("<delete>", None, True, "x", [], {}, math.inf)
+
+
+def _draw_faulted(data) -> dict:
+    """A generated scenario dict with one value deleted or replaced."""
+    base = data.draw(st.sampled_from(range(len(_FUZZ_BASES))), label="base")
+    path = data.draw(st.sampled_from(_FUZZ_PATHS[base]), label="path")
+    fault = data.draw(st.sampled_from(_FAULTS), label="fault")
+    faulted = copy.deepcopy(_FUZZ_BASES[base])
+    parent = faulted
+    for key in path[:-1]:
+        parent = parent[key]
+    if fault == "<delete>":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(fault)
+    return faulted
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_single_fault_raises_only_scenario_errors(data):
+    try:
+        scenario_from_dict(_draw_faulted(data))
+    except (ScenarioFormatError, ScenarioInvariantError):
+        pass
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(st.data())
+def test_eval_exits_3_or_4_on_a_malformed_scenario(data):
+    from uncplan.cli import EXIT_INVARIANT, EXIT_PARSE, main
+
+    faulted = _draw_faulted(data)
+    try:
+        scenario_from_dict(faulted)
+    except (ScenarioFormatError, ScenarioInvariantError):
+        pass
+    else:
+        reject()  # the fault left a valid scenario
+    with tempfile.TemporaryDirectory() as tmp:
+        suite = Path(tmp)
+        # infinity goes to the file as an overflowing literal, which the decoder reads as inf
+        (suite / "s.json").write_text(json.dumps(faulted).replace("Infinity", "1e999"))
+        manifest = {"version": 1, "scenarios": [{"id": "s", "path": "s.json"}]}
+        (suite / "manifest.json").write_text(json.dumps(manifest))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["eval", "--suite", str(suite / "manifest.json"), "--out", str(suite / "r")])
+    assert code in (EXIT_PARSE, EXIT_INVARIANT)
+    assert err.getvalue().startswith(("parse error: scenario s: ", "invariant violation: scenario s: "))
 
 
 # -- suites --------------------------------------------------------------------
