@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .metrics import MetricsRow, ScenarioMetrics, aggregate, dacr_flags, evaluate_trajectory
@@ -51,15 +51,6 @@ class ConfigError(Exception):
 
 class OracleMismatch(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    suite: Path
-    preset: str
-    selection: SelectionConfig
-    convention: str
-    verify: bool
 
 
 def preset_selection(preset: str, base: SelectionConfig) -> tuple[SelectionConfig, int | None]:
@@ -118,32 +109,30 @@ def _scoped(error: Exception, scenario_id: str) -> Exception:
     return cls(f"scenario {scenario_id}: {error}")
 
 
-def _evaluate_scenario(path: Path, run: RunConfig, cfg: SelectionConfig, limit: int | None) -> ScenarioMetrics:
-    """Load, select and score one scenario file."""
-    s = load_scenario(path)
-    candidates = _truncate_candidates(s.candidates, limit)
-    report = ucas_select(candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
-    if run.verify:
-        _verify_scenario(s, cfg, report, candidates)
-    return evaluate_trajectory(
-        report.chosen, s.ego_dims, s.ground_truth(), s.scenario_id, s.scenario_class, run.convention
-    )
-
-
-def evaluate_suite(run: RunConfig) -> tuple[dict, list[MetricsRow], list[ScenarioMetrics]]:
-    """Select and score every scenario of a suite under one preset."""
-    manifest, paths = load_suite(run.suite)
-    cfg, limit = preset_selection(run.preset, run.selection)
-
-    entries = sorted(zip(manifest["scenarios"], paths), key=lambda e: e[0]["id"])
-    per_scenario: list[ScenarioMetrics] = []
-    for entry, path in entries:
+def evaluate_suite(
+    suite: Path, presets: Sequence[str], base: SelectionConfig, convention: str, verify: bool = False
+) -> tuple[dict, list[tuple[list[MetricsRow], list[ScenarioMetrics]]]]:
+    """Select and score every scenario of a suite under each preset, loading
+    each scenario once, in id order. Returns the manifest and, per preset, the
+    aggregate rows and the per-scenario metrics."""
+    manifest, paths = load_suite(suite)
+    runs = [preset_selection(preset, base) for preset in presets]
+    per_preset: list[list[ScenarioMetrics]] = [[] for _ in runs]
+    for entry, path in sorted(zip(manifest["scenarios"], paths), key=lambda e: e[0]["id"]):
         try:
-            per_scenario.append(_evaluate_scenario(path, run, cfg, limit))
+            s = load_scenario(path)
+            gt = s.ground_truth()
+            for (cfg, limit), results in zip(runs, per_preset):
+                candidates = _truncate_candidates(s.candidates, limit)
+                report = ucas_select(candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
+                if verify:
+                    _verify_scenario(s, cfg, report, candidates)
+                results.append(
+                    evaluate_trajectory(report.chosen, s.ego_dims, gt, s.scenario_id, s.scenario_class, convention)
+                )
         except (ValueError, OSError) as e:
             raise _scoped(e, entry["id"]) from None
-    rows = aggregate(per_scenario, stratify=True)
-    return manifest, rows, per_scenario
+    return manifest, [(aggregate(results, stratify=True), results) for results in per_preset]
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +235,19 @@ def _base_selection(args) -> SelectionConfig:
 
 
 def cmd_eval(args) -> int:
-    run = RunConfig(
-        suite=Path(args.suite),
-        preset=args.preset,
-        selection=_base_selection(args),
-        convention=args.convention,
-        verify=args.verify,
+    base = _base_selection(args)
+    manifest, [(rows, per_scenario)] = evaluate_suite(
+        Path(args.suite), (args.preset,), base, args.convention, args.verify
     )
-    manifest, rows, per_scenario = evaluate_suite(run)
     header = [
         ("command", "eval"),
         ("suite", args.suite),
         ("master-seed", manifest.get("master_seed")),
         ("preset", args.preset),
-        ("nll-threshold", repr(run.selection.nll_threshold)),
-        ("clearance", repr(run.selection.boundary_clearance)),
-        ("agent-margin", repr(run.selection.agent_margin)),
-        ("risk-aggregator", run.selection.risk_aggregator),
+        ("nll-threshold", repr(base.nll_threshold)),
+        ("clearance", repr(base.boundary_clearance)),
+        ("agent-margin", repr(base.agent_margin)),
+        ("risk-aggregator", base.risk_aggregator),
         ("convention", args.convention),
         ("verify", str(args.verify).lower()),
     ]
@@ -282,17 +267,8 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     base = _base_selection(args)
-    overall: list[tuple[str, MetricsRow]] = []
-    for preset in PRESETS:
-        run = RunConfig(
-            suite=Path(args.suite),
-            preset=preset,
-            selection=base,
-            convention=args.convention,
-            verify=False,
-        )
-        manifest, rows, _ = evaluate_suite(run)
-        overall.append((preset, rows[0]))
+    manifest, results = evaluate_suite(Path(args.suite), PRESETS, base, args.convention)
+    overall = [(preset, rows[0]) for preset, (rows, _) in zip(PRESETS, results)]
 
     header = [
         ("command", "ablate"),

@@ -5,11 +5,11 @@ counterclockwise from +x. All types are immutable values and all operations
 are pure functions, so everything here is safe to use concurrently.
 
 The batched kernels (box corners, separating-axis test, point-to-segment
-offsets, segment intersection) take numpy arrays and decide bit for bit as
-the scalar formulas do: trigonometry goes through `math.cos`/`math.sin` per
-heading, and distances within a few ulps of a threshold are recomputed with
-`math.hypot`, because numpy's versions can differ from `math`'s in the last
-bit.
+offsets, segment intersection, point-in-ring) take numpy arrays and decide
+bit for bit as the scalar formulas do: trigonometry goes through
+`math.cos`/`math.sin` per heading, and distances within a few ulps of a
+threshold are recomputed with `math.hypot`, because numpy's versions can
+differ from `math`'s in the last bit.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ MIN_VERTEX_SEPARATION = 1e-9  # m, closer consecutive polyline vertices are reje
 MIN_POLYGON_AREA = 1e-12  # m^2, smaller rings are degenerate
 _HYPOT_ULPS = 16  # np.hypot and math.hypot are each within 1 ulp; distances this close to a limit are re-decided
 # Pairs per block of the pairwise kernels (segment intersection, point-to-segment
-# distance). A float temporary of a block is 32 KB, well under the allocator's
-# 128 KB mmap and trim thresholds, so its memory is reused from call to call
-# instead of being mapped, page-faulted in and released again every time.
+# distance, point-in-ring). A float temporary of a block is 32 KB, well under
+# the allocator's 128 KB mmap and trim thresholds, so its memory is reused from
+# call to call instead of being mapped, page-faulted in and released again
+# every time.
 _PAIR_BLOCK = 1 << 12
 
 
@@ -147,12 +148,8 @@ def _cross(ox, oy, ax, ay, bx, by):
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
-def _on_segment_bbox(a: Point2, b: Point2, p: Point2) -> bool:
-    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-
-
 def _in_bbox(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """_on_segment_bbox over (n, 2) arrays."""
+    """Whether p lies in the bounding box of a and b (closed), for (..., 2) arrays that broadcast."""
     return ((np.minimum(a, b) <= p) & (p <= np.maximum(a, b))).all(axis=-1)
 
 
@@ -232,7 +229,7 @@ def _ring_edges(poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
 def _polygons_touch(a: Polygon, b: Polygon) -> bool:
     if _first_crossing(*_ring_edges(a), *_ring_edges(b)) is not None:
         return True
-    return _point_in_polygon(a.outer[0], b) or _point_in_polygon(b.outer[0], a)
+    return bool(points_in_polygons(_xy(a.outer[:1]), (b,))[0] or points_in_polygons(_xy(b.outer[:1]), (a,))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -315,42 +312,45 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
 # containment
 
 
-def _point_on_ring(p: Point2, ring: tuple[Point2, ...]) -> bool:
-    for k in range(len(ring) - 1):
-        a, b = ring[k], ring[k + 1]
-        if _cross(a.x, a.y, b.x, b.y, p.x, p.y) == 0.0 and _on_segment_bbox(a, b, p):
-            return True
-    return False
+def _ring_hits(points: np.ndarray, ring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of points (N, 2), against the closed ring (n, 2): whether it
+    lies on the ring, and whether the ray from it along +x crosses the ring
+    an odd number of times (boundary points are not handled by the second).
+    Points go in blocks of at most _PAIR_BLOCK point-edge pairs."""
+    a, b = ring[:-1], ring[1:]
+    (ax, ay), (bx, by) = a.T, b.T
+    rows = max(1, _PAIR_BLOCK // len(ax))
+    on = np.empty(len(points), dtype=bool)
+    odd = np.empty(len(points), dtype=bool)
+    # x_at is only read where the edge straddles the ray (by != ay); overflow gives inf as in Python
+    with np.errstate(all="ignore"):
+        for start in range(0, len(points), rows):
+            p = points[start:start + rows]
+            px, py = p[:, 0, None], p[:, 1, None]
+            on[start:start + rows] = ((_cross(ax, ay, bx, by, px, py) == 0.0) & _in_bbox(a, b, p[:, None])).any(axis=1)
+            x_at = ax + (py - ay) * (bx - ax) / (by - ay)
+            odd[start:start + rows] = np.logical_xor.reduce(((ay > py) != (by > py)) & (px < x_at), axis=1)
+    return on, odd
 
 
-def _even_odd_inside(p: Point2, ring: tuple[Point2, ...]) -> bool:
-    """Even-odd crossing count along the +x ray; boundary points are not handled here."""
-    inside = False
-    for k in range(len(ring) - 1):
-        a, b = ring[k], ring[k + 1]
-        if (a.y > p.y) != (b.y > p.y):
-            x_at = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < x_at:
-                inside = not inside
+def points_in_polygons(points: np.ndarray, polygons: Sequence[Polygon]) -> np.ndarray:
+    """Per point of points (N, 2): closed-set containment in any of the
+    polygons. A hole's boundary belongs to its polygon; where holes overlap,
+    the first hole whose boundary or inside holds the point decides."""
+    inside = np.zeros(len(points), dtype=bool)
+    for poly in polygons:
+        keep = np.ones(len(points), dtype=bool)
+        for hole in reversed(poly.holes):
+            on, odd = _ring_hits(points, _xy(hole))
+            keep = on | (~odd & keep)
+        on, odd = _ring_hits(points, _xy(poly.outer))
+        inside |= on | (odd & keep)
     return inside
-
-
-def _point_in_polygon(p: Point2, poly: Polygon) -> bool:
-    if _point_on_ring(p, poly.outer):
-        return True
-    if not _even_odd_inside(p, poly.outer):
-        return False
-    for hole in poly.holes:
-        if _point_on_ring(p, hole):
-            return True  # hole boundary still belongs to the polygon
-        if _even_odd_inside(p, hole):
-            return False
-    return True
 
 
 def point_in_multipolygon(p: Point2, area: MultiPolygon) -> bool:
     """Closed-set containment: points on any boundary count as inside."""
-    return any(_point_in_polygon(p, poly) for poly in area.polygons)
+    return bool(points_in_polygons(np.array([[p.x, p.y]]), area.polygons)[0])
 
 
 # ---------------------------------------------------------------------------

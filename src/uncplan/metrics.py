@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import MultiPolygon, OrientedBox, Point2, box_axes, box_corners, boxes_overlap_batch, point_in_multipolygon
+from .geometry import MultiPolygon, OrientedBox, Point2, box_axes, box_corners, boxes_overlap_batch, points_in_polygons
 from .selection import T_F, CandidateTrajectory, trajectory_arrays
 
 HORIZON_STEPS = (2, 4, 6)  # 1 s / 2 s / 3 s at 0.5 s per step
@@ -155,8 +155,9 @@ def dacr_flags(
     """Per-step conflict flags: True when any footprint corner leaves the
     drivable area (boundary itself still counts as inside)."""
     xy, headings = trajectory_arrays([traj])
-    corners = box_corners(xy[0], headings[0], ego_dims[0], ego_dims[1]).tolist()
-    return tuple(not all(point_in_multipolygon(Point2(x, y), da) for x, y in step) for step in corners)
+    corners = box_corners(xy[0], headings[0], ego_dims[0], ego_dims[1])
+    inside = points_in_polygons(corners.reshape(-1, 2), da.polygons).reshape(corners.shape[:-1])
+    return tuple((~inside.all(axis=-1)).tolist())
 
 
 def dacr_frame(

@@ -620,14 +620,10 @@ def _candidate(obj, path) -> CandidateTrajectory:
     return _build(path, CandidateTrajectory, waypoints, _field(obj, "headings", list, path, _number), confidence)
 
 
-def _candidate_set(obj, path) -> CandidateSet:
-    return CandidateSet(*[_field(obj, key, list, path, _candidate) for key in ("TurnLeft", "TurnRight", "GoStraight")])
-
-
 def _check_version(data, source) -> None:
     if not isinstance(data, dict) or "version" not in data:
         raise ScenarioVersionError(f"{source}: missing schema 'version' field")
-    if data["version"] != SCHEMA_VERSION:
+    if type(data["version"]) is not int or data["version"] != SCHEMA_VERSION:
         raise ScenarioVersionError(f"{source}: unsupported schema version {data['version']!r}, expected {SCHEMA_VERSION}")
 
 
@@ -648,8 +644,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     polygons = _field(map_data, "drivable_area", list, map_path, _polygon)
     drivable = _build((map_path, "drivable_area"), MultiPolygon, polygons)
     candidates_path = (None, "candidates")
-    # Arguments are read before _build runs, so read errors keep their own names. The candidate
-    # set is read inside its _build, which gives its invariant errors a second 'candidates' prefix.
+    candidates = _field(data, "candidates", dict, None)
+    lists = [_field(candidates, key, list, candidates_path, _candidate) for key in ("TurnLeft", "TurnRight", "GoStraight")]
     return _build(
         (None, "<scenario>"),
         Scenario,
@@ -663,7 +659,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         map=_build(map_path, UncertainMap, elements, drivable),
         agents=_field(data, "agents", list, None, _agent),
         agent_gt=_field(data, "agent_gt", list, None, _list, _box),
-        candidates=_build(candidates_path, _candidate_set, _field(data, "candidates", dict, None), candidates_path),
+        candidates=_build(candidates_path, CandidateSet, *lists),
     )
 
 

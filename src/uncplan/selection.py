@@ -106,6 +106,9 @@ class SelectionConfig:
     risk_on_all_elements: bool = False  # default: boundary elements only
 
     def __post_init__(self) -> None:
+        for name in ("nll_threshold", "boundary_clearance", "agent_margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.boundary_clearance < 0:
             raise ValueError(f"boundary_clearance must be >= 0, got {self.boundary_clearance}")
         if self.agent_margin < 0:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from uncplan.cli import RunConfig, evaluate_suite, main
+from uncplan.cli import evaluate_suite, main
 from uncplan.geometry import MultiPolygon, Point2, Polygon, Pose2, dist_point_segment, vehicle_corners
 from uncplan.map_model import MapElement, MapElementKind, UncertainMap
 from uncplan.metrics import HORIZON_STEPS, dacr_flags, dacr_frame
@@ -328,11 +328,7 @@ def acceptance_rows(tmp_path_factory):
     eval_seconds = {}
     for preset in ("multimodal", "cas", "ucas"):
         t1 = time.perf_counter()
-        run = RunConfig(
-            suite=manifest, preset=preset, selection=SelectionConfig(),
-            convention="cumulative", verify=False,
-        )
-        _, agg, _ = evaluate_suite(run)
+        _, [(agg, _)] = evaluate_suite(manifest, (preset,), SelectionConfig(), "cumulative")
         rows[preset] = {r.scenario_class: r for r in agg}
         eval_seconds[preset] = time.perf_counter() - t1
     return rows, gen_seconds, eval_seconds
@@ -411,11 +407,7 @@ def test_a8_metric_sanity(tmp_path):
             master_seed=master_seed,
         )
         for convention in ("cumulative", "instantaneous"):
-            run = RunConfig(
-                suite=manifest, preset="ucas", selection=SelectionConfig(),
-                convention=convention, verify=True,
-            )
-            _, rows, _ = evaluate_suite(run)
+            _, [(rows, _)] = evaluate_suite(manifest, ("ucas",), SelectionConfig(), convention, verify=True)
             for row in rows:
                 for f in (
                     "de_1s", "de_2s", "de_3s", "de_avg",

@@ -15,6 +15,7 @@ from uncplan.cli import (
     main,
     preset_selection,
 )
+from uncplan.scenario import load_scenario
 from uncplan.selection import SelectionConfig
 
 
@@ -191,6 +192,12 @@ def test_selection_error_names_scenario(small_suite, tmp_path, capsys):
     assert f"scenario {sid}: uncertainty filter needs at least one boundary element" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--clearance", "nan"), ("--nll-threshold", "inf")])
+def test_non_finite_threshold_is_config_error(small_suite, tmp_path, capsys, flag, value):
+    assert run(["eval", "--suite", small_suite, flag, value, "--out", tmp_path / "x"]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_eval_bad_preset_is_argparse_exit_2(small_suite, tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["eval", "--suite", small_suite, "--preset", "bogus", "--out", tmp_path / "x"])
@@ -225,6 +232,25 @@ def test_eval_manifest_entry_without_string_id_is_parse_error(small_suite, tmp_p
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize("target", ["manifest", "scenario"])
+def test_eval_version_must_be_the_integer_1(small_suite, tmp_path, capsys, target, version):
+    # True == 1.0 == 1 in Python, so an equality test alone lets both through
+    import shutil
+
+    suite_dir = tmp_path / "version"
+    shutil.copytree(small_suite.parent, suite_dir)
+    manifest_path = suite_dir / "manifest.json"
+    path = manifest_path
+    if target == "scenario":
+        path = suite_dir / json.loads(manifest_path.read_text())["scenarios"][0]["path"]
+    data = json.loads(path.read_text())
+    data["version"] = version
+    path.write_text(json.dumps(data))
+    assert run(["eval", "--suite", manifest_path, "--out", tmp_path / "x"]) == EXIT_PARSE
+    assert f"unsupported schema version {version!r}, expected 1" in capsys.readouterr().err
+
+
 def test_oracle_mismatch_exit_code(small_suite, tmp_path, monkeypatch):
     import uncplan.cli as cli_mod
 
@@ -243,6 +269,22 @@ def test_ablate_five_rows_ordered(small_suite, tmp_path):
         if not l.startswith("#") and not l.startswith("preset")
     ]
     assert [l.split(",")[0] for l in lines] == list(PRESETS)
+
+
+def test_ablate_loads_each_scenario_once(small_suite, tmp_path, monkeypatch):
+    import uncplan.cli as cli_mod
+
+    loaded = []
+
+    def counting_load(path):
+        loaded.append(Path(path).name)
+        return load_scenario(path)
+
+    monkeypatch.setattr(cli_mod, "load_scenario", counting_load)
+    assert run(["ablate", "--suite", small_suite, "--out", tmp_path / "abl"]) == EXIT_OK
+    names = [entry["path"] for entry in json.loads(small_suite.read_text())["scenarios"]]
+    assert sorted(loaded) == sorted(names)
+    assert len(loaded) == len(names) == 8
 
 
 def test_ablate_noiseless_rows_identical(clean_suite, tmp_path):

@@ -27,6 +27,7 @@ from uncplan.geometry import (
     boxes_overlap_batch,
     hypot_near,
     normalize_heading,
+    point_in_multipolygon,
 )
 from uncplan.map_model import MapElement, MapElementKind, UncertainMap
 from uncplan.metrics import GroundTruth, collision_rate_frame
@@ -146,6 +147,39 @@ def ref_first_ring_crossing(ring):
             if ref_segments_intersect(ring[i], ring[i + 1], ring[j], ring[j + 1]):
                 return i, j
     return None
+
+
+def ref_on_ring(p, ring):
+    for a, b in zip(ring, ring[1:]):
+        if (
+            (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x) == 0.0
+            and min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+        ):
+            return True
+    return False
+
+
+def ref_even_odd(p, ring):
+    inside = False
+    for a, b in zip(ring, ring[1:]):
+        if (a.y > p.y) != (b.y > p.y):
+            x_at = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+            if p.x < x_at:
+                inside = not inside
+    return inside
+
+
+def ref_in_polygon(p, poly):
+    if ref_on_ring(p, poly.outer):
+        return True
+    if not ref_even_odd(p, poly.outer):
+        return False
+    for hole in poly.holes:
+        if ref_on_ring(p, hole):
+            return True
+        if ref_even_odd(p, hole):
+            return False
+    return True
 
 
 # -- strategies -------------------------------------------------------------------
@@ -420,9 +454,54 @@ def test_clearance_in_small_blocks(monkeypatch):
     assert [_clearance_flags(corners, segments, c) for c in (0.5, 2.0)] == whole
 
 
+def _closed(*xy):
+    return tuple(Point2(float(x), float(y)) for x, y in xy + xy[:1])
+
+
+# outer rings with horizontal, vertical and slanted edges; clockwise holes that
+# overlap (2 and 3), nest (4 inside 2) or have slanted edges (5)
+CONTAINMENT_POLYGONS = (
+    Polygon(
+        _closed((0, 0), (12, 0), (12, 4), (10, 10), (0, 10)),
+        (
+            _closed((2, 2), (2, 5), (5, 5), (5, 2)),
+            _closed((4, 3), (4, 6), (7, 6), (7, 3)),
+            _closed((3, 3), (3, 4), (4, 4), (4, 3)),
+            _closed((8, 7), (9, 9), (11, 7)),
+        ),
+    ),
+    Polygon(_closed((20, 0), (26, 0), (23, 5)), (_closed((22, 1), (23, 3), (24, 1)),)),
+)
+
+
+@pytest.mark.parametrize("block", [None, 50])
+def test_containment_kernel_matches_scalar_loops(monkeypatch, block):
+    """Grid points at every vertex and on every axis-parallel edge, points
+    along the slanted edges, rays through vertices and along horizontal edges."""
+    if block is not None:
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    polys = CONTAINMENT_POLYGONS
+    rings = [r for poly in polys for r in (poly.outer, *poly.holes)]
+    grid = [Point2(x / 4, y / 4) for x in range(-4, 110) for y in range(-4, 44)]
+    along = [Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)) for r in rings for a, b in zip(r, r[1:])
+             for t in (0.1, 0.25, 1 / 3, 0.5, 0.7)]
+    pts = grid + along
+    xy = np.array([(p.x, p.y) for p in pts])
+    for ring in rings:
+        on, odd = geometry._ring_hits(xy, np.array([(p.x, p.y) for p in ring]))
+        assert on.tolist() == [ref_on_ring(p, ring) for p in pts]
+        assert odd.tolist() == [ref_even_odd(p, ring) for p in pts]
+    expected = [any(ref_in_polygon(p, poly) for poly in polys) for p in pts]
+    assert geometry.points_in_polygons(xy, polys).tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+    area = MultiPolygon(polys)
+    assert [point_in_multipolygon(p, area) for p in pts[::37]] == expected[::37]
+
+
 def test_pairwise_kernels_allocate_per_block():
-    """The ring check and the clearance kernel hold one block of pairs at a
-    time, so their peak allocation does not grow with the number of pairs.
+    """The ring check, the clearance kernel and the containment kernel hold
+    one block of pairs at a time, so their peak allocation does not grow with
+    the number of pairs.
     Temporaries above the allocator's 128 KB mmap threshold would be mapped
     and page-faulted in anew on every call."""
     n = 400
@@ -433,16 +512,21 @@ def test_pairwise_kernels_allocate_per_block():
     segments = (np.array([(p.x, p.y) for p in ring[:-1]]), np.array([(p.x, p.y) for p in ring[1:]]))
     tracemalloc.start()
     try:
-        Polygon(ring)
+        poly = Polygon(ring)
         _, ring_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         _clearance_flags(corners, segments, 1.0)
         _, clearance_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        geometry.points_in_polygons(corners.reshape(-1, 2), (poly,))
+        _, containment_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 80k edge pairs and 192k point-segment pairs: unblocked, these calls peak at 6.6 and 9.2 MB
+    # 80k edge pairs and 192k point-segment and point-edge pairs: unblocked,
+    # these calls peak at 6.6, 9.2 and 4.7 MB
     assert ring_peak < 512 * 1024
     assert clearance_peak < 512 * 1024
+    assert containment_peak < 512 * 1024
 
 
 @settings(max_examples=100, deadline=None)

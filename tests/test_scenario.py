@@ -296,6 +296,25 @@ def test_type_errors_name_the_field(edit, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda c: c["TurnLeft"][0].update(confidence=math.inf),
+            "field 'candidates.TurnLeft[0].confidence': must be finite, got inf",
+        ),
+        (lambda c: c.update(TurnLeft=[]), "field 'candidates': command turn_left needs at least one candidate"),
+    ],
+    ids=["confidence", "empty"],
+)
+def test_candidate_invariant_errors_name_the_field_once(edit, message):
+    data = scenario_to_dict(generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(), 2))
+    edit(data["candidates"])
+    with pytest.raises(ScenarioInvariantError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == message
+
+
 def _value_paths(node, prefix=()):
     """The key or index path of every value below node."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -240,6 +241,13 @@ def test_fallback_prefers_non_colliding_with_max_risk():
     assert report.fallback_used is True
     assert report.records[0].agent_collision is True
     assert report.chosen_index == 2  # max risk_nll among non-colliding
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["nll_threshold", "boundary_clearance", "agent_margin"])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SelectionConfig(**{field: value})
 
 
 def test_disabling_all_filters_is_pure_argmax():
