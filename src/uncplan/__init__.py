@@ -10,8 +10,6 @@ from .geometry import (
     Polygon,
     Polyline,
     Pose2,
-    boxes_overlap,
-    dist_point_polyline,
     point_in_multipolygon,
     vehicle_corners,
 )
@@ -62,5 +60,4 @@ from .uncertainty import (
     fit_laplace_mle,
     laplace_point_nll,
     log_joint_density,
-    min_nll_to_elements,
 )

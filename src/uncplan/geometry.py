@@ -81,6 +81,7 @@ class Polyline:
 @dataclass(frozen=True)
 class Polygon:
     """Simple polygon: closed CCW outer ring with optional closed CW hole rings.
+    Each hole lies strictly inside the outer ring, and no two rings share a point.
 
     Rings carry an explicit closing vertex (first == last).
     """
@@ -93,9 +94,15 @@ class Polygon:
         holes = tuple(tuple(h) for h in self.holes)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "holes", holes)
-        _validate_ring(outer, want_ccw=True, label="outer")
+        rim = _validate_ring(outer, want_ccw=True, label="outer")
+        # the layout under which even-odd parity over all rings is the polygon's area
         for i, hole in enumerate(holes):
-            _validate_ring(hole, want_ccw=False, label=f"hole {i}")
+            edges = _validate_ring(hole, want_ccw=False, label=f"hole {i}")
+            if _first_crossing(*rim, *edges) is not None or not _ring_hits(edges[0][:1], *rim)[0]:
+                raise ValueError(f"hole {i} is not strictly inside the outer ring")
+            for j in range(i):
+                if _regions_meet((holes[j],), (hole,)):
+                    raise ValueError(f"holes {j} and {i} are not disjoint")
 
 
 @dataclass(frozen=True)
@@ -109,9 +116,10 @@ class MultiPolygon:
         object.__setattr__(self, "polygons", polys)
         if not polys:
             raise ValueError("multipolygon needs at least one polygon")
+        rings = [(p.outer, *p.holes) for p in polys]
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
-                if _polygons_touch(polys[i], polys[j]):
+                if _regions_meet(rings[i], rings[j]):
                     raise ValueError(f"polygons {i} and {j} are not disjoint")
 
 
@@ -129,9 +137,6 @@ class OrientedBox:
             raise ValueError(f"heading must be finite, got {self.heading}")
         if not (0 < self.length < math.inf and 0 < self.width < math.inf):
             raise ValueError(f"box dimensions must be positive and finite, got {self.length} x {self.width}")
-
-    def corners(self) -> list[Point2]:
-        return vehicle_corners(Pose2(self.center, self.heading), self.length, self.width)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +205,8 @@ def _ring_signed_area(ring: tuple[Point2, ...]) -> float:
     return 0.5 * acc
 
 
-def _validate_ring(ring: tuple[Point2, ...], want_ccw: bool, label: str) -> None:
+def _validate_ring(ring: tuple[Point2, ...], want_ccw: bool, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check one closed ring and return its edges' start and end points."""
     if len(ring) < 4:
         raise ValueError(f"{label} ring needs at least 4 vertices including the closing one")
     if ring[0].x != ring[-1].x or ring[0].y != ring[-1].y:
@@ -211,25 +217,29 @@ def _validate_ring(ring: tuple[Point2, ...], want_ccw: bool, label: str) -> None
     if (area > 0) != want_ccw:
         want = "counterclockwise" if want_ccw else "clockwise"
         raise ValueError(f"{label} ring must be {want}")
-    xy = _xy(ring)
+    edges = _edges(ring)
     last = len(ring) - 2
     # adjacent edges legitimately share a vertex: pairs start at j = i + 2 and skip (0, last)
-    crossing = _first_crossing(
-        xy[:-1], xy[1:], xy[:-1], xy[1:], lambda i, j: (j >= i + 2) & ((i != 0) | (j != last))
-    )
+    crossing = _first_crossing(*edges, *edges, lambda i, j: (j >= i + 2) & ((i != 0) | (j != last)))
     if crossing is not None:
         raise ValueError(f"{label} ring is self-intersecting (edges {crossing[0]} and {crossing[1]})")
+    return edges
 
 
-def _ring_edges(poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
-    rings = [_xy(ring) for ring in (poly.outer, *poly.holes)]
-    return np.concatenate([r[:-1] for r in rings]), np.concatenate([r[1:] for r in rings])
+def _edges(*rings: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points (E, 2) of the edges of closed rings, ring after ring."""
+    xy = [_xy(ring) for ring in rings]
+    return np.concatenate([r[:-1] for r in xy]), np.concatenate([r[1:] for r in xy])
 
 
-def _polygons_touch(a: Polygon, b: Polygon) -> bool:
-    if _first_crossing(*_ring_edges(a), *_ring_edges(b)) is not None:
+def _regions_meet(a: Sequence[tuple[Point2, ...]], b: Sequence[tuple[Point2, ...]]) -> bool:
+    """Whether the closed regions bounded by the rings a and b share a point:
+    an edge of one meets an edge of the other, or one region holds the
+    other's first vertex."""
+    ea, eb = _edges(*a), _edges(*b)
+    if _first_crossing(*ea, *eb) is not None:
         return True
-    return bool(points_in_polygons(_xy(a.outer[:1]), (b,))[0] or points_in_polygons(_xy(b.outer[:1]), (a,))[0])
+    return bool(_ring_hits(eb[0][:1], *ea)[0] or _ring_hits(ea[0][:1], *eb)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -297,55 +307,35 @@ def vehicle_corners(pose: Pose2, length: float, width: float) -> list[Point2]:
     return [Point2(x, y) for x, y in xy[0].tolist()]
 
 
-def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
-    """Separating-axis test over the two boxes' edge normals; touching counts as overlap."""
-
-    def frame(box: OrientedBox) -> tuple[np.ndarray, np.ndarray]:
-        heading = np.array([box.heading])
-        centers = np.array([[box.center.x, box.center.y]])
-        return box_corners(centers, heading, box.length, box.width), box_axes(heading)
-
-    return bool(boxes_overlap_batch(*frame(a), *frame(b))[0])
-
-
 # ---------------------------------------------------------------------------
 # containment
 
 
-def _ring_hits(points: np.ndarray, ring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point of points (N, 2), against the closed ring (n, 2): whether it
-    lies on the ring, and whether the ray from it along +x crosses the ring
-    an odd number of times (boundary points are not handled by the second).
-    Points go in blocks of at most _PAIR_BLOCK point-edge pairs."""
-    a, b = ring[:-1], ring[1:]
+def _ring_hits(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per point of points (N, 2), against the edges a[j]-b[j] (E, 2): whether
+    it lies on an edge, or the ray from it along +x crosses an odd number of
+    edges. Points go in blocks of at most _PAIR_BLOCK point-edge pairs."""
     (ax, ay), (bx, by) = a.T, b.T
     rows = max(1, _PAIR_BLOCK // len(ax))
-    on = np.empty(len(points), dtype=bool)
-    odd = np.empty(len(points), dtype=bool)
+    hit = np.empty(len(points), dtype=bool)
     # x_at is only read where the edge straddles the ray (by != ay); overflow gives inf as in Python
     with np.errstate(all="ignore"):
         for start in range(0, len(points), rows):
             p = points[start:start + rows]
             px, py = p[:, 0, None], p[:, 1, None]
-            on[start:start + rows] = ((_cross(ax, ay, bx, by, px, py) == 0.0) & _in_bbox(a, b, p[:, None])).any(axis=1)
+            on = ((_cross(ax, ay, bx, by, px, py) == 0.0) & _in_bbox(a, b, p[:, None])).any(axis=1)
             x_at = ax + (py - ay) * (bx - ax) / (by - ay)
-            odd[start:start + rows] = np.logical_xor.reduce(((ay > py) != (by > py)) & (px < x_at), axis=1)
-    return on, odd
+            hit[start:start + rows] = on | np.logical_xor.reduce(((ay > py) != (by > py)) & (px < x_at), axis=1)
+    return hit
 
 
 def points_in_polygons(points: np.ndarray, polygons: Sequence[Polygon]) -> np.ndarray:
     """Per point of points (N, 2): closed-set containment in any of the
-    polygons. A hole's boundary belongs to its polygon; where holes overlap,
-    the first hole whose boundary or inside holds the point decides."""
-    inside = np.zeros(len(points), dtype=bool)
-    for poly in polygons:
-        keep = np.ones(len(points), dtype=bool)
-        for hole in reversed(poly.holes):
-            on, odd = _ring_hits(points, _xy(hole))
-            keep = on | (~odd & keep)
-        on, odd = _ring_hits(points, _xy(poly.outer))
-        inside |= on | (odd & keep)
-    return inside
+    polygons, decided by even-odd parity over the edges of all their rings,
+    with every boundary point inside. Parity gives the union because the
+    polygons are disjoint and their holes lie strictly inside their outer
+    rings, as MultiPolygon and Polygon require."""
+    return _ring_hits(points, *_edges(*(ring for poly in polygons for ring in (poly.outer, *poly.holes))))
 
 
 def point_in_multipolygon(p: Point2, area: MultiPolygon) -> bool:
@@ -411,10 +401,3 @@ def polyline_array(points: Sequence[Point2]) -> np.ndarray:
 def dist_point_segment(p: Point2, a: Point2, b: Point2) -> float:
     """Euclidean distance from p to the closed segment a-b."""
     return math.hypot(*segment_offsets(p.x, p.y, a.x, a.y, b.x, b.y))
-
-
-def dist_point_polyline(p: Point2, line: Polyline) -> float:
-    """Minimum distance from p to any segment of the polyline."""
-    xy = _xy(line.points)
-    dx, dy = segment_offsets(p.x, p.y, xy[:-1, 0], xy[:-1, 1], xy[1:, 0], xy[1:, 1])
-    return min(map(math.hypot, dx.tolist(), dy.tolist()))

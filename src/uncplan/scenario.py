@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import MultiPolygon, OrientedBox, Point2, Polygon, Pose2
+from .geometry import MultiPolygon, OrientedBox, Point2, Polygon, Pose2, polyline_array
 from .map_model import MapElement, MapElementKind, UncertainMap, perturb_map
 from .metrics import GroundTruth, scenario_class_of
 from .selection import DT, T_F, CandidateSet, CandidateTrajectory, Command
@@ -591,7 +591,10 @@ def _laplace_point(obj, path) -> LaplacePoint:
 def _element(obj, path) -> MapElement:
     kind = _enum(obj, "kind", path, MapElementKind, "unknown kind {!r}")
     points = _field(obj, "points", list, path, _laplace_point)
-    return MapElement(_build((path, "points"), UncertainPolyline, points), kind)
+    line = _build((path, "points"), UncertainPolyline, points)
+    if kind is MapElementKind.BOUNDARY:  # the clearance filter measures to its mu segments
+        _build((path, "points"), polyline_array, [lp.mu for lp in points])
+    return MapElement(line, kind)
 
 
 def _polygon(obj, path) -> Polygon:

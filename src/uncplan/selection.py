@@ -300,11 +300,8 @@ def ucas_select(
 
     scores = []
     for i, cand in enumerate(candidates):
-        flagged = (
-            (cfg.enable_uncertainty_filter and risks[i] < cfg.nll_threshold)
-            or (cfg.enable_agent_filter and agent_flags[i])
-            or (cfg.enable_boundary_filter and boundary_flags[i])
-        )
+        # a disabled filter left its risk at +inf (never below the finite threshold) and its flags False
+        flagged = risks[i] < cfg.nll_threshold or agent_flags[i] or boundary_flags[i]
         scores.append(0.0 if flagged else cand.confidence)
 
     fallback_used = max(scores) == 0.0

@@ -105,8 +105,3 @@ def min_nll_grid(xy: np.ndarray, elements: Iterable[UncertainPolyline]) -> np.nd
     log_2b1 = np.array([math.log(2.0 * b) for b in b1.tolist()])
     log_2b2 = np.array([math.log(2.0 * b) for b in b2.tolist()])
     return _nll(xy[..., 0, None], xy[..., 1, None], mx, my, b1, b2, log_2b1, log_2b2).min(axis=-1)
-
-
-def min_nll_to_elements(p: Point2, elements: Iterable[UncertainPolyline]) -> float:
-    """Minimum NLL of p over every vertex of every element (lower = riskier)."""
-    return float(min_nll_grid(np.array([p.x, p.y]), elements))

@@ -192,6 +192,50 @@ def test_selection_error_names_scenario(small_suite, tmp_path, capsys):
     assert f"scenario {sid}: uncertainty filter needs at least one boundary element" in capsys.readouterr().err
 
 
+def _square(lo, hi, cw=False):
+    ring = [[lo, lo], [hi, lo], [hi, hi], [lo, hi], [lo, lo]]
+    return ring[::-1] if cw else ring
+
+
+@pytest.mark.parametrize(
+    "holes, message",
+    [
+        ([_square(1002, 1008, cw=True), _square(1004, 1006, cw=True)], "holes 0 and 1 are not disjoint"),
+        ([_square(1002, 1005, cw=True), _square(1004, 1007, cw=True)], "holes 0 and 1 are not disjoint"),
+        ([_square(1012, 1014, cw=True)], "hole 0 is not strictly inside the outer ring"),
+        ([_square(1000, 1003, cw=True)], "hole 0 is not strictly inside the outer ring"),
+    ],
+    ids=["nested", "overlapping", "outside", "touching"],
+)
+def test_bad_hole_layout_is_invariant_error_naming_the_polygon(small_suite, tmp_path, capsys, holes, message):
+    def second_polygon(text):
+        data = json.loads(text)
+        data["map"]["drivable_area"].append({"outer": _square(1000, 1010), "holes": holes})
+        return json.dumps(data)
+
+    manifest, sid = _edited_suite(small_suite, tmp_path, "holes", second_polygon)
+    assert run(["eval", "--suite", manifest, "--verify", "--out", tmp_path / "x"]) == EXIT_INVARIANT
+    assert f"scenario {sid}: field 'map.drivable_area[1]': {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["eval", "--preset", p] for p in PRESETS] + [["ablate"]], ids=[*PRESETS, "ablate"])
+def test_coincident_boundary_vertices_are_invariant_error_naming_the_field(small_suite, tmp_path, capsys, command):
+    boundary = []
+
+    def doubled_vertex(text):
+        data = json.loads(text)
+        elements = data["map"]["elements"]
+        boundary.append(next(i for i, e in enumerate(elements) if e["kind"] == "Boundary"))
+        points = elements[boundary[0]]["points"]
+        points[3] = dict(points[2])
+        return json.dumps(data)
+
+    manifest, sid = _edited_suite(small_suite, tmp_path, "doubled", doubled_vertex)
+    assert run([*command, "--suite", manifest, "--out", tmp_path / "x"]) == EXIT_INVARIANT
+    expected = f"scenario {sid}: field 'map.elements[{boundary[0]}].points': polyline vertices 2 and 3 are coincident"
+    assert expected in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--clearance", "nan"), ("--nll-threshold", "inf")])
 def test_non_finite_threshold_is_config_error(small_suite, tmp_path, capsys, flag, value):
     assert run(["eval", "--suite", small_suite, flag, value, "--out", tmp_path / "x"]) == EXIT_CONFIG

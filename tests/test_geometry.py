@@ -12,10 +12,13 @@ from uncplan.geometry import (
     Polygon,
     Polyline,
     Pose2,
-    boxes_overlap,
-    dist_point_polyline,
+    box_axes,
+    box_corners,
+    boxes_overlap_batch,
+    near_segments,
     normalize_heading,
     point_in_multipolygon,
+    points_in_polygons,
     vehicle_corners,
 )
 
@@ -82,6 +85,34 @@ def test_polygon_validation():
     # self-intersecting bow tie
     with pytest.raises(ValueError):
         Polygon((Point2(0, 0), Point2(1, 1), Point2(1, 0), Point2(0, 1), Point2(0, 0)))
+
+
+def cw_square(cx, cy, half):
+    return tuple(reversed(square_ring(cx, cy, half)))
+
+
+@pytest.mark.parametrize(
+    "holes, message",
+    [
+        ((cw_square(5, 5, 3), cw_square(5, 5, 1)), "holes 0 and 1 are not disjoint"),
+        ((cw_square(5, 5, 1), cw_square(5, 5, 3)), "holes 0 and 1 are not disjoint"),
+        ((cw_square(4, 4, 2), cw_square(6, 6, 2)), "holes 0 and 1 are not disjoint"),
+        ((cw_square(3, 3, 1), cw_square(5, 3, 1)), "holes 0 and 1 are not disjoint"),
+        ((cw_square(3, 3, 1), cw_square(5, 5, 1)), "holes 0 and 1 are not disjoint"),
+        ((cw_square(15, 5, 1),), "hole 0 is not strictly inside the outer ring"),
+        ((cw_square(5, 5, 8),), "hole 0 is not strictly inside the outer ring"),
+        ((cw_square(1, 5, 1),), "hole 0 is not strictly inside the outer ring"),
+        ((cw_square(5, 5, 1), cw_square(9.5, 5, 1)), "hole 1 is not strictly inside the outer ring"),
+    ],
+    ids=["nested", "inner-first", "overlapping", "edge", "corner", "outside", "around", "touching", "crossing"],
+)
+def test_polygon_refuses_bad_hole_layouts(holes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Polygon(square_ring(5, 5, 5), holes)
+
+
+def test_polygon_accepts_disjoint_holes_inside():
+    assert len(Polygon(square_ring(5, 5, 5), (cw_square(2, 2, 1), cw_square(7, 7, 1.5))).holes) == 2
 
 
 def test_multipolygon_rejects_overlapping_parts():
@@ -207,67 +238,37 @@ def test_containment_agrees_with_winding_reference():
         poly = _random_star_polygon(rng, int(rng.integers(5, 12)))
         if poly is None:
             continue
-        mp = MultiPolygon((poly,))
         pts = rng.uniform(-6, 6, size=(40, 2))
-        for x, y in pts:
-            p = Point2(float(x), float(y))
-            d = dist_point_polyline(p, Polyline(poly.outer))
-            if d < 1e-9:
-                continue  # boundary-degenerate, conventions may differ
-            assert point_in_multipolygon(p, mp) == _winding_number_inside(p, poly.outer)
-            checked += 1
+        ring = np.array([(p.x, p.y) for p in poly.outer])
+        pts = pts[~near_segments(pts, ring[:-1], ring[1:], 1e-9)]  # boundary-degenerate, conventions may differ
+        expected = [_winding_number_inside(Point2(x, y), poly.outer) for x, y in pts.tolist()]
+        assert points_in_polygons(pts, (poly,)).tolist() == expected
+        checked += len(pts)
 
 
-# -- dist_point_polyline -----------------------------------------------------
+# -- the separating-axis kernel ----------------------------------------------
 
 
-def test_dist_point_polyline_basics():
-    line = Polyline((Point2(-1, 0), Point2(1, 0)))
-    assert dist_point_polyline(Point2(0, 1), line) == pytest.approx(1.0)
-    assert dist_point_polyline(Point2(2, 0), line) == pytest.approx(1.0)
-    assert dist_point_polyline(Point2(0.25, 0.0), line) == 0.0
+def _frame(box):
+    heading = np.array([box.heading])
+    return box_corners(np.array([[box.center.x, box.center.y]]), heading, box.length, box.width), box_axes(heading)
 
 
-@given(
-    st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=2, max_size=8),
-    st.floats(-12, 12), st.floats(-12, 12),
-)
-def test_dist_point_polyline_reversal_and_refinement(raw_pts, px, py):
-    pts = []
-    for x, y in raw_pts:
-        p = Point2(x, y)
-        if pts and math.hypot(p.x - pts[-1].x, p.y - pts[-1].y) <= 1e-6:
-            continue
-        pts.append(p)
-    if len(pts) < 2:
-        return
-    line = Polyline(tuple(pts))
-    p = Point2(px, py)
-    d = dist_point_polyline(p, line)
-    assert d >= 0
-    # symmetric under reversal
-    assert dist_point_polyline(p, Polyline(tuple(reversed(pts)))) == pytest.approx(d, abs=1e-12)
-    # inserting a midpoint on an existing segment never increases the distance
-    mid = Point2((pts[0].x + pts[1].x) / 2, (pts[0].y + pts[1].y) / 2)
-    refined = [pts[0], mid] + pts[1:]
-    if math.hypot(mid.x - pts[0].x, mid.y - pts[0].y) > 1e-6:
-        assert dist_point_polyline(p, Polyline(tuple(refined))) <= d + 1e-12
-
-
-# -- boxes_overlap -----------------------------------------------------------
+def overlap(a, b):
+    return bool(boxes_overlap_batch(*_frame(a), *_frame(b))[0])
 
 
 def test_boxes_overlap_basics():
     a = OrientedBox(Point2(0, 0), 0.3, 4.0, 2.0)
-    assert boxes_overlap(a, a)
+    assert overlap(a, a)
     b = OrientedBox(Point2(10, 0), 0.0, 1.0, 1.0)
-    assert not boxes_overlap(OrientedBox(Point2(0, 0), 0.0, 1.0, 1.0), b)
+    assert not overlap(OrientedBox(Point2(0, 0), 0.0, 1.0, 1.0), b)
 
 
 def test_boxes_overlap_touching_counts():
     a = OrientedBox(Point2(0, 0), 0.0, 2.0, 2.0)
     b = OrientedBox(Point2(2.0, 0), 0.0, 2.0, 2.0)
-    assert boxes_overlap(a, b)
+    assert overlap(a, b)
 
 
 @given(
@@ -277,7 +278,7 @@ def test_boxes_overlap_touching_counts():
 def test_boxes_overlap_symmetric(x1, y1, h1, l1, w1, x2, y2, h2, l2, w2):
     a = OrientedBox(Point2(x1, y1), h1, l1, w1)
     b = OrientedBox(Point2(x2, y2), h2, l2, w2)
-    assert boxes_overlap(a, b) == boxes_overlap(b, a)
+    assert overlap(a, b) == overlap(b, a)
 
 
 def _box_sample_points(box, n_side=100):
@@ -312,13 +313,13 @@ def _any_point_in_box(points, box):
 
 def _sat_margin(a, b):
     """Signed separation: positive = gap width, negative = penetration depth."""
-    ca, cb = a.corners(), b.corners()
+    ca, cb = _frame(a)[0][0].tolist(), _frame(b)[0][0].tolist()
     gaps = []
     for box in (a, b):
         c, s = math.cos(box.heading), math.sin(box.heading)
         for ax, ay in ((c, s), (-s, c)):
-            pa = [p.x * ax + p.y * ay for p in ca]
-            pb = [p.x * ax + p.y * ay for p in cb]
+            pa = [x * ax + y * ay for x, y in ca]
+            pb = [x * ax + y * ay for x, y in cb]
             gaps.append(max(min(pb) - max(pa), min(pa) - max(pb)))
     return max(gaps)
 
@@ -342,6 +343,6 @@ def test_boxes_overlap_against_sampling_oracle():
         oracle = _any_point_in_box(_box_sample_points(a), b) or _any_point_in_box(
             _box_sample_points(b), a
         )
-        assert boxes_overlap(a, b) == oracle
+        assert overlap(a, b) == oracle
         compared += 1
     assert compared > 900

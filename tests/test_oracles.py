@@ -69,6 +69,34 @@ def test_oracle_dacr_with_holes():
     assert any(oracle_dacr_flags(traj, EGO_DIMS, da))
 
 
+def test_dacr_matches_oracle_across_holes_and_an_island():
+    def rect(x0, x1, y0, y1, cw=False):
+        ring = (Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))
+        return tuple(reversed(ring + ring[:1])) if cw else ring + ring[:1]
+
+    # no footprint corner lies exactly on a hole or island edge: the oracle's
+    # 4-ray vote does not count every such point as inside
+    slanted = (Point2(24.3, -4.1), Point2(27.2, 3.1), Point2(30.1, -4.1), Point2(24.3, -4.1))  # clockwise
+    da = MultiPolygon((
+        Polygon(rect(-4, 40, -9, 9), (rect(4.3, 16.1, -5.2, 4.9, cw=True), slanted)),
+        Polygon(rect(6.1, 13.7, -3.1, 2.9)),  # island inside the first hole
+    ))
+    flags = []
+    for y in np.linspace(-7.0, 7.0, 29):
+        for speed in (3.0, 5.0, 9.0):
+            for heading in (0.0, 0.2, -0.35):
+                wps = tuple(Point2(speed * 0.5 * (t + 1), y + 0.5 * t * heading) for t in range(T_F))
+                traj = CandidateTrajectory(wps, (heading,) * T_F, 0.5)
+                flags.append(dacr_flags(traj, EGO_DIMS, da))
+                assert flags[-1] == oracle_dacr_flags(traj, EGO_DIMS, da)
+    steps = [f for row in flags for f in row]
+    assert 0 < sum(steps) < len(steps)
+    on_island = CandidateTrajectory(tuple(Point2(9.0 + 0.4 * t, 0.0) for t in range(T_F)), (0.0,) * T_F, 0.5)
+    in_hole = CandidateTrajectory(tuple(Point2(9.0 + 0.4 * t, -4.15) for t in range(T_F)), (0.0,) * T_F, 0.5)
+    assert dacr_flags(on_island, EGO_DIMS, da) == oracle_dacr_flags(on_island, EGO_DIMS, da) == (False,) * T_F
+    assert dacr_flags(in_hole, EGO_DIMS, da) == oracle_dacr_flags(in_hole, EGO_DIMS, da) == (True,) * T_F
+
+
 # -- Laplace fit oracle -------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from uncplan.uncertainty import (
     fit_laplace_mle,
     laplace_point_nll,
     log_joint_density,
-    min_nll_to_elements,
+    min_nll_grid,
 )
 
 TWO_LOG_TWO = 2.0 * math.log(2.0)  # 1.3862943611198906
@@ -174,14 +174,14 @@ def test_fit_mle_translation_equivariant(seed, vx, vy):
 def test_min_nll_basics():
     el_a = UncertainPolyline((lp(0, 0, 0.5, 0.5), lp(10, 0, 1, 1)))
     el_b = UncertainPolyline((lp(-5, 2, 1, 1),))
-    assert min_nll_to_elements(Point2(0, 0), [el_a, el_b]) == pytest.approx(0.0, abs=1e-15)
+    assert min_nll_grid(np.array([0.0, 0.0]), [el_a, el_b]) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
-        min_nll_to_elements(Point2(0, 0), [])
+        min_nll_grid(np.array([0.0, 0.0]), [])
 
 
 def test_min_nll_far_away_lower_bound():
     elements = [UncertainPolyline((lp(100, 0, 1, 1), lp(100, 50, 1, 1)))]
-    value = min_nll_to_elements(Point2(0, 0), elements)
+    value = min_nll_grid(np.array([0.0, 0.0]), elements)
     assert value >= 100.0 + TWO_LOG_TWO - 1e-9
 
 
@@ -199,4 +199,4 @@ def test_min_nll_matches_brute_force(seed):
     brute = min(
         laplace_point_nll(p, q) for element in elements for q in element.points
     )
-    assert min_nll_to_elements(p, elements) == pytest.approx(brute, abs=1e-12)
+    assert min_nll_grid(np.array([p.x, p.y]), elements) == pytest.approx(brute, abs=1e-12)
