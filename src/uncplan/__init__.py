@@ -24,7 +24,7 @@ from .metrics import (
     displacement_error,
     evaluate_trajectory,
 )
-from .oracles import oracle_dacr, oracle_laplace_fit, oracle_select
+from .oracles import oracle_dacr_flags, oracle_laplace_fit, oracle_select
 from .scenario import (
     AgentMode,
     AgentPrediction,

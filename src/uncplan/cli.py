@@ -25,7 +25,7 @@ from .scenario import (
     load_scenario,
     load_suite,
 )
-from .selection import CandidateSet, SelectionConfig, ucas_select
+from .selection import SelectionConfig, ucas_select
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,16 +65,6 @@ def preset_selection(preset: str, base: SelectionConfig) -> tuple[SelectionConfi
         enable_boundary_filter=boundary,
     )
     return cfg, limit
-
-
-def _truncate_candidates(cands: CandidateSet, limit: int | None) -> CandidateSet:
-    if limit is None:
-        return cands
-    return CandidateSet(
-        turn_left=cands.turn_left[:limit],
-        turn_right=cands.turn_right[:limit],
-        go_straight=cands.go_straight[:limit],
-    )
 
 
 def _verify_scenario(s: Scenario, cfg: SelectionConfig, report, candidates) -> None:
@@ -123,7 +113,7 @@ def evaluate_suite(
             s = load_scenario(path)
             gt = s.ground_truth()
             for (cfg, limit), results in zip(runs, per_preset):
-                candidates = _truncate_candidates(s.candidates, limit)
+                candidates = s.candidates if limit is None else s.candidates.head(limit)
                 report = ucas_select(candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
                 if verify:
                     _verify_scenario(s, cfg, report, candidates)

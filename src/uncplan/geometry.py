@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -66,48 +67,134 @@ class Pose2:
         object.__setattr__(self, "heading", normalize_heading(self.heading))
 
 
+POINT = attrgetter("x", "y")  # a Point2 as a row of numbers
+
+
+def frozen(values) -> np.ndarray:
+    """values as a read-only float array, a copy that later writes to values do not reach."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def row_array(values, *shape: int, row=None) -> np.ndarray:
+    """An array, or a sequence read item by item by row(item), as a read-only
+    float array of shape (n, *shape) of finite numbers. The items that row
+    reads are domain values (Point2, Pose2, ...), which check their own
+    numbers are finite; everything else is checked here."""
+    numbers = row is None or isinstance(values, np.ndarray)
+    arr = frozen(values if numbers else list(map(row, values)))
+    arr = arr.reshape(0, *shape) if arr.shape == (0,) else arr
+    if arr.shape[1:] != shape or numbers and not np.isfinite(arr).all():
+        raise ValueError(f"expected finite numbers in an array of shape (n, *{shape}), got {arr.shape}")
+    return arr
+
+
+def pose_array(poses) -> np.ndarray:
+    """Pose2s, or rows (x, y, heading), as a read-only (n, 3) array of rows
+    with headings normalized as Pose2 normalizes them."""
+    rows = row_array(poses, 3, row=attrgetter("position.x", "position.y", "heading"))
+    headings = _normalized(raw := rows[:, 2])
+    if headings is not raw:
+        rows = np.array(rows)
+        rows[:, 2] = headings
+        rows.flags.writeable = False
+    return rows
+
+
+def pose_tuple(rows: np.ndarray) -> tuple[Pose2, ...]:
+    return tuple(Pose2(Point2(x, y), h) for x, y, h in rows.tolist())
+
+
+def point_tuple(xy: np.ndarray) -> tuple[Point2, ...]:
+    return tuple(Point2(x, y) for x, y in xy.tolist())
+
+
+def _equal(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and bool((a == b).all())
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+class ArrayValue:
+    """Base of frozen dataclasses that hold their value in read-only arrays.
+    Equality compares the instance attributes, arrays elementwise, except the
+    fields named in _views: __post_init__ takes those out of the instance,
+    and each is built from the arrays when it is first read."""
+
+    _views: dict = {}
+
+    @classmethod
+    def _of(cls, **stored):
+        """An instance holding stored as it is, unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(stored)
+        return self
+
+    def __getattr__(self, name: str):
+        if name not in self._views:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = self._views[name](self)
+        return value
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _equal(*({k: v for k, v in vars(x).items() if k not in self._views} for x in (self, other)))
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class Polyline:
-    """Open chain of at least two non-coincident vertices."""
+    """Open chain of at least two non-coincident vertices, also held as an (n, 2) array xy."""
 
     points: tuple[Point2, ...]
 
     def __post_init__(self) -> None:
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
-        polyline_array(pts)  # raises on fewer than 2 or coincident vertices
+        # raises on fewer than 2 or coincident vertices
+        object.__setattr__(self, "xy", polyline_array(row_array(pts, 2, row=POINT)))
 
 
-@dataclass(frozen=True)
-class Polygon:
+@dataclass(frozen=True, init=False, eq=False)
+class Polygon(ArrayValue):
     """Simple polygon: closed CCW outer ring with optional closed CW hole rings.
     Each hole lies strictly inside the outer ring, and no two rings share a point.
 
-    Rings carry an explicit closing vertex (first == last).
+    Rings carry an explicit closing vertex (first == last). Stored: rings,
+    the (n, 2) vertex arrays, outer ring first, and edges, the start and end
+    points (E, 2) of the edges of all rings.
     """
 
     outer: tuple[Point2, ...]
-    holes: tuple[tuple[Point2, ...], ...] = ()
+    holes: tuple[tuple[Point2, ...], ...]
+    _views = {"outer": lambda p: point_tuple(p.rings[0]), "holes": lambda p: tuple(map(point_tuple, p.rings[1:]))}
 
-    def __post_init__(self) -> None:
-        outer = tuple(self.outer)
-        holes = tuple(tuple(h) for h in self.holes)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "holes", holes)
-        rim = _validate_ring(outer, want_ccw=True, label="outer")
+    def __init__(self, outer, holes=()) -> None:
+        rings = tuple(row_array(ring, 2, row=POINT) for ring in (outer, *holes))
+        rim = _validate_ring(rings[0], want_ccw=True, label="outer")
+        edges = [rim]
         # the layout under which even-odd parity over all rings is the polygon's area
-        for i, hole in enumerate(holes):
-            edges = _validate_ring(hole, want_ccw=False, label=f"hole {i}")
-            if _first_crossing(*rim, *edges) is not None or not _ring_hits(edges[0][:1], *rim)[0]:
+        for i, hole in enumerate(rings[1:]):
+            edges.append(_validate_ring(hole, want_ccw=False, label=f"hole {i}"))
+            if _first_crossing(*rim, *edges[-1]) is not None or not _ring_hits(hole[:1], *rim)[0]:
                 raise ValueError(f"hole {i} is not strictly inside the outer ring")
             for j in range(i):
-                if _regions_meet((holes[j],), (hole,)):
+                if _regions_meet(edges[j + 1], edges[-1]):
                     raise ValueError(f"holes {j} and {i} are not disjoint")
+        self.__dict__.update(rings=rings, edges=_concat(edges))
 
 
 @dataclass(frozen=True)
 class MultiPolygon:
-    """Disjoint collection of polygons, e.g. a drivable area."""
+    """Disjoint collection of polygons, e.g. a drivable area. edges holds the
+    start and end points (E, 2) of the edges of every ring of every polygon."""
 
     polygons: tuple[Polygon, ...]
 
@@ -116,11 +203,18 @@ class MultiPolygon:
         object.__setattr__(self, "polygons", polys)
         if not polys:
             raise ValueError("multipolygon needs at least one polygon")
-        rings = [(p.outer, *p.holes) for p in polys]
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
-                if _regions_meet(rings[i], rings[j]):
+                if _regions_meet(polys[i].edges, polys[j].edges):
                     raise ValueError(f"polygons {i} and {j} are not disjoint")
+        object.__setattr__(self, "edges", _concat([p.edges for p in polys]))
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Per point of points (N, 2): closed-set containment, decided by
+        even-odd parity over the edges of all rings, with every boundary point
+        inside. Parity gives the union because the polygons are disjoint and
+        their holes lie strictly inside their outer rings."""
+        return _ring_hits(points, *self.edges)
 
 
 @dataclass(frozen=True)
@@ -143,11 +237,6 @@ class OrientedBox:
 # ring validation helpers
 
 
-def _xy(points: Sequence[Point2]) -> np.ndarray:
-    """(n, 2) coordinate array of a point sequence."""
-    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
-
-
 def _cross(ox, oy, ax, ay, bx, by):
     """z component of (a - o) x (b - o); floats or broadcasting arrays."""
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
@@ -158,16 +247,19 @@ def _in_bbox(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return ((np.minimum(a, b) <= p) & (p <= np.maximum(a, b))).all(axis=-1)
 
 
-def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray, keep=True) -> np.ndarray:
     """Whether closed segments p1-p2 and q1-q2 share any point (touching counts),
-    for (..., 2) endpoint arrays that broadcast."""
-    d1, d2, d3, d4 = (
-        _cross(o1[..., 0], o1[..., 1], o2[..., 0], o2[..., 1], r[..., 0], r[..., 1])
-        for o1, o2, r in ((q1, q2, p1), (q1, q2, p2), (p1, p2, q1), (p1, p2, q2))
-    )
-    hit = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0)))
-    # an endpoint on the other segment's line: rare, so the bounding-box test runs on those pairs only
-    k = np.nonzero((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0))
+    for (..., 2) endpoint arrays that broadcast; False wherever the mask keep is."""
+    (p1x, p1y), (p2x, p2y), (q1x, q1y), (q2x, q2y) = ((v[..., 0], v[..., 1]) for v in (p1, p2, q1, q2))
+    # d1..d4 are _cross(q1, q2, p1), _cross(q1, q2, p2), _cross(p1, p2, q1) and _cross(p1, p2, q2), bit
+    # for bit: d3 takes the p1 - q1 differences of d1 negated, and IEEE negation commutes with each step
+    pdx, pdy, qdx, qdy, dx, dy = p2x - p1x, p2y - p1y, q2x - q1x, q2y - q1y, p1x - q1x, p1y - q1y
+    d1, d3 = qdx * dy - qdy * dx, pdy * dx - pdx * dy
+    d2, d4 = qdx * (p2y - q1y) - qdy * (p2x - q1x), pdx * (q2y - p1y) - pdy * (q2x - p1x)
+    # opposite strict signs on both sides; a NaN or a zero makes a sign product other than negative
+    hit = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0) & keep
+    # an endpoint on the other segment's line: rare among kept pairs, so the bounding-box test runs on those only
+    k = np.nonzero(((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)) & keep)
     if k[0].size:
         e1, e2, f1, f2 = (np.broadcast_to(v, hit.shape + (2,))[k] for v in (p1, p2, q1, q2))
         hit[k] |= (
@@ -188,28 +280,27 @@ def _first_crossing(a0, a1, b0, b1, keep=None) -> tuple[int, int] | None:
     j = np.arange(len(b0))
     for start in range(0, len(a0), rows):
         i = np.arange(start, min(start + rows, len(a0)))[:, None]
-        hit = _segments_intersect(a0[i], a1[i], b0, b1)
-        if keep is not None:
-            hit &= keep(i, j)
+        block = slice(start, start + rows)
+        hit = _segments_intersect(a0[block, None], a1[block, None], b0, b1, True if keep is None else keep(i, j))
         if hit.any():
             k = int(hit.argmax())
             return start + k // len(b0), k % len(b0)
     return None
 
 
-def _ring_signed_area(ring: tuple[Point2, ...]) -> float:
+def _ring_signed_area(ring: np.ndarray) -> float:
+    xs, ys = ring.T.tolist()
     acc = 0.0
-    for k in range(len(ring) - 1):
-        a, b = ring[k], ring[k + 1]
-        acc += a.x * b.y - b.x * a.y
+    for k in range(len(xs) - 1):
+        acc += xs[k] * ys[k + 1] - xs[k + 1] * ys[k]
     return 0.5 * acc
 
 
-def _validate_ring(ring: tuple[Point2, ...], want_ccw: bool, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Check one closed ring and return its edges' start and end points."""
+def _validate_ring(ring: np.ndarray, want_ccw: bool, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check one closed ring (n, 2) and return its edges' start and end points."""
     if len(ring) < 4:
         raise ValueError(f"{label} ring needs at least 4 vertices including the closing one")
-    if ring[0].x != ring[-1].x or ring[0].y != ring[-1].y:
+    if (ring[0] != ring[-1]).any():
         raise ValueError(f"{label} ring is not closed (first vertex != last vertex)")
     area = _ring_signed_area(ring)
     if abs(area) < MIN_POLYGON_AREA:
@@ -217,7 +308,7 @@ def _validate_ring(ring: tuple[Point2, ...], want_ccw: bool, label: str) -> tupl
     if (area > 0) != want_ccw:
         want = "counterclockwise" if want_ccw else "clockwise"
         raise ValueError(f"{label} ring must be {want}")
-    edges = _edges(ring)
+    edges = ring[:-1], ring[1:]
     last = len(ring) - 2
     # adjacent edges legitimately share a vertex: pairs start at j = i + 2 and skip (0, last)
     crossing = _first_crossing(*edges, *edges, lambda i, j: (j >= i + 2) & ((i != 0) | (j != last)))
@@ -226,17 +317,17 @@ def _validate_ring(ring: tuple[Point2, ...], want_ccw: bool, label: str) -> tupl
     return edges
 
 
-def _edges(*rings: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end points (E, 2) of the edges of closed rings, ring after ring."""
-    xy = [_xy(ring) for ring in rings]
-    return np.concatenate([r[:-1] for r in xy]), np.concatenate([r[1:] for r in xy])
+def _concat(edges: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Edge arrays of several rings or polygons, one after the other."""
+    if len(edges) == 1:
+        return edges[0]
+    return np.concatenate([a for a, _ in edges]), np.concatenate([b for _, b in edges])
 
 
-def _regions_meet(a: Sequence[tuple[Point2, ...]], b: Sequence[tuple[Point2, ...]]) -> bool:
-    """Whether the closed regions bounded by the rings a and b share a point:
-    an edge of one meets an edge of the other, or one region holds the
+def _regions_meet(ea: tuple[np.ndarray, np.ndarray], eb: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether the closed regions bounded by the ring edges ea and eb share a
+    point: an edge of one meets an edge of the other, or one region holds the
     other's first vertex."""
-    ea, eb = _edges(*a), _edges(*b)
     if _first_crossing(*ea, *eb) is not None:
         return True
     return bool(_ring_hits(eb[0][:1], *ea)[0] or _ring_hits(ea[0][:1], *eb)[0])
@@ -251,10 +342,10 @@ _SIGN_Y = np.array([1.0, 1.0, -1.0, -1.0])
 
 def _normalized(headings: np.ndarray) -> np.ndarray:
     """normalize_heading, elementwise; headings already in range pass through."""
-    outside = ~((headings > -math.pi) & (headings <= math.pi))
-    if outside.any():
+    inside = (headings > -math.pi) & (headings <= math.pi)
+    if not inside.all():
         headings = headings.copy()
-        headings[outside] = [normalize_heading(h) for h in headings[outside].tolist()]
+        headings[~inside] = [normalize_heading(h) for h in headings[~inside].tolist()]
     return headings
 
 
@@ -329,18 +420,9 @@ def _ring_hits(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return hit
 
 
-def points_in_polygons(points: np.ndarray, polygons: Sequence[Polygon]) -> np.ndarray:
-    """Per point of points (N, 2): closed-set containment in any of the
-    polygons, decided by even-odd parity over the edges of all their rings,
-    with every boundary point inside. Parity gives the union because the
-    polygons are disjoint and their holes lie strictly inside their outer
-    rings, as MultiPolygon and Polygon require."""
-    return _ring_hits(points, *_edges(*(ring for poly in polygons for ring in (poly.outer, *poly.holes))))
-
-
 def point_in_multipolygon(p: Point2, area: MultiPolygon) -> bool:
     """Closed-set containment: points on any boundary count as inside."""
-    return bool(points_in_polygons(np.array([[p.x, p.y]]), area.polygons)[0])
+    return bool(area.contains(np.array([[p.x, p.y]]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +466,9 @@ def near_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray, limit: float
     return near
 
 
-def polyline_array(points: Sequence[Point2]) -> np.ndarray:
-    """(n, 2) vertices of a valid polyline: at least two, and no two
+def polyline_array(xy: np.ndarray) -> np.ndarray:
+    """The vertices (n, 2) of a valid polyline: at least two, and no two
     consecutive ones closer than MIN_VERTEX_SEPARATION."""
-    xy = _xy(points)
     if len(xy) < 2:
         raise ValueError("polyline needs at least 2 points")
     step = xy[1:] - xy[:-1]

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MultiPolygon, Point2
-from .uncertainty import LaplacePoint, UncertainPolyline
+from .geometry import MultiPolygon
+from .uncertainty import UncertainPolyline
 
 MAX_ELEMENTS = 100  # cap on vectorized elements per map
 
@@ -61,14 +61,11 @@ def perturb_map(
     rng = np.random.Generator(np.random.PCG64(seed))
     new_elements = []
     for element in m.elements:
-        n = len(element.polyline.points)
-        if noise_scale > 0:
-            offsets = rng.laplace(0.0, noise_scale, size=(n, 2))
-        else:
-            offsets = np.zeros((n, 2))
-        points = []
-        for lp, (dx, dy) in zip(element.polyline.points, offsets):
-            b = (noise_scale, noise_scale) if calibrated else lp.b
-            points.append(LaplacePoint(Point2(lp.mu.x + float(dx), lp.mu.y + float(dy)), b))
-        new_elements.append(MapElement(UncertainPolyline(tuple(points)), element.kind))
+        table = np.array(element.polyline.table)
+        n = len(table)
+        # adding zeros too, as -0.0 + 0.0 is 0.0
+        table[:, :2] += rng.laplace(0.0, noise_scale, size=(n, 2)) if noise_scale > 0 else np.zeros((n, 2))
+        if calibrated:
+            table[:, 2:] = noise_scale
+        new_elements.append(MapElement(UncertainPolyline(table), element.kind))
     return UncertainMap(tuple(new_elements), m.drivable_area)

@@ -12,39 +12,73 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import MultiPolygon, OrientedBox, Point2, box_axes, box_corners, boxes_overlap_batch, points_in_polygons
-from .selection import T_F, CandidateTrajectory, trajectory_arrays
+from .geometry import (
+    POINT,
+    ArrayValue,
+    MultiPolygon,
+    OrientedBox,
+    Point2,
+    box_axes,
+    box_corners,
+    boxes_overlap_batch,
+    frozen,
+    point_tuple,
+    row_array,
+)
+from .selection import T_F, CandidateTrajectory
+
+_BOX = attrgetter("center.x", "center.y", "heading", "length", "width")
 
 HORIZON_STEPS = (2, 4, 6)  # 1 s / 2 s / 3 s at 0.5 s per step
 CONVENTIONS = ("cumulative", "instantaneous")
 TURN_THRESHOLD_RAD = math.radians(15.0)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """What actually happens: ego future, agent futures, true drivable area."""
+def box_array(boxes) -> np.ndarray:
+    """Per agent, T_F boxes as a read-only (A, T_F, 5) array of rows (cx, cy,
+    heading, length, width); boxes is such an array, or holds OrientedBoxes."""
+    table = row_array(boxes, T_F, 5, row=lambda seq: list(map(_BOX, seq)))
+    if not (table[..., 3:] > 0).all():
+        raise ValueError("box dimensions must be positive")
+    return table
+
+
+def box_tuples(table: np.ndarray) -> tuple[tuple[OrientedBox, ...], ...]:
+    """The rows of an (A, T_F, 5) box array as OrientedBoxes."""
+    return tuple(tuple(OrientedBox(Point2(x, y), h, length, width) for x, y, h, length, width in seq)
+                 for seq in table.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruth(ArrayValue):
+    """What actually happens: ego future, agent futures, true drivable area.
+    Stored: ego_xy (T_F, 2), ego_yaw (T_F,) and agent_boxes (A, T_F, 5) as
+    read-only arrays; each field may also be given as its array."""
 
     ego_future: tuple[Point2, ...]
     ego_headings: tuple[float, ...]
     agent_futures: tuple[tuple[OrientedBox, ...], ...]
     drivable_area: MultiPolygon
+    _views = {
+        "ego_future": lambda g: point_tuple(g.ego_xy),
+        "ego_headings": lambda g: tuple(g.ego_yaw.tolist()),
+        "agent_futures": lambda g: box_tuples(g.agent_boxes),
+    }
 
     def __post_init__(self) -> None:
-        ego = tuple(self.ego_future)
-        hds = tuple(float(h) for h in self.ego_headings)
-        agents = tuple(tuple(seq) for seq in self.agent_futures)
-        object.__setattr__(self, "ego_future", ego)
-        object.__setattr__(self, "ego_headings", hds)
-        object.__setattr__(self, "agent_futures", agents)
-        if len(ego) != T_F or len(hds) != T_F:
+        ego_xy = row_array(self.__dict__.pop("ego_future"), 2, row=POINT)
+        ego_yaw, agent_futures = frozen(self.__dict__.pop("ego_headings")), self.__dict__.pop("agent_futures")
+        if len(ego_xy) != T_F or ego_yaw.shape != (T_F,):
             raise ValueError(f"ground truth needs {T_F} ego steps")
-        for i, seq in enumerate(agents):
+        for i, seq in enumerate(agent_futures):
             if len(seq) != T_F:
                 raise ValueError(f"agent {i} ground truth has {len(seq)} steps, needs {T_F}")
+        self.__dict__.update(ego_xy=ego_xy, ego_yaw=ego_yaw, agent_boxes=box_array(agent_futures))
 
 
 @dataclass(frozen=True)
@@ -107,10 +141,7 @@ def displacement_error(
     step h alone (instantaneous/endpoint)."""
     _check_horizon(horizon_steps)
     _check_convention(convention)
-    dists = [
-        math.hypot(w.x - g.x, w.y - g.y)
-        for w, g in zip(traj.waypoints[:horizon_steps], gt.ego_future[:horizon_steps])
-    ]
+    dists = [math.hypot(dx, dy) for dx, dy in (traj.xy[:horizon_steps] - gt.ego_xy[:horizon_steps]).tolist()]
     if convention == "cumulative":
         return sum(dists) / horizon_steps
     return dists[-1]
@@ -119,14 +150,12 @@ def displacement_error(
 def _collision_steps(traj: CandidateTrajectory, ego_dims: tuple[float, float], gt: GroundTruth) -> list[bool]:
     """Per step: whether the ego box overlaps any agent's true box, from one
     separating-axis call over the (agents, T) overlap matrix."""
-    boxes = gt.agent_futures
-    if not boxes:
+    boxes = gt.agent_boxes
+    if not len(boxes):
         return [False] * T_F
-    xy, headings = trajectory_arrays([traj])
-    ego_corners = box_corners(xy[0], headings[0], ego_dims[0], ego_dims[1])
-    table = np.array([[(b.center.x, b.center.y, b.heading, b.length, b.width) for b in seq] for seq in boxes], dtype=float)
-    agent_corners = box_corners(table[..., :2], table[..., 2], table[..., 3], table[..., 4])
-    hit = boxes_overlap_batch(ego_corners, box_axes(headings[0]), agent_corners, box_axes(table[..., 2]))
+    ego_corners = box_corners(traj.xy, traj.yaw, ego_dims[0], ego_dims[1])
+    agent_corners = box_corners(boxes[..., :2], boxes[..., 2], boxes[..., 3], boxes[..., 4])
+    hit = boxes_overlap_batch(ego_corners, box_axes(traj.yaw), agent_corners, box_axes(boxes[..., 2]))
     return hit.any(axis=0).tolist()
 
 
@@ -154,9 +183,8 @@ def dacr_flags(
 ) -> tuple[bool, ...]:
     """Per-step conflict flags: True when any footprint corner leaves the
     drivable area (boundary itself still counts as inside)."""
-    xy, headings = trajectory_arrays([traj])
-    corners = box_corners(xy[0], headings[0], ego_dims[0], ego_dims[1])
-    inside = points_in_polygons(corners.reshape(-1, 2), da.polygons).reshape(corners.shape[:-1])
+    corners = box_corners(traj.xy, traj.yaw, ego_dims[0], ego_dims[1])
+    inside = da.contains(corners.reshape(-1, 2)).reshape(corners.shape[:-1])
     return tuple((~inside.all(axis=-1)).tolist())
 
 

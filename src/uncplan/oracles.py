@@ -1,9 +1,10 @@
 """Slow, independent reference implementations for differential checking.
 
 These share only domain types with the production code: containment goes
-through 4-direction ray casting in extended precision instead of crossing
-counts, the Laplace fit is a grid refinement of the NLL objective instead of
-closed forms, and selection is a literal transcription of the
+through an on-edge test and 4-direction ray casting in extended precision
+instead of one crossing count, the Laplace fit is a grid refinement of the
+NLL objective instead of closed forms, and selection is a literal
+transcription of the
 zero-then-argmax rule over precomputed flags. They ship in the library so
 `eval --verify` can cross-check any scenario file in the field.
 """
@@ -22,98 +23,47 @@ from .uncertainty import B_MIN, LaplacePoint
 _LD = np.longdouble
 
 
-def _oracle_corners(wp: Point2, heading: float, length: float, width: float):
-    """Footprint corners recomputed here in extended precision."""
-    hl = _LD(length) / 2
-    hw = _LD(width) / 2
-    c = np.cos(_LD(heading))
-    s = np.sin(_LD(heading))
-    px, py = _LD(wp.x), _LD(wp.y)
-    out = []
-    for lx, ly in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-        out.append((px + c * lx - s * ly, py + s * lx + c * ly))
-    return out
+def _oracle_corners(traj: CandidateTrajectory, length: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Footprint corners, x and y (T, 4), recomputed here in extended precision."""
+    xy, heading = traj.xy.astype(_LD), traj.yaw.astype(_LD)
+    c, s = np.cos(heading)[:, None], np.sin(heading)[:, None]
+    lx = _LD(length) / 2 * np.array([1, -1, -1, 1], dtype=_LD)
+    ly = _LD(width) / 2 * np.array([1, 1, -1, -1], dtype=_LD)
+    return xy[:, :1] + c * lx - s * ly, xy[:, 1:] + s * lx + c * ly
 
 
-def _ring_arrays(ring) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    xs = np.array([p.x for p in ring], dtype=_LD)
-    ys = np.array([p.y for p in ring], dtype=_LD)
-    return xs[:-1], ys[:-1], xs[1:], ys[1:]
-
-
-def _crossings_odd(px, py, edges) -> bool:
-    """Even-odd parity of +x ray crossings over precomputed edge arrays."""
-    x1, y1, x2, y2 = edges
-    straddles = (y1 > py) != (y2 > py)
-    if not np.any(straddles):
-        return False
-    xi = x1[straddles] + (py - y1[straddles]) * (x2[straddles] - x1[straddles]) / (
-        y2[straddles] - y1[straddles]
-    )
-    return bool(np.count_nonzero(px < xi) % 2)
-
-
-def _point_in_da_votes(px, py, polygons_edges) -> int:
-    """Votes over 4 ray directions (+x, -x, +y, -y) that the point is inside."""
-    votes = 0
-    for flip_x, swap in ((False, False), (True, False), (False, True), (True, True)):
-        inside = False
-        for rings in polygons_edges:
-            parity = False
-            for x1, y1, x2, y2 in rings:
-                if swap:
-                    edges = (y1, x1, y2, x2)
-                    p = (py, px)
-                else:
-                    edges = (x1, y1, x2, y2)
-                    p = (px, py)
-                if flip_x:
-                    edges = (-edges[0], edges[1], -edges[2], edges[3])
-                    p = (-p[0], p[1])
-                if _crossings_odd(p[0], p[1], edges):
-                    parity = not parity
-            if parity:
-                inside = True
-                break
-        votes += inside
-    return votes
-
-
-def _da_edges(da: MultiPolygon):
-    out = []
+def _point_in_da_votes(px: np.ndarray, py: np.ndarray, da: MultiPolygon) -> np.ndarray:
+    """Per point of the long double arrays px, py (N,): how many of the 4 ray
+    directions (+x, -x, +y, -y) find it inside a polygon of the area by
+    even-odd parity over that polygon's rings. A point on an edge is inside,
+    by all 4, whatever the rays say: that is decided first."""
+    px, py = px[:, None], py[:, None]
+    on_edge = np.zeros(px.shape[0], dtype=bool)
+    inside = np.zeros((4, px.shape[0]), dtype=bool)
     for poly in da.polygons:
-        rings = [_ring_arrays(poly.outer)]
-        rings.extend(_ring_arrays(h) for h in poly.holes)
-        out.append(rings)
-    return out
+        ring_edges = [(r[:-1].astype(_LD), r[1:].astype(_LD)) for r in poly.rings]
+        (x1, y1), (x2, y2) = (np.concatenate([e[k] for e in ring_edges]).T for k in (0, 1))
+        in_box = (np.minimum(x1, x2) <= px) & (px <= np.maximum(x1, x2))
+        in_box &= (np.minimum(y1, y2) <= py) & (py <= np.maximum(y1, y2))
+        on_edge |= (in_box & ((x2 - x1) * (py - y1) == (y2 - y1) * (px - x1))).any(axis=1)
+        with np.errstate(all="ignore"):  # crossings are only read where the edge straddles the ray
+            x_at = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+            y_at = y1 + (px - x1) * (y2 - y1) / (x2 - x1)
+        across_y, across_x = (y1 > py) != (y2 > py), (x1 > px) != (x2 > px)
+        for k, crossed in enumerate((across_y & (px < x_at), across_y & (px > x_at),
+                                     across_x & (py < y_at), across_x & (py > y_at))):
+            inside[k] |= np.count_nonzero(crossed, axis=1) % 2 == 1
+    return np.where(on_edge, 4, inside.sum(axis=0))
 
 
 def oracle_dacr_flags(
     traj: CandidateTrajectory, ego_dims: tuple[float, float], da: MultiPolygon
 ) -> tuple[bool, ...]:
-    """Per-step conflict flags via majority-voted 4-direction ray casting."""
-    length, width = ego_dims
-    polygons_edges = _da_edges(da)
-    flags = []
-    for wp, heading in zip(traj.waypoints, traj.headings):
-        conflict = False
-        for cx, cy in _oracle_corners(wp, heading, length, width):
-            if _point_in_da_votes(cx, cy, polygons_edges) < 2:
-                conflict = True
-                break
-        flags.append(conflict)
-    return tuple(flags)
-
-
-def oracle_dacr(
-    traj: CandidateTrajectory,
-    ego_dims: tuple[float, float],
-    da: MultiPolygon,
-    horizon_steps: int,
-) -> float:
-    """Reference drivable-area conflict rate over the first horizon_steps steps."""
-    flags = oracle_dacr_flags(traj, ego_dims, da)
-    return sum(flags[:horizon_steps]) / horizon_steps
+    """Per-step conflict flags: a step conflicts when a footprint corner gets
+    fewer than 2 of the 4 inside votes."""
+    cx, cy = _oracle_corners(traj, *ego_dims)
+    votes = _point_in_da_votes(cx.ravel(), cy.ravel(), da).reshape(cx.shape)
+    return tuple((votes < 2).any(axis=1).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,15 @@ import enum
 import json
 import math
 from dataclasses import dataclass, asdict
+from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import MultiPolygon, OrientedBox, Point2, Polygon, Pose2, polyline_array
+from .geometry import ArrayValue, MultiPolygon, OrientedBox, Point2, Polygon, Pose2, frozen, pose_array, pose_tuple, row_array
 from .map_model import MapElement, MapElementKind, UncertainMap, perturb_map
-from .metrics import GroundTruth, scenario_class_of
+from .metrics import GroundTruth, box_array, box_tuples, scenario_class_of
 from .selection import DT, T_F, CandidateSet, CandidateTrajectory, Command
 from .uncertainty import B_MIN, LaplacePoint, UncertainPolyline
 
@@ -50,20 +52,22 @@ class ScenarioKind(enum.Enum):
     TURN = "Turn"
 
 
-@dataclass(frozen=True)
-class AgentMode:
-    """One predicted future of an agent with its confidence."""
+@dataclass(frozen=True, eq=False)
+class AgentMode(ArrayValue):
+    """One predicted future of an agent with its confidence. Stored: poses,
+    the (T_F, 3) read-only array of (x, y, heading) rows (see pose_array)."""
 
     trajectory: tuple[Pose2, ...]
     confidence: float
+    _views = {"trajectory": lambda m: pose_tuple(m.poses)}
 
     def __post_init__(self) -> None:
-        traj = tuple(self.trajectory)
-        object.__setattr__(self, "trajectory", traj)
-        if len(traj) != T_F:
-            raise ValueError(f"agent mode needs {T_F} poses, got {len(traj)}")
+        poses = pose_array(self.__dict__.pop("trajectory"))
+        if len(poses) != T_F:
+            raise ValueError(f"agent mode needs {T_F} poses, got {len(poses)}")
         if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
             raise ValueError(f"mode confidence must be in [0, 1], got {self.confidence}")
+        self.__dict__.update(poses=poses)
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,12 @@ class GeneratorParams:
             raise ValueError("corridor_tail must be positive")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One evaluation unit: perceived map, agents, candidates, ground truth."""
+@dataclass(frozen=True, eq=False)
+class Scenario(ArrayValue):
+    """One evaluation unit: perceived map, agents, candidates, ground truth.
+    Stored as given, but for agent_gt and ego_gt_future, which may also be
+    given as their arrays: agent_boxes (A, T_F, 5) (see metrics.box_array)
+    and ego_poses (T_F, 3) (see geometry.pose_array)."""
 
     scenario_id: str
     seed: int
@@ -156,15 +163,11 @@ class Scenario:
     candidates: CandidateSet
     ego_gt_future: tuple[Pose2, ...]
     scenario_class: str  # "Turn" | "Straight"
+    _views = {"agent_gt": lambda s: box_tuples(s.agent_boxes), "ego_gt_future": lambda s: pose_tuple(s.ego_poses)}
 
     def __post_init__(self) -> None:
-        agents = tuple(self.agents)
-        agent_gt = tuple(tuple(seq) for seq in self.agent_gt)
-        future = tuple(self.ego_gt_future)
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "agent_gt", agent_gt)
-        object.__setattr__(self, "ego_gt_future", future)
-        object.__setattr__(self, "ego_dims", (float(self.ego_dims[0]), float(self.ego_dims[1])))
+        agents, agent_gt = tuple(self.agents), self.__dict__.pop("agent_gt")
+        future = pose_array(self.__dict__.pop("ego_gt_future"))
         if len(future) != T_F:
             raise ValueError(f"ego ground truth needs {T_F} poses, got {len(future)}")
         if len(agent_gt) != len(agents):
@@ -172,20 +175,18 @@ class Scenario:
         for seq in agent_gt:
             if len(seq) != T_F:
                 raise ValueError(f"agent ground truth needs {T_F} boxes per agent")
-        expected = scenario_class_of([p.heading for p in future])
+        expected = scenario_class_of(future[:, 2].tolist())
         if self.scenario_class != expected:
             raise ValueError(
                 f"scenario_class {self.scenario_class!r} inconsistent with ego future "
                 f"(15 degree rule says {expected!r})"
             )
+        ego_dims = (float(self.ego_dims[0]), float(self.ego_dims[1]))
+        self.__dict__.update(agents=agents, agent_boxes=box_array(agent_gt), ego_poses=future, ego_dims=ego_dims)
 
     def ground_truth(self) -> GroundTruth:
-        return GroundTruth(
-            ego_future=tuple(p.position for p in self.ego_gt_future),
-            ego_headings=tuple(p.heading for p in self.ego_gt_future),
-            agent_futures=self.agent_gt,
-            drivable_area=self.map.drivable_area,
-        )
+        return GroundTruth._of(ego_xy=self.ego_poses[:, :2], ego_yaw=self.ego_poses[:, 2],
+                               agent_boxes=self.agent_boxes, drivable_area=self.map.drivable_area)
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +280,19 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
     ring = tuple(right_pts) + tuple(reversed(left_pts)) + (right_pts[0],)
     drivable = MultiPolygon((Polygon(ring),))
 
-    def boundary(points: list[Point2]) -> MapElement:
-        lps = tuple(LaplacePoint(p, (B_MIN, B_MIN)) for p in points)
-        return MapElement(UncertainPolyline(lps), MapElementKind.BOUNDARY)
+    def element(points: list[Point2], kind: MapElementKind) -> MapElement:
+        return MapElement(UncertainPolyline(np.array([(p.x, p.y, B_MIN, B_MIN) for p in points])), kind)
 
-    divider_lps = tuple(LaplacePoint(offset_point(s, 0.0), (B_MIN, B_MIN)) for s in stations)
     elements = [
-        boundary(left_pts),
-        boundary(right_pts),
-        MapElement(UncertainPolyline(divider_lps), MapElementKind.LANE_DIVIDER),
+        element(left_pts, MapElementKind.BOUNDARY),
+        element(right_pts, MapElementKind.BOUNDARY),
+        element([offset_point(s, 0.0) for s in stations], MapElementKind.LANE_DIVIDER),
     ]
     if rng.random() < 0.4:
         s_cross = float(rng.uniform(0.35, 0.7)) * corridor_len
         span = half_width - 0.2
-        cross_lps = tuple(
-            LaplacePoint(offset_point(s_cross, -span + 2 * span * k / (n_pts - 1)), (B_MIN, B_MIN))
-            for k in range(n_pts)
-        )
-        elements.append(MapElement(UncertainPolyline(cross_lps), MapElementKind.PED_CROSSING))
+        cross = [offset_point(s_cross, -span + 2 * span * k / (n_pts - 1)) for k in range(n_pts)]
+        elements.append(element(cross, MapElementKind.PED_CROSSING))
 
     true_map = UncertainMap(tuple(elements), drivable)
     perturb_seed = int(rng.integers(0, 2**63 - 1))
@@ -305,9 +301,8 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
     # planner aim point: perceived corridor center at the lookahead station,
     # plus the planning head's own lateral error on top of the map reading
     i_look = min(range(n_pts), key=lambda k: abs(stations[k] - horizon_len))
-    pl = perceived.elements[0].polyline.points[i_look].mu
-    pr = perceived.elements[1].polyline.points[i_look].mu
-    mid = Point2(0.5 * (pl.x + pr.x), 0.5 * (pl.y + pr.y))
+    (plx, ply), (prx, pry) = (perceived.elements[k].polyline.table[i_look, :2].tolist() for k in (0, 1))
+    mid = Point2(0.5 * (plx + prx), 0.5 * (ply + pry))
     cx, cy = center(stations[i_look])
     nx, ny = normal(stations[i_look])
     aim = (mid.x - cx) * nx + (mid.y - cy) * ny
@@ -334,10 +329,11 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
     else:
         command = Command.GO_STRAIGHT
 
-    def command_candidates(cmd: Command) -> tuple[CandidateTrajectory, ...]:
+    def command_batch(cmd: Command) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The command's candidate arrays, valid by construction: Point2 waypoints are finite."""
         bias = (_COMMAND_SIDE[cmd] - _COMMAND_SIDE[command]) * _INACTIVE_COMMAND_BIAS
-        cands = []
-        for factor, conf in zip(template, confidences):
+        xy, yaw = [], []
+        for factor in template:
             target = aim + factor * reach + bias
             waypoints = []
             for t, s in enumerate(step_arcs):
@@ -347,14 +343,11 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
             for t in range(1, T_F):
                 a, b = waypoints[t - 1], waypoints[t]
                 headings.append(math.atan2(b.y - a.y, b.x - a.x))
-            cands.append(CandidateTrajectory(tuple(waypoints), tuple(headings), conf))
-        return tuple(cands)
+            xy.append([(p.x, p.y) for p in waypoints])
+            yaw.append(headings)
+        return frozen(xy), frozen(yaw), frozen(confidences)
 
-    candidates = CandidateSet(
-        turn_left=command_candidates(Command.TURN_LEFT),
-        turn_right=command_candidates(Command.TURN_RIGHT),
-        go_straight=command_candidates(Command.GO_STRAIGHT),
-    )
+    candidates = CandidateSet._of(batches={cmd: command_batch(cmd) for cmd in Command})
 
     agents, agent_gt = _script_agents(rng, params, speed, half_width, horizon_len, offset_point, heading, normal)
 
@@ -430,20 +423,8 @@ def _script_agents(rng, params, speed, half_width, horizon_len, offset_point, he
 # serialization (schema v1)
 
 
-def _pose_to_dict(p: Pose2) -> dict:
-    return {"x": p.position.x, "y": p.position.y, "heading": p.heading}
-
-
-def _box_to_dict(b: OrientedBox) -> dict:
-    return {"cx": b.center.x, "cy": b.center.y, "heading": b.heading, "length": b.length, "width": b.width}
-
-
-def _candidate_to_dict(c: CandidateTrajectory) -> dict:
-    return {
-        "confidence": c.confidence,
-        "waypoints": [[p.x, p.y] for p in c.waypoints],
-        "headings": list(c.headings),
-    }
+def _poses_to_dicts(poses: np.ndarray) -> list[dict]:
+    return [{"x": x, "y": y, "heading": h} for x, y, h in poses.tolist()]
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -455,26 +436,22 @@ def scenario_to_dict(s: Scenario) -> dict:
         "scenario_class": s.scenario_class,
         "command": s.command.value,
         "ego": {
-            "pose": _pose_to_dict(s.ego_pose),
+            "pose": {"x": s.ego_pose.position.x, "y": s.ego_pose.position.y, "heading": s.ego_pose.heading},
             "dims": {"length": s.ego_dims[0], "width": s.ego_dims[1]},
         },
-        "ego_gt_future": [_pose_to_dict(p) for p in s.ego_gt_future],
+        "ego_gt_future": _poses_to_dicts(s.ego_poses),
         "map": {
             "elements": [
                 {
                     "kind": e.kind.value,
                     "points": [
-                        {"mx": lp.mu.x, "my": lp.mu.y, "bx": lp.b[0], "by": lp.b[1]}
-                        for lp in e.polyline.points
+                        {"mx": mx, "my": my, "bx": bx, "by": by} for mx, my, bx, by in e.polyline.table.tolist()
                     ],
                 }
                 for e in s.map.elements
             ],
             "drivable_area": [
-                {
-                    "outer": [[p.x, p.y] for p in poly.outer],
-                    "holes": [[[p.x, p.y] for p in hole] for hole in poly.holes],
-                }
+                {"outer": poly.rings[0].tolist(), "holes": [ring.tolist() for ring in poly.rings[1:]]}
                 for poly in s.map.drivable_area.polygons
             ],
         },
@@ -482,18 +459,20 @@ def scenario_to_dict(s: Scenario) -> dict:
             {
                 "id": a.agent_id,
                 "dims": {"length": a.dims[0], "width": a.dims[1]},
-                "modes": [
-                    {"confidence": m.confidence, "trajectory": [_pose_to_dict(p) for p in m.trajectory]}
-                    for m in a.modes
-                ],
+                "modes": [{"confidence": m.confidence, "trajectory": _poses_to_dicts(m.poses)} for m in a.modes],
             }
             for a in s.agents
         ],
-        "agent_gt": [[_box_to_dict(b) for b in seq] for seq in s.agent_gt],
+        "agent_gt": [
+            [{"cx": cx, "cy": cy, "heading": h, "length": length, "width": width} for cx, cy, h, length, width in seq]
+            for seq in s.agent_boxes.tolist()
+        ],
         "candidates": {
-            "TurnLeft": [_candidate_to_dict(c) for c in s.candidates.turn_left],
-            "TurnRight": [_candidate_to_dict(c) for c in s.candidates.turn_right],
-            "GoStraight": [_candidate_to_dict(c) for c in s.candidates.go_straight],
+            command.value: [
+                {"confidence": c, "waypoints": w, "headings": h}
+                for w, h, c in zip(*(a.tolist() for a in s.candidates.batches[command]))
+            ]
+            for command in Command
         },
     }
 
@@ -532,9 +511,13 @@ def _field(obj, key: str, kind, path, *read):
 
 
 def _number(value, path) -> float:
+    """A number item as a float; an integer too large for a float is infinite, as 1e999 is."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"field '{_name(path)}' must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _floats(obj, path, *keys) -> tuple[float, ...]:
@@ -547,13 +530,14 @@ def _list(value, path, read, *args) -> tuple:
     return tuple([read(item, (path, i), *args) for i, item in enumerate(value)])
 
 
-def _xy(value, path) -> Point2:
+def _point(value, path) -> Point2:
+    """An [x, y] pair."""
     if not (isinstance(value, list) and len(value) == 2):
         raise ScenarioFormatError(f"field '{_name(path)}' must be an [x, y] pair")
     for v in value:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ScenarioFormatError(f"field '{_name(path)}' must hold numbers")
-    return _build(path, Point2, float(value[0]), float(value[1]))
+    return _build(path, Point2, _number(value[0], path), _number(value[1], path))
 
 
 def _enum(obj, key: str, path, enum_cls, unknown: str):
@@ -593,12 +577,13 @@ def _element(obj, path) -> MapElement:
     points = _field(obj, "points", list, path, _laplace_point)
     line = _build((path, "points"), UncertainPolyline, points)
     if kind is MapElementKind.BOUNDARY:  # the clearance filter measures to its mu segments
-        _build((path, "points"), polyline_array, [lp.mu for lp in points])
+        _build((path, "points"), lambda: line.mu)
     return MapElement(line, kind)
 
 
 def _polygon(obj, path) -> Polygon:
-    return _build(path, Polygon, _field(obj, "outer", list, path, _xy), _field(obj, "holes", list, path, _list, _xy))
+    outer = _field(obj, "outer", list, path, _point)
+    return _build(path, Polygon, outer, _field(obj, "holes", list, path, _list, _point))
 
 
 def _mode(obj, path) -> AgentMode:
@@ -619,7 +604,7 @@ def _box(obj, path) -> OrientedBox:
 
 def _candidate(obj, path) -> CandidateTrajectory:
     confidence = _field(obj, "confidence", float, path)
-    waypoints = _field(obj, "waypoints", list, path, _xy)
+    waypoints = _field(obj, "waypoints", list, path, _point)
     return _build(path, CandidateTrajectory, waypoints, _field(obj, "headings", list, path, _number), confidence)
 
 
@@ -631,10 +616,96 @@ def _check_version(data, source) -> None:
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
-    """Validate and rebuild a scenario from its plain-data form."""
+    """Validate and rebuild a scenario from its plain-data form (JSON types).
+
+    Each homogeneous list of numbers is read into one array (_read). Only a
+    scenario that this read refuses is read again item by item (_walk), which
+    raises the error naming its first fault, or builds it if it is valid."""
     if not isinstance(data, dict):
         raise ScenarioFormatError(f"{source}: top level must be an object")
     _check_version(data, source)
+    try:
+        return _read(data)
+    except (LookupError, TypeError, ValueError, ArithmeticError):
+        return _walk(data)
+
+
+_NUMBER_TYPES = {int, float}  # exact types: true and false are not numbers
+_VERTEX = itemgetter("mx", "my", "bx", "by")
+_POSE = itemgetter("x", "y", "heading")
+_BOX = itemgetter("cx", "cy", "heading", "length", "width")
+
+
+def _numbers(rows: list, *shape: int) -> np.ndarray:
+    """rows, nested lists of ints and floats, as row_array reads them; raises
+    TypeError, ValueError or OverflowError when they are not that."""
+    arr, leaves = row_array(rows, *shape), rows
+    for _ in shape:
+        leaves = chain.from_iterable(leaves)
+    if not _NUMBER_TYPES.issuperset(map(type, leaves)):
+        raise TypeError("expected ints and floats")
+    return arr
+
+
+def _items(value) -> list:
+    if type(value) is not list:
+        raise TypeError("expected a list")
+    return value
+
+
+def _read(data: dict) -> Scenario:
+    """The scenario read list by list: each homogeneous list of numbers is
+    one array, checked as a whole as the constructors check its items.
+    Raises LookupError, TypeError, ValueError or ArithmeticError on any
+    fault, without naming it."""
+    ego, elements, agents = data["ego"], _items(data["map"]["elements"]), _items(data["agents"])
+    ego_dims = _floats(ego["dims"], None, "length", "width")
+    commands = [_items(data["candidates"][c.value]) for c in Command]
+    modes = [m for a in agents for m in a["modes"]]
+    cands = [c for items in commands for c in items]
+    confidences = _numbers([r["confidence"] for r in (*cands, *modes)])
+    table = _numbers([_VERTEX(p) for e in elements for p in e["points"]], 4)
+    counts = [len(e["points"]) for e in elements]
+    if (min(ego_dims) <= 0 or 0 in counts or not all(commands) or not (table[:, 2:] >= B_MIN).all()
+            or not ((0.0 <= confidences) & (confidences <= 1.0)).all()):
+        raise ValueError("a size, confidence or Laplace scale is out of range")
+    ends = list(accumulate(counts))
+    lines = [UncertainPolyline._of(table=table[start:end]) for start, end in zip([0, *ends], ends)]
+    kinds = [MapElementKind(e["kind"]) for e in elements]
+    for line, kind in zip(lines, kinds):
+        if kind is MapElementKind.BOUNDARY:
+            line.mu  # checks the polyline the clearance filter measures to
+    area = [
+        Polygon(_numbers(_items(p["outer"]), 2), [_numbers(_items(h), 2) for h in _items(p["holes"])])
+        for p in _items(data["map"]["drivable_area"])
+    ]
+    poses = pose_array(_numbers([list(map(_POSE, m["trajectory"])) for m in modes], T_F, 3).reshape(-1, 3))
+    mode_values = iter([AgentMode._of(poses=p, confidence=c)
+                        for p, c in zip(poses.reshape(-1, T_F, 3), confidences[len(cands):].tolist())])
+    xy, yaw = _numbers([c["waypoints"] for c in cands], T_F, 2), _numbers([c["headings"] for c in cands], T_F)
+    ends = list(accumulate(map(len, commands)))
+    return Scenario(
+        scenario_id=_field(data, "id", str, None),
+        seed=_field(data, "seed", int, None),
+        map=UncertainMap([MapElement(line, kind) for line, kind in zip(lines, kinds)], MultiPolygon(area)),
+        agents=[AgentPrediction(_field(a, "id", str, None), _floats(a["dims"], None, "length", "width"),
+                                [next(mode_values) for _ in a["modes"]]) for a in agents],
+        agent_gt=_numbers([list(map(_BOX, seq)) for seq in _items(data["agent_gt"])], T_F, 5),
+        ego_pose=_pose(ego["pose"], None),
+        ego_dims=ego_dims,
+        command=Command(data["command"]),
+        candidates=CandidateSet._of(batches={
+            command: (xy[start:end], yaw[start:end], confidences[start:end])
+            for command, start, end in zip(Command, [0, *ends], ends)
+        }),
+        ego_gt_future=_numbers(list(map(_POSE, _items(data["ego_gt_future"]))), 3),
+        scenario_class=ScenarioKind(data["scenario_class"]).value,
+    )
+
+
+def _walk(data: dict) -> Scenario:
+    """The scenario read item by item, each field by its reader: the first
+    fault met, in file order, raises the error naming it."""
     ego_path = (None, "ego")
     ego = _field(data, "ego", dict, None)
     ego_pose = _pose(_field(ego, "pose", dict, ego_path), (ego_path, "pose"))
@@ -676,6 +747,10 @@ def _decode(text: str, path: Path):
         return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ScenarioFormatError:
+        raise
+    except ValueError as e:  # an integer literal longer than int() reads
+        raise ScenarioFormatError(f"{path}: invalid JSON: {e}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

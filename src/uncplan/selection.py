@@ -23,13 +23,17 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .geometry import (
+    POINT,
+    ArrayValue,
     Point2,
     Polyline,
     box_axes,
     box_corners,
     boxes_overlap_batch,
+    frozen,
     near_segments,
-    polyline_array,
+    point_tuple,
+    row_array,
 )
 from .map_model import UncertainMap, boundary_elements
 from .uncertainty import UncertainPolyline, min_nll_grid
@@ -47,50 +51,67 @@ class Command(enum.Enum):
     GO_STRAIGHT = "GoStraight"
 
 
-@dataclass(frozen=True)
-class CandidateTrajectory:
-    """One planning mode: T_F ego-frame waypoints, footprint headings, confidence."""
+@dataclass(frozen=True, eq=False)
+class CandidateTrajectory(ArrayValue):
+    """One planning mode: T_F ego-frame waypoints, footprint headings, confidence.
+    Stored: xy (T_F, 2) and yaw (T_F,), the waypoints and headings as read-only arrays."""
 
     waypoints: tuple[Point2, ...]
     headings: tuple[float, ...]
     confidence: float
+    _views = {"waypoints": lambda c: point_tuple(c.xy), "headings": lambda c: tuple(c.yaw.tolist())}
 
     def __post_init__(self) -> None:
-        wps = tuple(self.waypoints)
-        hds = tuple(float(h) for h in self.headings)
-        object.__setattr__(self, "waypoints", wps)
-        object.__setattr__(self, "headings", hds)
-        if len(wps) != T_F:
-            raise ValueError(f"trajectory needs exactly {T_F} waypoints, got {len(wps)}")
-        if len(hds) != T_F:
-            raise ValueError(f"trajectory needs exactly {T_F} headings, got {len(hds)}")
-        if not all(math.isfinite(h) for h in hds):
+        waypoints = self.__dict__.pop("waypoints")
+        xy, yaw = row_array(waypoints, 2, row=POINT), frozen(self.__dict__.pop("headings"))
+        if len(xy) != T_F:
+            raise ValueError(f"trajectory needs exactly {T_F} waypoints, got {len(xy)}")
+        if yaw.shape != (T_F,):
+            raise ValueError(f"trajectory needs exactly {T_F} headings, got {yaw.size}")
+        if not all(map(math.isfinite, yaw.tolist())):
             raise ValueError("headings must be finite")
         if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+        self.__dict__.update(xy=xy, yaw=yaw)
+        if isinstance(waypoints, tuple):  # Point2s: they are the view, as given
+            self.__dict__["waypoints"] = waypoints
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Per-command candidate lists; every command key is always present."""
+_FIELDS = dict(zip(Command, ("turn_left", "turn_right", "go_straight")))
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateSet(ArrayValue):
+    """Per-command candidate lists; every command key is always present.
+    Stored: batches, per command the (K, T_F, 2) waypoints, (K, T_F) headings
+    and (K,) confidences of its K candidates as read-only arrays."""
 
     turn_left: tuple[CandidateTrajectory, ...]
     turn_right: tuple[CandidateTrajectory, ...]
     go_straight: tuple[CandidateTrajectory, ...]
+    _views = {name: lambda s, c=command: s._trajectories(c) for command, name in _FIELDS.items()}
 
     def __post_init__(self) -> None:
-        for name in ("turn_left", "turn_right", "go_straight"):
-            cands = tuple(getattr(self, name))
-            object.__setattr__(self, name, cands)
+        batches, stacked = {}, {}  # a tuple given for several commands is stacked once
+        for command, name in _FIELDS.items():
+            cands = self.__dict__[name] = tuple(self.__dict__[name])
             if not cands:
                 raise ValueError(f"command {name} needs at least one candidate")
+            if id(cands) not in stacked:
+                stacked[id(cands)] = tuple(map(frozen, zip(*((c.xy, c.yaw, c.confidence) for c in cands))))
+            batches[command] = stacked[id(cands)]
+        self.__dict__["batches"] = batches
+
+    def head(self, limit: int) -> "CandidateSet":
+        """The first limit candidates of every command."""
+        return self._of(batches={c: tuple(a[:limit] for a in batch) for c, batch in self.batches.items()})
 
     def for_command(self, command: Command) -> tuple[CandidateTrajectory, ...]:
-        return {
-            Command.TURN_LEFT: self.turn_left,
-            Command.TURN_RIGHT: self.turn_right,
-            Command.GO_STRAIGHT: self.go_straight,
-        }[command]
+        return getattr(self, _FIELDS[command])
+
+    def _trajectories(self, command: Command) -> tuple[CandidateTrajectory, ...]:
+        xy, yaw, conf = self.batches[command]
+        return tuple(CandidateTrajectory._of(xy=xy[k], yaw=yaw[k], confidence=c) for k, c in enumerate(conf.tolist()))
 
 
 @dataclass(frozen=True)
@@ -138,22 +159,20 @@ class SelectionReport:
     fallback_used: bool
 
 
+def _command(command: Command | str) -> Command:
+    if isinstance(command, Command):
+        return command
+    try:
+        return Command(command)
+    except ValueError:
+        raise ValueError(f"unknown command {command!r}") from None
+
+
 def command_filter(
     candidate_set: CandidateSet, command: Command | str
 ) -> list[CandidateTrajectory]:
     """The candidate subset owned by the given driving command."""
-    if not isinstance(command, Command):
-        try:
-            command = Command(command)
-        except ValueError:
-            raise ValueError(f"unknown command {command!r}") from None
-    return list(candidate_set.for_command(command))
-
-
-def trajectory_arrays(candidates: Sequence[CandidateTrajectory]) -> tuple[np.ndarray, np.ndarray]:
-    """(K, T, 2) waypoints and (K, T) headings."""
-    xy = np.array([[(p.x, p.y) for p in c.waypoints] for c in candidates], dtype=float)
-    return xy, np.array([c.headings for c in candidates], dtype=float)
+    return list(candidate_set.for_command(_command(command)))
 
 
 def _risks(xy: np.ndarray, elements: Sequence[UncertainPolyline], aggregator: str) -> list[float]:
@@ -177,27 +196,25 @@ def _agent_flags(
     """Per-candidate overlap of the (K, T) ego boxes with the time-aligned boxes
     of every checked agent mode, in one separating-axis call."""
     k = len(ego_corners)
-    trajectories, lengths, widths = [], [], []
+    poses, lengths, widths = [], [], []
     for agent in agents:
         modes = agent.modes if all_modes else (max(agent.modes, key=lambda m: m.confidence),)
         for mode in modes:
-            trajectories.append(mode.trajectory)
+            poses.append(mode.poses)
             lengths.append(agent.dims[0] + 2.0 * margin)
             widths.append(agent.dims[1] + 2.0 * margin)
-    if not trajectories:
+    if not poses:
         return [False] * k
-    poses = np.array([[(p.position.x, p.position.y, p.heading) for p in traj] for traj in trajectories], dtype=float)
+    poses = np.stack(poses)
     headings = poses[..., 2]
     corners = box_corners(poses[..., :2], headings, np.array(lengths)[:, None], np.array(widths)[:, None])
     hit = boxes_overlap_batch(ego_corners[:, None], ego_axes[:, None], corners[None], box_axes(headings)[None])
     return hit.reshape(k, -1).any(axis=1).tolist()
 
 
-def _segments(lines: Sequence[Sequence[Point2]]) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end points (S, 2) of every segment of the given polylines,
-    validated as Polyline validates them."""
-    arrays = [polyline_array(points) for points in lines]
-    return np.concatenate([xy[:-1] for xy in arrays]), np.concatenate([xy[1:] for xy in arrays])
+def _segments(lines: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points (S, 2) of every segment of the given polylines' vertices (n, 2)."""
+    return np.concatenate([xy[:-1] for xy in lines]), np.concatenate([xy[1:] for xy in lines])
 
 
 def _clearance_flags(corners: np.ndarray, segments: tuple[np.ndarray, np.ndarray], clearance: float) -> list[bool]:
@@ -216,7 +233,7 @@ def trajectory_risk(
     minimum NLL against all boundary vertices. Lower means riskier."""
     if not boundaries:
         raise ValueError("need at least one boundary element")
-    return _risks(trajectory_arrays([traj])[0], boundaries, aggregator)[0]
+    return _risks(traj.xy[None], boundaries, aggregator)[0]
 
 
 def agent_collision_check(
@@ -229,9 +246,8 @@ def agent_collision_check(
     """Time-aligned oriented-box overlap between the ego footprint along the
     trajectory and each agent's predicted motion (highest-confidence mode by
     default). Agent boxes are inflated by margin on each side."""
-    xy, headings = trajectory_arrays([traj])
-    corners = box_corners(xy, headings, ego_dims[0], ego_dims[1])
-    return _agent_flags(corners, box_axes(headings), agents, margin, all_modes)[0]
+    corners = box_corners(traj.xy[None], traj.yaw[None], ego_dims[0], ego_dims[1])
+    return _agent_flags(corners, box_axes(traj.yaw[None]), agents, margin, all_modes)[0]
 
 
 def boundary_collision_check(
@@ -244,10 +260,8 @@ def boundary_collision_check(
     `clearance` to a boundary polyline (exact contact always counts)."""
     if not boundaries:
         raise ValueError("need at least one boundary polyline")
-    xy, headings = trajectory_arrays([traj])
-    corners = box_corners(xy, headings, ego_dims[0], ego_dims[1])
-    segments = _segments([line.points for line in boundaries])
-    return _clearance_flags(corners, segments, clearance)[0]
+    corners = box_corners(traj.xy[None], traj.yaw[None], ego_dims[0], ego_dims[1])
+    return _clearance_flags(corners, _segments([line.xy for line in boundaries]), clearance)[0]
 
 
 def ucas_select(
@@ -266,9 +280,10 @@ def ucas_select(
     without agent collisions and takes the one farthest from uncertain
     boundaries (highest risk_nll); if all collide, the raw-confidence argmax.
     """
-    candidates = command_filter(candidate_set, command)
-    n = len(candidates)
-    xy, headings = trajectory_arrays(candidates)
+    command = _command(command)
+    xy, headings, confidences = candidate_set.batches[command]
+    confidences = confidences.tolist()
+    n = len(confidences)
 
     if cfg.enable_uncertainty_filter:
         if cfg.risk_on_all_elements:
@@ -293,16 +308,16 @@ def ucas_select(
         bounds = boundary_elements(uncertain_map)
         if not bounds:
             raise ValueError("boundary filter needs at least one boundary element")
-        segments = _segments([[lp.mu for lp in b.points] for b in bounds])
+        segments = _segments([b.mu for b in bounds])
         boundary_flags = _clearance_flags(corners, segments, cfg.boundary_clearance)
     else:
         boundary_flags = [False] * n
 
     scores = []
-    for i, cand in enumerate(candidates):
+    for i, confidence in enumerate(confidences):
         # a disabled filter left its risk at +inf (never below the finite threshold) and its flags False
         flagged = risks[i] < cfg.nll_threshold or agent_flags[i] or boundary_flags[i]
-        scores.append(0.0 if flagged else cand.confidence)
+        scores.append(0.0 if flagged else confidence)
 
     fallback_used = max(scores) == 0.0
     if not fallback_used:
@@ -310,26 +325,10 @@ def ucas_select(
     else:
         non_colliding = [i for i in range(n) if not agent_flags[i]]
         if non_colliding:
-            chosen_index = max(
-                non_colliding, key=lambda i: (risks[i], candidates[i].confidence, -i)
-            )
+            chosen_index = max(non_colliding, key=lambda i: (risks[i], confidences[i], -i))
         else:
-            chosen_index = max(range(n), key=lambda i: (candidates[i].confidence, -i))
+            chosen_index = max(range(n), key=lambda i: (confidences[i], -i))
 
-    records = tuple(
-        CandidateRecord(
-            index=i,
-            confidence=candidates[i].confidence,
-            risk_nll=risks[i],
-            agent_collision=agent_flags[i],
-            boundary_collision=boundary_flags[i],
-            final_score=scores[i],
-        )
-        for i in range(n)
-    )
-    return SelectionReport(
-        chosen_index=chosen_index,
-        chosen=candidates[chosen_index],
-        records=records,
-        fallback_used=fallback_used,
-    )
+    records = tuple(map(CandidateRecord, range(n), confidences, risks, agent_flags, boundary_flags, scores))
+    chosen = candidate_set.for_command(command)[chosen_index]
+    return SelectionReport(chosen_index=chosen_index, chosen=chosen, records=records, fallback_used=fallback_used)

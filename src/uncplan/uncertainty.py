@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point2, Polyline
+from .geometry import ArrayValue, Point2, Polyline, frozen, point_tuple, polyline_array, row_array
 
 B_MIN = 1e-3  # m, smallest admissible Laplace scale; avoids NLL -> -inf
 
@@ -34,21 +34,31 @@ class LaplacePoint:
         object.__setattr__(self, "b", (max(bx, B_MIN), max(by, B_MIN)))
 
 
-@dataclass(frozen=True)
-class UncertainPolyline:
-    """Ordered uncertain vertices of one vectorized map element."""
+@dataclass(frozen=True, eq=False)
+class UncertainPolyline(ArrayValue):
+    """Ordered uncertain vertices of one vectorized map element, given as
+    LaplacePoints or as rows (mx, my, bx, by). Stored: table, the (V, 4)
+    read-only array of those rows, scales below B_MIN raised to it. Built
+    when first read: log_2b, log(2 b) per scale from math.log (np.log can
+    differ in the last bit), and mu, the (V, 2) mu vertices, checked as a
+    Polyline checks its vertices."""
 
     points: tuple[LaplacePoint, ...]
+    _views = {
+        "points": lambda u: tuple(LaplacePoint(Point2(mx, my), (bx, by)) for mx, my, bx, by in u.table.tolist()),
+        "log_2b": lambda u: frozen([math.log(2.0 * b) for b in u.table[:, 2:].ravel().tolist()]).reshape(-1, 2),
+        "mu": lambda u: polyline_array(u.table[:, :2]),
+    }
 
     def __post_init__(self) -> None:
-        pts = tuple(self.points)
-        if not pts:
+        table = row_array(self.__dict__.pop("points"), 4, row=lambda lp: (lp.mu.x, lp.mu.y, *lp.b))
+        if not len(table):
             raise ValueError("uncertain polyline needs at least one point")
-        object.__setattr__(self, "points", pts)
+        self.__dict__["table"] = frozen(np.maximum(table, (-math.inf, -math.inf, B_MIN, B_MIN)))
 
     def mu_polyline(self) -> Polyline:
         """Most-likely geometry of the element."""
-        return Polyline(tuple(lp.mu for lp in self.points))
+        return Polyline(point_tuple(self.table[:, :2]))
 
 
 def _nll(x, y, mx, my, b1, b2, log_2b1, log_2b2):
@@ -94,14 +104,11 @@ def fit_laplace_mle(observations: Sequence[Point2]) -> LaplacePoint:
     return LaplacePoint(Point2(mx, my), (bx, by))
 
 
-def min_nll_grid(xy: np.ndarray, elements: Iterable[UncertainPolyline]) -> np.ndarray:
+def min_nll_grid(xy: np.ndarray, elements: Sequence[UncertainPolyline]) -> np.ndarray:
     """Minimum NLL of each point xy[..., :] over every vertex of every element
-    (lower = riskier), from one (..., V) NLL array. log(2b) comes from
-    math.log per vertex: np.log can differ in the last bit."""
-    table = np.array([(lp.mu.x, lp.mu.y, lp.b[0], lp.b[1]) for el in elements for lp in el.points], dtype=float)
-    if not len(table):
+    (lower = riskier), from one (..., V) NLL array."""
+    if not elements:
         raise ValueError("need at least one element with at least one point")
-    mx, my, b1, b2 = table.T
-    log_2b1 = np.array([math.log(2.0 * b) for b in b1.tolist()])
-    log_2b2 = np.array([math.log(2.0 * b) for b in b2.tolist()])
+    mx, my, b1, b2 = np.concatenate([el.table for el in elements]).T
+    log_2b1, log_2b2 = np.concatenate([el.log_2b for el in elements]).T
     return _nll(xy[..., 0, None], xy[..., 1, None], mx, my, b1, b2, log_2b1, log_2b2).min(axis=-1)

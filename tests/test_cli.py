@@ -15,7 +15,7 @@ from uncplan.cli import (
     main,
     preset_selection,
 )
-from uncplan.scenario import load_scenario
+from uncplan.scenario import GeneratorParams, ScenarioKind, generate_scenario, load_scenario, scenario_to_dict
 from uncplan.selection import SelectionConfig
 
 
@@ -216,6 +216,40 @@ def test_bad_hole_layout_is_invariant_error_naming_the_polygon(small_suite, tmp_
     manifest, sid = _edited_suite(small_suite, tmp_path, "holes", second_polygon)
     assert run(["eval", "--suite", manifest, "--verify", "--out", tmp_path / "x"]) == EXIT_INVARIANT
     assert f"scenario {sid}: field 'map.drivable_area[1]': {message}" in capsys.readouterr().err
+
+
+def test_verify_accepts_footprint_corners_on_a_hole_edge(tmp_path, capsys):
+    """The chosen trajectory drives just below a hole, with the footprint's
+    left corners on the hole's bottom edge and on its corner vertex."""
+    s = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(noise_scale=0.0, n_candidates=1, n_agents=0), 4)
+    data = scenario_to_dict(s)
+    data["ego"]["dims"] = {"length": 4.0, "width": 2.0}
+    data["map"]["drivable_area"] = [{"outer": [[-4, -9], [40, -9], [40, 9], [-4, 9], [-4, -9]],
+                                     "holes": [[[4, -5], [4, 5], [16, 5], [16, -5], [4, -5]]]}]
+    data["candidates"]["GoStraight"][0].update(waypoints=[[4.0 + 2 * t, -6.0] for t in range(1, 7)], headings=[0.0] * 6)
+    (tmp_path / "s.json").write_text(json.dumps(data))
+    (tmp_path / "manifest.json").write_text(json.dumps({"version": 1, "scenarios": [{"id": "s", "path": "s.json"}]}))
+    args = ["eval", "--suite", tmp_path / "manifest.json", "--preset", "baseline", "--verify", "--out", tmp_path / "r"]
+    assert run(args) == EXIT_OK, capsys.readouterr().err
+    assert read_rows(str(tmp_path / "r") + ".csv")[0][-1] == "0.0"  # no DACR: the hole edge is drivable
+
+
+@pytest.mark.parametrize(
+    "literal, code, message",
+    [("1" + "0" * 400, EXIT_INVARIANT, "field 'ego.dims.length': must be finite, got inf"),
+     ("1" * 5000, EXIT_PARSE, "invalid JSON: ")],
+    ids=["overflows-a-float", "beyond-the-digit-limit"],
+)
+def test_huge_integer_literal_exit_code(small_suite, tmp_path, capsys, literal, code, message):
+    def huge_length(text):
+        data = json.loads(text)
+        data["ego"]["dims"]["length"] = "__big__"
+        return json.dumps(data).replace('"__big__"', literal)
+
+    manifest, sid = _edited_suite(small_suite, tmp_path, "big", huge_length)
+    assert run(["eval", "--suite", manifest, "--out", tmp_path / "x"]) == code
+    err = capsys.readouterr().err
+    assert f"scenario {sid}: " in err and message in err
 
 
 @pytest.mark.parametrize("command", [["eval", "--preset", p] for p in PRESETS] + [["ablate"]], ids=[*PRESETS, "ablate"])

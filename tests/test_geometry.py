@@ -18,7 +18,6 @@ from uncplan.geometry import (
     near_segments,
     normalize_heading,
     point_in_multipolygon,
-    points_in_polygons,
     vehicle_corners,
 )
 
@@ -242,7 +241,7 @@ def test_containment_agrees_with_winding_reference():
         ring = np.array([(p.x, p.y) for p in poly.outer])
         pts = pts[~near_segments(pts, ring[:-1], ring[1:], 1e-9)]  # boundary-degenerate, conventions may differ
         expected = [_winding_number_inside(Point2(x, y), poly.outer) for x, y in pts.tolist()]
-        assert points_in_polygons(pts, (poly,)).tolist() == expected
+        assert MultiPolygon((poly,)).contains(pts).tolist() == expected
         checked += len(pts)
 
 

@@ -445,6 +445,74 @@ def test_ring_check_in_small_blocks(monkeypatch):
     assert [_ring_message(r) for r in rings] == whole
 
 
+def _segment_pairs(rng, n):
+    """Endpoint arrays (n, 2) of segment pairs: general position, touching at
+    an endpoint, sharing a vertex, collinear and overlapping or apart, and
+    near-collinear with coordinates of mixed magnitudes."""
+    p1, p2, q1, q2 = (rng.uniform(-10.0, 10.0, size=(n, 2)) for _ in range(4))
+    kind = rng.integers(0, 5, size=n)
+    t = rng.uniform(-0.5, 1.5, size=(n, 1))
+    q1 = np.where(kind[:, None] == 1, p1 + t * (p2 - p1), q1)  # an endpoint on the line of p, often on p
+    q1 = np.where(kind[:, None] == 2, p2, q1)  # shared vertex
+    line = rng.uniform(-1e3, 1e3, size=(n, 1)) * np.array([[1.0, 1e-3]]) + rng.uniform(-9, 9, size=(n, 2))
+    along = np.sort(rng.uniform(-50.0, 50.0, size=(n, 4)), axis=1)
+    collinear = [line + along[:, k, None] * np.array([1.0, 3.0]) for k in range(4)]
+    noise = rng.normal(size=(4, n, 2)) * rng.choice([0.0, 1e-12, 1e-9], size=(n, 1))
+    for k, v in enumerate((p1, p2, q1, q2)):
+        v[kind >= 3] = (collinear[k] + noise[k])[kind >= 3]
+    return p1, p2, q1, q2
+
+
+def test_segment_kernel_matches_reference_on_hard_pairs():
+    rng = np.random.Generator(np.random.PCG64(17))
+    p1, p2, q1, q2 = _segment_pairs(rng, 4000)
+    hit = geometry._segments_intersect(p1, p2, q1, q2)
+    expected = [ref_segments_intersect(*map(tuple, v)) for v in zip(p1, p2, q1, q2)]
+    assert hit.tolist() == expected
+    assert 0.2 < np.mean(expected) < 0.8
+
+
+# Two segments whose bounding boxes are disjoint in x (p ends at x -13.17, q
+# starts at x -7.91) that the kernel calls crossing: they are so nearly
+# collinear that every cross product rounds to the crossing signs. A
+# bounding-box prefilter would change this decision, so the ring check has none.
+DISJOINT_BOX_HIT = (
+    (-44.081803535446525, 78558.68428490659), (-13.170079193834496, 23479.924592946372),
+    (-7.912001523868593, 14111.039401515765), (19.770922766237103, -35214.6183228875),
+)
+
+
+def test_kernel_can_call_a_hit_on_pairs_with_disjoint_boxes():
+    p1, p2, q1, q2 = (np.array([v]) for v in DISJOINT_BOX_HIT)
+    assert max(p1[0, 0], p2[0, 0]) < min(q1[0, 0], q2[0, 0])
+    assert geometry._segments_intersect(p1, p2, q1, q2).tolist() == [True]
+    assert ref_segments_intersect(*DISJOINT_BOX_HIT)
+    assert geometry._first_crossing(p1, p2, q1, q2) == (0, 0)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_first_crossing_matches_the_unmasked_matrix(monkeypatch, block):
+    """The keep mask applied inside the kernel finds the row-major first hit
+    of the whole pair matrix masked afterwards."""
+    if block is not None:
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    rng = np.random.Generator(np.random.PCG64(23))
+    found = 0
+    for _ in range(300):
+        p1, p2, q1, q2 = _segment_pairs(rng, int(rng.integers(2, 9)))
+        if rng.random() < 0.3:  # the first pair of the matrix
+            p1[0], p2[0], q1[0], q2[0] = (np.array(v) for v in DISJOINT_BOX_HIT)
+        a0, a1, b0, b1 = p1, p2, np.concatenate([q1, p1]), np.concatenate([q2, p2])
+        keep = (lambda i, j: (j >= i + 2) | (j < len(q1))) if rng.random() < 0.5 else None
+        full = geometry._segments_intersect(a0[:, None], a1[:, None], b0, b1)
+        if keep is not None:
+            full &= keep(np.arange(len(a0))[:, None], np.arange(len(b0)))
+        first = divmod(int(full.argmax()), len(b0)) if full.any() else None
+        assert geometry._first_crossing(a0, a1, b0, b1, keep) == first
+        found += first is not None
+    assert found > 100
+
+
 def test_clearance_in_small_blocks(monkeypatch):
     """Blocks of a few point-segment pairs decide as one block."""
     rng = np.random.Generator(np.random.PCG64(5))
@@ -478,6 +546,11 @@ CONTAINMENT_POLYGONS = (
 )
 
 
+def ring_edges(ring):
+    xy = np.array([(p.x, p.y) for p in ring])
+    return xy[:-1], xy[1:]
+
+
 @pytest.mark.parametrize("block", [None, 50])
 def test_containment_kernel_matches_scalar_loops(monkeypatch, block):
     """Grid points at every vertex and on every axis-parallel edge, points
@@ -492,12 +565,12 @@ def test_containment_kernel_matches_scalar_loops(monkeypatch, block):
     pts = grid + along
     xy = np.array([(p.x, p.y) for p in pts])
     for ring in rings:
-        hit = geometry._ring_hits(xy, *geometry._edges(ring))
+        hit = geometry._ring_hits(xy, *ring_edges(ring))
         assert hit.tolist() == [ref_on_ring(p, ring) or ref_even_odd(p, ring) for p in pts]
     expected = [ref_in_area(p, rings) for p in pts]
     # on this layout, parity over all rings is the union of each outer ring minus its holes
     assert expected == [any(ref_in_polygon(p, poly) for poly in polys) for p in pts]
-    assert geometry.points_in_polygons(xy, polys).tolist() == expected
+    assert MultiPolygon(polys).contains(xy).tolist() == expected
     assert 0 < sum(expected) < len(expected)
     area = MultiPolygon(polys)
     assert [point_in_multipolygon(p, area) for p in pts[::37]] == expected[::37]
@@ -517,13 +590,13 @@ def test_pairwise_kernels_allocate_per_block():
     segments = (np.array([(p.x, p.y) for p in ring[:-1]]), np.array([(p.x, p.y) for p in ring[1:]]))
     tracemalloc.start()
     try:
-        poly = Polygon(ring)
+        area = MultiPolygon((Polygon(ring),))
         _, ring_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         _clearance_flags(corners, segments, 1.0)
         _, clearance_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        geometry.points_in_polygons(corners.reshape(-1, 2), (poly,))
+        area.contains(corners.reshape(-1, 2))
         _, containment_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -545,4 +618,4 @@ def test_polygon_edges_touch_matches_pair_loop(points):
         ref_segments_intersect((p.x, p.y), (q.x, q.y), (r.x, r.y), (s.x, s.y))
         for p, q in zip(a, a[1:]) for r, s in zip(b, b[1:])
     )
-    assert (geometry._first_crossing(*geometry._edges(pa.outer), *geometry._edges(pb.outer)) is not None) == expected
+    assert (geometry._first_crossing(*pa.edges, *pb.edges) is not None) == expected

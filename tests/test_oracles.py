@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from uncplan.geometry import MultiPolygon, Point2, Polygon
+from uncplan.geometry import MultiPolygon, Point2, Polygon, point_in_multipolygon
 from uncplan.map_model import MapElement, MapElementKind, UncertainMap
 from uncplan.metrics import dacr_flags
 from uncplan.oracles import (
-    oracle_dacr,
+    _point_in_da_votes,
     oracle_dacr_flags,
     oracle_laplace_fit,
     oracle_select,
@@ -38,8 +38,22 @@ EGO_DIMS = (4.0, 2.0)
 
 
 def test_oracle_dacr_hand_cases():
-    assert oracle_dacr(traj_along_x(), EGO_DIMS, rect_da(0, 20, -2, 2), 6) == 0.0
-    assert oracle_dacr(traj_along_x(), EGO_DIMS, rect_da(0, 9, -2, 2), 6) == pytest.approx(0.5)
+    assert oracle_dacr_flags(traj_along_x(), EGO_DIMS, rect_da(0, 20, -2, 2)) == (False,) * 6
+    assert oracle_dacr_flags(traj_along_x(), EGO_DIMS, rect_da(0, 9, -2, 2)) == (False,) * 3 + (True,) * 3
+
+
+def test_points_on_hole_edges_get_every_vote():
+    # the rays of points on a hole's edge run along that edge or through its
+    # end vertices, where the parity of a ray is not the area's
+    outer = rect_da(-4, 40, -9, 9).polygons[0].outer
+    hole = tuple(reversed(rect_da(4, 16, -5, 5).polygons[0].outer))
+    da = MultiPolygon((Polygon(outer, (hole,)),))
+    edge_points = [(5, -5), (4, 0), (16, 3), (10, 5), (4, -5), (16, 5), (-4, 0), (40, 9)]
+    inside, outside = [(0, 0), (30, -8)], [(10, 0), (41, 0), (0, 9.5)]
+    xs, ys = (np.array(v, dtype=np.longdouble) for v in zip(*edge_points, *inside, *outside))
+    votes = _point_in_da_votes(xs, ys, da).tolist()
+    assert votes == [4] * len(edge_points) + [4] * len(inside) + [0] * len(outside)
+    assert [point_in_multipolygon(Point2(x, y), da) for x, y in edge_points + inside + outside] == [v > 0 for v in votes]
 
 
 def test_oracle_dacr_agrees_on_generated_scenarios():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from uncplan.metrics import dacr_frame, scenario_class_of
 from uncplan.scenario import (
     GeneratorParams,
+    Scenario,
     ScenarioFormatError,
     ScenarioInvariantError,
     ScenarioKind,
@@ -27,6 +28,7 @@ from uncplan.scenario import (
     scenario_to_dict,
     splitmix64,
 )
+from uncplan.scenario import _read, _walk
 from uncplan.selection import T_F, Command
 
 
@@ -328,7 +330,7 @@ _FUZZ_BASES = [
     scenario_to_dict(generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1), 2)),
 ]
 _FUZZ_PATHS = [list(_value_paths(base)) for base in _FUZZ_BASES]
-_FAULTS = ("<delete>", None, True, "x", [], {}, math.inf)
+_FAULTS = ("<delete>", None, True, "x", [], {}, math.inf, 10**400)
 
 
 def _draw_faulted(data) -> dict:
@@ -379,6 +381,125 @@ def test_eval_exits_3_or_4_on_a_malformed_scenario(data):
             code = main(["eval", "--suite", str(suite / "manifest.json"), "--out", str(suite / "r")])
     assert code in (EXIT_PARSE, EXIT_INVARIANT)
     assert err.getvalue().startswith(("parse error: scenario s: ", "invariant violation: scenario s: "))
+
+
+def _faulted(base: dict, path: tuple, fault) -> dict:
+    faulted = copy.deepcopy(base)
+    parent = faulted
+    for key in path[:-1]:
+        parent = parent[key]
+    if fault == "<delete>":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(fault)
+    return faulted
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except (ScenarioFormatError, ScenarioInvariantError) as e:
+        return type(e), str(e)
+
+
+def test_array_read_decides_every_single_fault_as_the_walk():
+    """Every value of a small scenario deleted or replaced by each fault: the
+    loader raises the walk's error class and message, or both accept with
+    equal values."""
+    base = scenario_to_dict(
+        generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1, n_candidates=1, n_element_points=2), 5)
+    )
+    cases = accepted = 0
+    for path in _value_paths(base):
+        for fault in _FAULTS:
+            data = _faulted(base, path, fault)
+            if path == ("version",):
+                continue  # read before either reader runs
+            loaded, walked = _outcome(scenario_from_dict, data), _outcome(_walk, data)
+            assert loaded == walked, (path, fault)
+            cases += 1
+            accepted += isinstance(loaded, Scenario)
+    assert cases > 1500 and 0 < accepted < cases / 4
+
+
+def _arrays(s):
+    """Every array a scenario holds, by name."""
+    out = {"ego_poses": s.ego_poses, "agent_boxes": s.agent_boxes}
+    for command, batch in s.candidates.batches.items():
+        out.update({f"{command.value}.{k}": a for k, a in zip(("xy", "yaw", "confidence"), batch)})
+    for i, e in enumerate(s.map.elements):
+        out[f"element{i}.table"] = e.polyline.table
+        out[f"element{i}.log_2b"] = e.polyline.log_2b
+    for i, poly in enumerate(s.map.drivable_area.polygons):
+        out.update({f"polygon{i}.ring{k}": r for k, r in enumerate(poly.rings)})
+        out.update({f"polygon{i}.edges{k}": e for k, e in enumerate(poly.edges)})
+    out.update({f"area.edges{k}": e for k, e in enumerate(s.map.drivable_area.edges)})
+    for i, agent in enumerate(s.agents):
+        out.update({f"agent{i}.mode{k}": m.poses for k, m in enumerate(agent.modes)})
+    return out
+
+
+@pytest.mark.parametrize(
+    "params",
+    [GeneratorParams(), GeneratorParams(n_candidates=20), GeneratorParams(n_element_points=80)],
+    ids=["canonical", "wide-candidates", "dense-map"],
+)
+def test_arrays_read_at_load_are_the_tuple_constructors_arrays(params):
+    """On scenarios shaped like the benchmark's workloads, the array read
+    accepts every file, and its arrays match those the public constructors
+    build from Point2 and Pose2 tuples (the item walk) bit for bit."""
+    for seed in range(6):
+        kind = ScenarioKind.TURN if seed % 3 else ScenarioKind.STRAIGHT
+        data = json.loads(json.dumps(scenario_to_dict(generate_scenario(kind, params, seed))))
+        fast, walked = _arrays(_read(data)), _arrays(_walk(data))
+        assert fast.keys() == walked.keys()
+        for name, array in fast.items():
+            assert array.dtype == walked[name].dtype and array.shape == walked[name].shape, name
+            assert array.tobytes() == walked[name].tobytes(), name
+            assert not array.flags.writeable, name
+
+
+def test_uneven_layouts_ints_and_headings_read_as_the_walk_reads_them():
+    data = scenario_to_dict(generate_scenario(ScenarioKind.TURN, GeneratorParams(n_agents=2), 3))
+    data["ego_gt_future"][0]["x"] = 2**53 + 1  # rounds to a float
+    data["agents"][0]["modes"][0]["trajectory"][1]["heading"] = 7.0  # normalized into (-pi, pi]
+    data["candidates"]["TurnLeft"][0]["waypoints"][2] = [3, -(2**60 + 3)]
+    data["map"]["elements"][0]["points"][0]["mx"] = 12
+    # commands with different candidate counts, elements of different lengths, holes and a second polygon
+    del data["candidates"]["GoStraight"][1:3]
+    del data["map"]["elements"][1]["points"][5:9]
+    data["map"]["drivable_area"].append({"outer": [[500, 500], [540, 500], [540, 540], [500, 540], [500, 500]],
+                                         "holes": [[[510, 510], [510, 520], [520, 520], [520, 510], [510, 510]],
+                                                   [[525, 525], [525, 530], [530, 530], [530, 525], [525, 525]]]})
+    fast, walked = _arrays(_read(data)), _arrays(_walk(data))
+    assert fast.keys() == walked.keys()
+    assert all(fast[name].tobytes() == walked[name].tobytes() for name in fast)
+    assert fast["agent0.mode0"][1, 2] == 7.0 - math.tau
+    assert [len(b[0]) for b in _read(data).candidates.batches.values()] == [5, 5, 3]
+
+
+@pytest.mark.parametrize("field", ["ego.dims.length", "map.elements[0].points[1].mx", "agent_gt[0][2].cx"])
+def test_integer_too_large_for_a_float_is_infinite_naming_the_field(tmp_path, field):
+    data = scenario_to_dict(generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1), 2))
+    node = data
+    keys = [int(k) if k.isdigit() else k for k in field.replace("[", ".").replace("]", "").split(".")]
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = 10**400
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ScenarioInvariantError) as err:
+        load_scenario(p)
+    assert str(err.value).startswith(f"field '{field}'") and "inf" in str(err.value)
+
+
+def test_integer_beyond_the_digit_limit_is_a_parse_error_naming_the_file(tmp_path):
+    text = json.dumps(scenario_to_dict(generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(), 2)))
+    p = tmp_path / "huge.json"
+    p.write_text(text.replace('"seed": ', '"seed": ' + "9" * 5000 + ", \"x\": ", 1))
+    with pytest.raises(ScenarioFormatError) as err:
+        load_scenario(p)
+    assert str(err.value).startswith(f"{p}: invalid JSON: ")
 
 
 # -- suites --------------------------------------------------------------------
