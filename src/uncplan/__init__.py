@@ -8,7 +8,6 @@ from .geometry import (
     OrientedBox,
     Point2,
     Polygon,
-    Polyline,
     Pose2,
     point_in_multipolygon,
     vehicle_corners,

@@ -102,10 +102,6 @@ def pose_array(poses) -> np.ndarray:
     return rows
 
 
-def pose_tuple(rows: np.ndarray) -> tuple[Pose2, ...]:
-    return tuple(Pose2(Point2(x, y), h) for x, y, h in rows.tolist())
-
-
 def point_tuple(xy: np.ndarray) -> tuple[Point2, ...]:
     return tuple(Point2(x, y) for x, y in xy.tolist())
 
@@ -124,7 +120,11 @@ class ArrayValue:
     """Base of frozen dataclasses that hold their value in read-only arrays.
     Equality compares the instance attributes, arrays elementwise, except the
     fields named in _views: __post_init__ takes those out of the instance,
-    and each is built from the arrays when it is first read."""
+    and each is built from the arrays when it is first read. A tuple view is
+    kept only for a reader outside the package: the acceptance tests (A1
+    reads UncertainPolyline.points through element_nll, A3 reads
+    CandidateTrajectory.waypoints and .headings and Polygon.outer and .holes,
+    A4 the three CandidateSet commands) and perfbench/traced.py."""
 
     _views: dict = {}
 
@@ -147,19 +147,6 @@ class ArrayValue:
         return _equal(*({k: v for k, v in vars(x).items() if k not in self._views} for x in (self, other)))
 
     __hash__ = None
-
-
-@dataclass(frozen=True)
-class Polyline:
-    """Open chain of at least two non-coincident vertices, also held as an (n, 2) array xy."""
-
-    points: tuple[Point2, ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        # raises on fewer than 2 or coincident vertices
-        object.__setattr__(self, "xy", polyline_array(row_array(pts, 2, row=POINT)))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -257,13 +244,18 @@ def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.n
     d1, d3 = qdx * dy - qdy * dx, pdy * dx - pdx * dy
     d2, d4 = qdx * (p2y - q1y) - qdy * (p2x - q1x), pdx * (q2y - p1y) - pdy * (q2x - p1x)
     # opposite strict signs on both sides; a NaN or a zero makes a sign product other than negative
-    hit = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0) & keep
-    # an endpoint on the other segment's line: rare among kept pairs, so the bounding-box test runs on those only
-    k = np.nonzero(((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)) & keep)
+    strict = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0)
+    # Candidates are rare among kept pairs, so the bounding boxes are tested on those only: a strict hit
+    # needs meeting boxes, because rounding can give nearly collinear segments the crossing signs, and
+    # an endpoint on the other segment's line must lie in that segment's box.
+    candidate = (strict | (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)) & keep
+    hit, k = np.zeros_like(candidate), np.nonzero(candidate)
     if k[0].size:
         e1, e2, f1, f2 = (np.broadcast_to(v, hit.shape + (2,))[k] for v in (p1, p2, q1, q2))
-        hit[k] |= (
-            ((d1[k] == 0) & _in_bbox(f1, f2, e1))
+        meet = (np.minimum(e1, e2) <= np.maximum(f1, f2)) & (np.minimum(f1, f2) <= np.maximum(e1, e2))
+        hit[k] = (
+            (strict[k] & meet.all(axis=-1))
+            | ((d1[k] == 0) & _in_bbox(f1, f2, e1))
             | ((d2[k] == 0) & _in_bbox(f1, f2, e2))
             | ((d3[k] == 0) & _in_bbox(e1, e2, f1))
             | ((d4[k] == 0) & _in_bbox(e1, e2, f2))

@@ -21,13 +21,10 @@ from .geometry import (
     POINT,
     ArrayValue,
     MultiPolygon,
-    OrientedBox,
-    Point2,
     box_axes,
     box_corners,
     boxes_overlap_batch,
     frozen,
-    point_tuple,
     row_array,
 )
 from .selection import T_F, CandidateTrajectory
@@ -48,37 +45,25 @@ def box_array(boxes) -> np.ndarray:
     return table
 
 
-def box_tuples(table: np.ndarray) -> tuple[tuple[OrientedBox, ...], ...]:
-    """The rows of an (A, T_F, 5) box array as OrientedBoxes."""
-    return tuple(tuple(OrientedBox(Point2(x, y), h, length, width) for x, y, h, length, width in seq)
-                 for seq in table.tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class GroundTruth(ArrayValue):
     """What actually happens: ego future, agent futures, true drivable area.
-    Stored: ego_xy (T_F, 2), ego_yaw (T_F,) and agent_boxes (A, T_F, 5) as
-    read-only arrays; each field may also be given as its array."""
+    Stored as read-only arrays, each also accepted as Point2s, floats or
+    OrientedBoxes: ego_xy (T_F, 2), ego_yaw (T_F,), agent_boxes (A, T_F, 5)."""
 
-    ego_future: tuple[Point2, ...]
-    ego_headings: tuple[float, ...]
-    agent_futures: tuple[tuple[OrientedBox, ...], ...]
+    ego_xy: np.ndarray
+    ego_yaw: np.ndarray
+    agent_boxes: np.ndarray
     drivable_area: MultiPolygon
-    _views = {
-        "ego_future": lambda g: point_tuple(g.ego_xy),
-        "ego_headings": lambda g: tuple(g.ego_yaw.tolist()),
-        "agent_futures": lambda g: box_tuples(g.agent_boxes),
-    }
 
     def __post_init__(self) -> None:
-        ego_xy = row_array(self.__dict__.pop("ego_future"), 2, row=POINT)
-        ego_yaw, agent_futures = frozen(self.__dict__.pop("ego_headings")), self.__dict__.pop("agent_futures")
+        ego_xy, ego_yaw = row_array(self.ego_xy, 2, row=POINT), frozen(self.ego_yaw)
         if len(ego_xy) != T_F or ego_yaw.shape != (T_F,):
             raise ValueError(f"ground truth needs {T_F} ego steps")
-        for i, seq in enumerate(agent_futures):
+        for i, seq in enumerate(self.agent_boxes):
             if len(seq) != T_F:
                 raise ValueError(f"agent {i} ground truth has {len(seq)} steps, needs {T_F}")
-        self.__dict__.update(ego_xy=ego_xy, ego_yaw=ego_yaw, agent_boxes=box_array(agent_futures))
+        self.__dict__.update(ego_xy=ego_xy, ego_yaw=ego_yaw, agent_boxes=box_array(self.agent_boxes))
 
 
 @dataclass(frozen=True)

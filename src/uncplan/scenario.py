@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import ArrayValue, MultiPolygon, OrientedBox, Point2, Polygon, Pose2, frozen, pose_array, pose_tuple, row_array
+from .geometry import ArrayValue, MultiPolygon, OrientedBox, Point2, Polygon, Pose2, frozen, pose_array, row_array
 from .map_model import MapElement, MapElementKind, UncertainMap, perturb_map
-from .metrics import GroundTruth, box_array, box_tuples, scenario_class_of
+from .metrics import GroundTruth, box_array, scenario_class_of
 from .selection import DT, T_F, CandidateSet, CandidateTrajectory, Command
 from .uncertainty import B_MIN, LaplacePoint, UncertainPolyline
 
@@ -54,15 +54,14 @@ class ScenarioKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class AgentMode(ArrayValue):
-    """One predicted future of an agent with its confidence. Stored: poses,
-    the (T_F, 3) read-only array of (x, y, heading) rows (see pose_array)."""
+    """One predicted future of an agent with its confidence. poses, T_F Pose2s
+    or (x, y, heading) rows, is stored as a read-only (T_F, 3) array (see pose_array)."""
 
-    trajectory: tuple[Pose2, ...]
+    poses: np.ndarray
     confidence: float
-    _views = {"trajectory": lambda m: pose_tuple(m.poses)}
 
     def __post_init__(self) -> None:
-        poses = pose_array(self.__dict__.pop("trajectory"))
+        poses = pose_array(self.poses)
         if len(poses) != T_F:
             raise ValueError(f"agent mode needs {T_F} poses, got {len(poses)}")
         if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
@@ -108,7 +107,7 @@ class GeneratorParams:
     speed_range: tuple[float, float] = (4.5, 8.5)  # m/s
     half_width_range: tuple[float, float] = (2.5, 3.4)  # m, straight corridors
     turn_half_width_range: tuple[float, float] = (2.8, 3.3)  # m, turn corridors
-    ego_length: float = 4.2
+    ego_length: float = 4.2  # m; the corridor starts 1.5 m behind the ego's rear
     ego_width: float = 1.9
     n_element_points: int = 20  # vertices per map element
     calibrated: bool = True  # perturbed maps advertise their true noise scale
@@ -119,8 +118,8 @@ class GeneratorParams:
     corridor_tail: float = 6.0  # m of corridor beyond the 3 s horizon
 
     def __post_init__(self) -> None:
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.n_agents < 0:
             raise ValueError(f"n_agents must be >= 0, got {self.n_agents}")
         if self.n_candidates < 1:
@@ -148,26 +147,24 @@ class GeneratorParams:
 @dataclass(frozen=True, eq=False)
 class Scenario(ArrayValue):
     """One evaluation unit: perceived map, agents, candidates, ground truth.
-    Stored as given, but for agent_gt and ego_gt_future, which may also be
-    given as their arrays: agent_boxes (A, T_F, 5) (see metrics.box_array)
-    and ego_poses (T_F, 3) (see geometry.pose_array)."""
+    The ground truths are stored as read-only arrays: agent_boxes (A, T_F, 5),
+    per agent T_F OrientedBoxes (see metrics.box_array), and ego_poses (T_F, 3),
+    the ego's future Pose2s (see geometry.pose_array)."""
 
     scenario_id: str
     seed: int
     map: UncertainMap
     agents: tuple[AgentPrediction, ...]
-    agent_gt: tuple[tuple[OrientedBox, ...], ...]  # per agent, T_F boxes
+    agent_boxes: np.ndarray
     ego_pose: Pose2
     ego_dims: tuple[float, float]
     command: Command
     candidates: CandidateSet
-    ego_gt_future: tuple[Pose2, ...]
+    ego_poses: np.ndarray
     scenario_class: str  # "Turn" | "Straight"
-    _views = {"agent_gt": lambda s: box_tuples(s.agent_boxes), "ego_gt_future": lambda s: pose_tuple(s.ego_poses)}
 
     def __post_init__(self) -> None:
-        agents, agent_gt = tuple(self.agents), self.__dict__.pop("agent_gt")
-        future = pose_array(self.__dict__.pop("ego_gt_future"))
+        agents, agent_gt, future = tuple(self.agents), self.agent_boxes, pose_array(self.ego_poses)
         if len(future) != T_F:
             raise ValueError(f"ego ground truth needs {T_F} poses, got {len(future)}")
         if len(agent_gt) != len(agents):
@@ -358,12 +355,12 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
         seed=seed,
         map=perceived,
         agents=agents,
-        agent_gt=agent_gt,
+        agent_boxes=agent_gt,
         ego_pose=ego_pose,
         ego_dims=(params.ego_length, params.ego_width),
         command=command,
         candidates=candidates,
-        ego_gt_future=ego_gt_future,
+        ego_poses=ego_gt_future,
         scenario_class=ScenarioKind.TURN.value if kind is ScenarioKind.TURN else ScenarioKind.STRAIGHT.value,
     )
 
@@ -690,7 +687,7 @@ def _read(data: dict) -> Scenario:
         map=UncertainMap([MapElement(line, kind) for line, kind in zip(lines, kinds)], MultiPolygon(area)),
         agents=[AgentPrediction(_field(a, "id", str, None), _floats(a["dims"], None, "length", "width"),
                                 [next(mode_values) for _ in a["modes"]]) for a in agents],
-        agent_gt=_numbers([list(map(_BOX, seq)) for seq in _items(data["agent_gt"])], T_F, 5),
+        agent_boxes=_numbers([list(map(_BOX, seq)) for seq in _items(data["agent_gt"])], T_F, 5),
         ego_pose=_pose(ego["pose"], None),
         ego_dims=ego_dims,
         command=Command(data["command"]),
@@ -698,7 +695,7 @@ def _read(data: dict) -> Scenario:
             command: (xy[start:end], yaw[start:end], confidences[start:end])
             for command, start, end in zip(Command, [0, *ends], ends)
         }),
-        ego_gt_future=_numbers(list(map(_POSE, _items(data["ego_gt_future"]))), 3),
+        ego_poses=_numbers(list(map(_POSE, _items(data["ego_gt_future"]))), 3),
         scenario_class=ScenarioKind(data["scenario_class"]).value,
     )
 
@@ -729,10 +726,10 @@ def _walk(data: dict) -> Scenario:
         command=_enum(data, "command", None, Command, "unknown command {!r}"),
         ego_pose=ego_pose,
         ego_dims=ego_dims,
-        ego_gt_future=_field(data, "ego_gt_future", list, None, _pose),
+        ego_poses=_field(data, "ego_gt_future", list, None, _pose),
         map=_build(map_path, UncertainMap, elements, drivable),
         agents=_field(data, "agents", list, None, _agent),
-        agent_gt=_field(data, "agent_gt", list, None, _list, _box),
+        agent_boxes=_field(data, "agent_gt", list, None, _list, _box),
         candidates=_build(candidates_path, CandidateSet, *lists),
     )
 

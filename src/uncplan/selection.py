@@ -26,7 +26,6 @@ from .geometry import (
     POINT,
     ArrayValue,
     Point2,
-    Polyline,
     box_axes,
     box_corners,
     boxes_overlap_batch,
@@ -253,15 +252,16 @@ def agent_collision_check(
 def boundary_collision_check(
     traj: CandidateTrajectory,
     ego_dims: tuple[float, float],
-    boundaries: Sequence[Polyline],
+    boundaries: Sequence[np.ndarray],
     clearance: float,
 ) -> bool:
     """Whether any footprint corner at any step comes strictly closer than
-    `clearance` to a boundary polyline (exact contact always counts)."""
+    `clearance` to a boundary polyline, given by its vertices (n, 2) (exact
+    contact always counts)."""
     if not boundaries:
         raise ValueError("need at least one boundary polyline")
     corners = box_corners(traj.xy[None], traj.yaw[None], ego_dims[0], ego_dims[1])
-    return _clearance_flags(corners, _segments([line.xy for line in boundaries]), clearance)[0]
+    return _clearance_flags(corners, _segments(boundaries), clearance)[0]
 
 
 def ucas_select(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import ArrayValue, Point2, Polyline, frozen, point_tuple, polyline_array, row_array
+from .geometry import ArrayValue, Point2, frozen, polyline_array, row_array
 
 B_MIN = 1e-3  # m, smallest admissible Laplace scale; avoids NLL -> -inf
 
@@ -40,8 +40,8 @@ class UncertainPolyline(ArrayValue):
     LaplacePoints or as rows (mx, my, bx, by). Stored: table, the (V, 4)
     read-only array of those rows, scales below B_MIN raised to it. Built
     when first read: log_2b, log(2 b) per scale from math.log (np.log can
-    differ in the last bit), and mu, the (V, 2) mu vertices, checked as a
-    Polyline checks its vertices."""
+    differ in the last bit), and mu, the (V, 2) mu vertices, checked by
+    polyline_array."""
 
     points: tuple[LaplacePoint, ...]
     _views = {
@@ -56,9 +56,9 @@ class UncertainPolyline(ArrayValue):
             raise ValueError("uncertain polyline needs at least one point")
         self.__dict__["table"] = frozen(np.maximum(table, (-math.inf, -math.inf, B_MIN, B_MIN)))
 
-    def mu_polyline(self) -> Polyline:
-        """Most-likely geometry of the element."""
-        return Polyline(point_tuple(self.table[:, :2]))
+    def mu_polyline(self) -> np.ndarray:
+        """Most-likely geometry of the element: its mu vertices (V, 2)."""
+        return self.mu
 
 
 def _nll(x, y, mx, my, b1, b2, log_2b1, log_2b2):

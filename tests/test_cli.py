@@ -276,6 +276,12 @@ def test_non_finite_threshold_is_config_error(small_suite, tmp_path, capsys, fla
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_noise_is_config_error(tmp_path, capsys, value):
+    assert run(["generate", "--count", 2, "--noise", value, "--out", tmp_path / "x"]) == EXIT_CONFIG
+    assert f"noise_scale must be finite and >= 0, got {value}" in capsys.readouterr().err
+
+
 def test_eval_bad_preset_is_argparse_exit_2(small_suite, tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["eval", "--suite", small_suite, "--preset", "bogus", "--out", tmp_path / "x"])

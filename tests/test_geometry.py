@@ -10,7 +10,6 @@ from uncplan.geometry import (
     OrientedBox,
     Point2,
     Polygon,
-    Polyline,
     Pose2,
     box_axes,
     box_corners,
@@ -18,6 +17,7 @@ from uncplan.geometry import (
     near_segments,
     normalize_heading,
     point_in_multipolygon,
+    polyline_array,
     vehicle_corners,
 )
 
@@ -65,10 +65,10 @@ def test_normalize_heading_idempotent_bitwise():
 
 
 def test_polyline_rejects_short_and_coincident():
-    with pytest.raises(ValueError):
-        Polyline((Point2(0, 0),))
-    with pytest.raises(ValueError):
-        Polyline((Point2(0, 0), Point2(0, 1e-12)))
+    with pytest.raises(ValueError, match="at least 2 points"):
+        polyline_array(np.array([[0.0, 0.0]]))
+    with pytest.raises(ValueError, match="vertices 0 and 1 are coincident"):
+        polyline_array(np.array([[0.0, 0.0], [0.0, 1e-12]]))
 
 
 def test_polygon_validation():

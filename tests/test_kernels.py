@@ -102,10 +102,9 @@ def ref_agent_flag(traj, agents, margin, all_modes):
     for agent in agents:
         modes = agent.modes if all_modes else (max(agent.modes, key=lambda m: m.confidence),)
         for mode in modes:
-            for t, pose in enumerate(mode.trajectory):
+            for t, (x, y, heading) in enumerate(mode.poses.tolist()):
                 ego = (traj.waypoints[t].x, traj.waypoints[t].y, traj.headings[t]) + EGO_DIMS
-                other = (pose.position.x, pose.position.y, pose.heading,
-                         agent.dims[0] + 2.0 * margin, agent.dims[1] + 2.0 * margin)
+                other = (x, y, heading, agent.dims[0] + 2.0 * margin, agent.dims[1] + 2.0 * margin)
                 if ref_overlap(ego, other):
                     return True
     return False
@@ -128,9 +127,12 @@ def ref_segments_intersect(p1, p2, q1, q2):
     def on_bbox(a, b, p):
         return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
 
+    def boxes_meet():
+        return all(min(p1[k], p2[k]) <= max(q1[k], q2[k]) and min(q1[k], q2[k]) <= max(p1[k], p2[k]) for k in (0, 1))
+
     d1, d2, d3, d4 = cross(q1, q2, p1), cross(q1, q2, p2), cross(p1, p2, q1), cross(p1, p2, q2)
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
+        return boxes_meet()
     return (
         (d1 == 0 and on_bbox(q1, q2, p1)) or (d2 == 0 and on_bbox(q1, q2, p2))
         or (d3 == 0 and on_bbox(p1, p2, q1)) or (d4 == 0 and on_bbox(p1, p2, q2))
@@ -473,21 +475,23 @@ def test_segment_kernel_matches_reference_on_hard_pairs():
 
 
 # Two segments whose bounding boxes are disjoint in x (p ends at x -13.17, q
-# starts at x -7.91) that the kernel calls crossing: they are so nearly
-# collinear that every cross product rounds to the crossing signs. A
-# bounding-box prefilter would change this decision, so the ring check has none.
+# starts at x -7.91): they are so nearly collinear that every cross product
+# rounds to the crossing signs, so only the bounding-box test refuses the hit.
 DISJOINT_BOX_HIT = (
     (-44.081803535446525, 78558.68428490659), (-13.170079193834496, 23479.924592946372),
     (-7.912001523868593, 14111.039401515765), (19.770922766237103, -35214.6183228875),
 )
 
 
-def test_kernel_can_call_a_hit_on_pairs_with_disjoint_boxes():
+def test_kernel_calls_no_hit_on_pairs_with_disjoint_boxes():
     p1, p2, q1, q2 = (np.array([v]) for v in DISJOINT_BOX_HIT)
     assert max(p1[0, 0], p2[0, 0]) < min(q1[0, 0], q2[0, 0])
-    assert geometry._segments_intersect(p1, p2, q1, q2).tolist() == [True]
-    assert ref_segments_intersect(*DISJOINT_BOX_HIT)
-    assert geometry._first_crossing(p1, p2, q1, q2) == (0, 0)
+    d1, d2 = (geometry._cross(*q1[0], *q2[0], *p[0]) for p in (p1, p2))
+    d3, d4 = (geometry._cross(*p1[0], *p2[0], *q[0]) for q in (q1, q2))
+    assert d1 * d2 < 0 and d3 * d4 < 0  # the crossing signs
+    assert geometry._segments_intersect(p1, p2, q1, q2).tolist() == [False]
+    assert not ref_segments_intersect(*DISJOINT_BOX_HIT)
+    assert geometry._first_crossing(p1, p2, q1, q2) is None
 
 
 @pytest.mark.parametrize("block", [None, 7])

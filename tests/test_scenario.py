@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -51,8 +52,7 @@ def test_noiseless_straight_single_candidate_equals_gt():
     assert s.command is Command.GO_STRAIGHT
     cand = s.candidates.go_straight[0]
     assert cand.confidence == 1.0
-    for wp, pose in zip(cand.waypoints, s.ego_gt_future):
-        assert wp == pose.position
+    assert cand.xy.tolist() == s.ego_poses[:, :2].tolist()
     assert dacr_frame(cand, s.ego_dims, s.map.drivable_area, T_F) == 0.0
 
 
@@ -88,7 +88,7 @@ def test_turn_class_consistent_with_heading_rule():
         s = generate_scenario(ScenarioKind.TURN, GeneratorParams(), seed)
         assert s.scenario_class == "Turn"
         assert s.command in (Command.TURN_LEFT, Command.TURN_RIGHT)
-        assert scenario_class_of([p.heading for p in s.ego_gt_future]) == "Turn"
+        assert scenario_class_of(s.ego_poses[:, 2].tolist()) == "Turn"
         t = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(), seed)
         assert t.scenario_class == "Straight"
 
@@ -101,8 +101,8 @@ def test_candidates_stay_near_corridor():
             hw_max = max(params.half_width_range[1], params.turn_half_width_range[1])
             for cands in (s.candidates.turn_left, s.candidates.turn_right, s.candidates.go_straight):
                 for cand in cands:
-                    for wp, pose in zip(cand.waypoints, s.ego_gt_future):
-                        lateral = math.hypot(wp.x - pose.position.x, wp.y - pose.position.y)
+                    for (x, y), (px, py, _) in zip(cand.xy.tolist(), s.ego_poses.tolist()):
+                        lateral = math.hypot(x - px, y - py)
                         assert lateral <= 4.0 * hw_max  # within 2x the corridor width
 
 
@@ -120,15 +120,101 @@ def test_confidences_strictly_decreasing_with_deviation_rank():
 def test_agent_predictions_well_formed():
     for seed in range(30):
         s = generate_scenario(ScenarioKind.TURN, GeneratorParams(n_agents=3), seed)
-        assert len(s.agents) == 3 and len(s.agent_gt) == 3
-        for agent, gt_seq in zip(s.agents, s.agent_gt):
+        assert len(s.agents) == 3 and len(s.agent_boxes) == 3
+        for agent, gt_seq in zip(s.agents, s.agent_boxes):
             assert 1 <= len(agent.modes) <= 3
             total = sum(m.confidence for m in agent.modes)
             assert total <= 1.0 + 1e-6
             top = max(agent.modes, key=lambda m: m.confidence)
             assert top is agent.modes[0]  # mode 0 is the scripted ground truth
-            for pose, box in zip(agent.modes[0].trajectory, gt_seq):
-                assert box.center == pose.position
+            assert agent.modes[0].poses[:, :2].tolist() == gt_seq[:, :2].tolist()
+
+
+def _gen(kind, seed, **knobs):
+    return generate_scenario(kind, GeneratorParams(**knobs), seed)
+
+
+def _outer(s):
+    return s.map.drivable_area.polygons[0].rings[0]
+
+
+def _aim(s):
+    """Lateral offset of the active command's top candidate from the ego ground truth at the last step."""
+    x, y, heading = s.ego_poses[-1].tolist()
+    wx, wy = s.candidates.batches[s.command][0][0, -1].tolist()
+    return (wy - y) * math.cos(heading) - (wx - x) * math.sin(heading)
+
+
+def _curvature_range(seed):
+    # the ego heading turns by the curvature per metre of arc: 3 m per step at 6 m/s
+    s = _gen(ScenarioKind.TURN, seed, curvature_range=(0.1, 0.1), speed_range=(6.0, 6.0))
+    assert np.abs(s.ego_poses[:, 2]) == pytest.approx(0.3 * np.arange(1, T_F + 1))
+    assert not _gen(ScenarioKind.STRAIGHT, seed, curvature_range=(0.1, 0.1)).ego_poses[:, 2].any()
+
+
+def _speed_range(seed):
+    s = _gen(ScenarioKind.STRAIGHT, seed, speed_range=(6.0, 6.0))
+    assert s.ego_poses[:, 0] == pytest.approx(3.0 * np.arange(1, T_F + 1))
+
+
+def _ego_length(seed):
+    s = _gen(ScenarioKind.STRAIGHT, seed, ego_length=5.0, noise_scale=0.0)
+    assert s.ego_dims[0] == 5.0
+    assert _outer(s)[:, 0].min() == pytest.approx(-(2.5 + 1.5))
+
+
+def _lateral_reach_frac(seed):
+    # the farthest candidate of a noiseless straight ends that fraction of the half width off centre
+    for frac in (0.3, 0.6):
+        s = _gen(ScenarioKind.STRAIGHT, seed, lateral_reach_frac=frac, noise_scale=0.0)
+        ends = s.candidates.batches[s.command][0][:, -1, 1]
+        assert np.abs(ends).max() == pytest.approx(frac * -_outer(s)[0, 1])
+
+
+def _planner_noise_frac(seed):
+    # the aim error, taken against the error-free aim on the same map, scales with the fraction
+    for kind in ScenarioKind:
+        base, one, two = (_aim(_gen(kind, seed, noise_scale=0.2, planner_noise_frac=f)) for f in (0.0, 1.0, 2.0))
+        assert one != base
+        assert two - base == pytest.approx(2.0 * (one - base))
+
+
+def _turn_planner_noise_boost(seed):
+    for kind, factor in ((ScenarioKind.TURN, 3.0), (ScenarioKind.STRAIGHT, 1.0)):
+        base, one, three = (
+            _aim(_gen(kind, seed, noise_scale=0.2, planner_noise_frac=f, turn_planner_noise_boost=b))
+            for f, b in ((0.0, 1.0), (1.0, 1.0), (1.0, 3.0))
+        )
+        assert three - base == pytest.approx(factor * (one - base))
+
+
+def _confidence_temperature(seed):
+    # softmax over deviation: the log confidence ratios to the top candidate scale with 1 / temperature
+    ratios = [
+        np.log(confs[0] / confs[1:])
+        for confs in (
+            _gen(ScenarioKind.STRAIGHT, seed, confidence_temperature=t).candidates.batches[Command.GO_STRAIGHT][2]
+            for t in (1.0, 2.0)
+        )
+    ]
+    assert (ratios[0] > 0).all()
+    assert ratios[1] == pytest.approx(ratios[0] / 2.0)
+
+
+def _corridor_tail(seed):
+    s = _gen(ScenarioKind.STRAIGHT, seed, corridor_tail=10.0, noise_scale=0.0)
+    assert _outer(s)[:, 0].max() == pytest.approx(s.ego_poses[-1, 0] + 10.0)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [_curvature_range, _speed_range, _ego_length, _lateral_reach_frac, _planner_noise_frac,
+     _turn_planner_noise_boost, _confidence_temperature, _corridor_tail],
+    ids=lambda check: check.__name__.lstrip("_"),
+)
+def test_generator_knob_moves_the_scenario_as_its_comment_says(check):
+    for seed in range(5):
+        check(seed)
 
 
 def test_ego_gt_never_collides_with_scripted_agents():
@@ -138,11 +224,7 @@ def test_ego_gt_never_collides_with_scripted_agents():
     for seed in range(60):
         for kind in (ScenarioKind.TURN, ScenarioKind.STRAIGHT):
             s = generate_scenario(kind, GeneratorParams(), seed)
-            gt_traj = CandidateTrajectory(
-                tuple(p.position for p in s.ego_gt_future),
-                tuple(p.heading for p in s.ego_gt_future),
-                1.0,
-            )
+            gt_traj = CandidateTrajectory(s.ego_poses[:, :2], s.ego_poses[:, 2], 1.0)
             assert collision_rate_frame(gt_traj, s.ego_dims, s.ground_truth(), T_F) is False
             assert dacr_frame(gt_traj, s.ego_dims, s.map.drivable_area, T_F) == 0.0
 
