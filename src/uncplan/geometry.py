@@ -263,21 +263,35 @@ def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.n
     return hit
 
 
-def _first_crossing(a0, a1, b0, b1, keep=None) -> tuple[int, int] | None:
+def _first_crossing(a0, a1, b0=None, b1=None, keep=None) -> tuple[int, int] | None:
     """First (i, j) in row-major order at which segment a0[i]-a1[i] meets
-    segment b0[j]-b1[j] and keep(i, j) holds, or None. Rows go in blocks of
-    at most _PAIR_BLOCK pairs, so the temporaries stay small however long the
-    rings are."""
-    rows = max(1, _PAIR_BLOCK // len(b0))
-    j = np.arange(len(b0))
-    for start in range(0, len(a0), rows):
-        i = np.arange(start, min(start + rows, len(a0)))[:, None]
-        block = slice(start, start + rows)
-        hit = _segments_intersect(a0[block, None], a1[block, None], b0, b1, True if keep is None else keep(i, j))
-        if hit.any():
-            k = int(hit.argmax())
-            return start + k // len(b0), k % len(b0)
-    return None
+    segment b0[j]-b1[j] and keep(i, j) holds, or None; without b, the first
+    i < j at which two segments of a meet. The kernel hits only pairs whose
+    closed bounding boxes meet, so only those are tested. The boxes of all
+    segments are sorted by their low end on the axis of larger extent, and
+    each is paired with the later ones that start by its end, in blocks of
+    at most _PAIR_BLOCK pairs; the other axis filters those pairs."""
+    off, width = (0, len(a0)) if b0 is None else (len(a0), len(b0))
+    e0, e1 = (a0, a1) if b0 is None else (np.concatenate((a0, b0)), np.concatenate((a1, b1)))
+    lo, hi = np.minimum(e0, e1), np.maximum(e0, e1)
+    x = int(np.ptp(np.concatenate((lo, hi)), axis=0).argmax())
+    order = np.argsort(lo[:, x], kind="stable")
+    # sorted position s pairs with each t, s < t < last[s]; pair number k counts them in order of s
+    last = np.searchsorted(lo[order, x], hi[order, x], side="right")
+    ends = np.cumsum(last - np.arange(1, len(order) + 1))
+    hits = []
+    for start in range(0, int(ends[-1]), _PAIR_BLOCK):
+        k = np.arange(start, min(start + _PAIR_BLOCK, int(ends[-1])))
+        s = np.searchsorted(ends, k, side="right")
+        i, j = np.sort((order[s], order[k - ends[s] + last[s]]), axis=0)  # a segment of a, and one of b at j - off
+        take = (lo[i, 1 - x] <= hi[j, 1 - x]) & (lo[j, 1 - x] <= hi[i, 1 - x]) & (i < len(a0)) & (j >= off)
+        if keep is not None:
+            take &= keep(i, j - off)
+        i, j = i[take], j[take]
+        if i.size:
+            hit = _segments_intersect(e0[i], e1[i], e0[j], e1[j])
+            hits.extend((i[hit] * width + j[hit] - off).tolist())
+    return divmod(min(hits), width) if hits else None
 
 
 def _ring_signed_area(ring: np.ndarray) -> float:
@@ -303,7 +317,7 @@ def _validate_ring(ring: np.ndarray, want_ccw: bool, label: str) -> tuple[np.nda
     edges = ring[:-1], ring[1:]
     last = len(ring) - 2
     # adjacent edges legitimately share a vertex: pairs start at j = i + 2 and skip (0, last)
-    crossing = _first_crossing(*edges, *edges, lambda i, j: (j >= i + 2) & ((i != 0) | (j != last)))
+    crossing = _first_crossing(*edges, keep=lambda i, j: (j >= i + 2) & ((i != 0) | (j != last)))
     if crossing is not None:
         raise ValueError(f"{label} ring is self-intersecting (edges {crossing[0]} and {crossing[1]})")
     return edges
@@ -320,9 +334,7 @@ def _regions_meet(ea: tuple[np.ndarray, np.ndarray], eb: tuple[np.ndarray, np.nd
     """Whether the closed regions bounded by the ring edges ea and eb share a
     point: an edge of one meets an edge of the other, or one region holds the
     other's first vertex."""
-    if _first_crossing(*ea, *eb) is not None:
-        return True
-    return bool(_ring_hits(eb[0][:1], *ea)[0] or _ring_hits(ea[0][:1], *eb)[0])
+    return _first_crossing(*ea, *eb) is not None or bool(_ring_hits(eb[0][:1], *ea)[0] or _ring_hits(ea[0][:1], *eb)[0])
 
 
 # ---------------------------------------------------------------------------

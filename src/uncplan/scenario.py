@@ -120,14 +120,17 @@ class GeneratorParams:
     def __post_init__(self) -> None:
         if not 0 <= self.noise_scale < math.inf:
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
+        # NaN fails every comparison below without raising, and inf passes some of them
+        for name, value in vars(self).items():
+            numbers = value if isinstance(value, tuple) else (value,)
+            if not all(isinstance(v, int) or math.isfinite(v) for v in numbers):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name.endswith("_range") and not 0 < value[0] <= value[1]:
+                raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({value[0]}, {value[1]})")
         if self.n_agents < 0:
             raise ValueError(f"n_agents must be >= 0, got {self.n_agents}")
         if self.n_candidates < 1:
             raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
-        for name in ("curvature_range", "speed_range", "half_width_range", "turn_half_width_range"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
         if self.ego_length <= 0 or self.ego_width <= 0:
             raise ValueError("ego dimensions must be positive")
         if self.n_element_points < 2:

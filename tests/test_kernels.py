@@ -30,7 +30,7 @@ from uncplan.geometry import (
 )
 from uncplan.map_model import MapElement, MapElementKind, UncertainMap
 from uncplan.metrics import GroundTruth, collision_rate_frame
-from uncplan.scenario import AgentMode, AgentPrediction
+from uncplan.scenario import AgentMode, AgentPrediction, GeneratorParams, ScenarioKind, generate_scenario
 from uncplan.selection import (
     T_F,
     CandidateSet,
@@ -494,9 +494,17 @@ def test_kernel_calls_no_hit_on_pairs_with_disjoint_boxes():
     assert geometry._first_crossing(p1, p2, q1, q2) is None
 
 
+def _matrix_first(a0, a1, b0, b1, keep=None):
+    """Row-major first hit of the whole pair matrix, masked afterwards."""
+    full = geometry._segments_intersect(a0[:, None], a1[:, None], b0, b1)
+    if keep is not None:
+        full &= keep(np.arange(len(a0))[:, None], np.arange(len(b0)))
+    return divmod(int(full.argmax()), len(b0)) if full.any() else None
+
+
 @pytest.mark.parametrize("block", [None, 7])
 def test_first_crossing_matches_the_unmasked_matrix(monkeypatch, block):
-    """The keep mask applied inside the kernel finds the row-major first hit
+    """The keep mask applied to the swept pairs finds the row-major first hit
     of the whole pair matrix masked afterwards."""
     if block is not None:
         monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
@@ -508,13 +516,77 @@ def test_first_crossing_matches_the_unmasked_matrix(monkeypatch, block):
             p1[0], p2[0], q1[0], q2[0] = (np.array(v) for v in DISJOINT_BOX_HIT)
         a0, a1, b0, b1 = p1, p2, np.concatenate([q1, p1]), np.concatenate([q2, p2])
         keep = (lambda i, j: (j >= i + 2) | (j < len(q1))) if rng.random() < 0.5 else None
-        full = geometry._segments_intersect(a0[:, None], a1[:, None], b0, b1)
-        if keep is not None:
-            full &= keep(np.arange(len(a0))[:, None], np.arange(len(b0)))
-        first = divmod(int(full.argmax()), len(b0)) if full.any() else None
+        first = _matrix_first(a0, a1, b0, b1, keep)
         assert geometry._first_crossing(a0, a1, b0, b1, keep) == first
         found += first is not None
     assert found > 100
+
+
+def _xy(points):
+    return np.array([(p.x, p.y) for p in points])
+
+
+def _quarter_turn(xy):
+    """xy (..., 2) turned by 90 degrees counterclockwise, (x, y) -> (-y, x): exact."""
+    return np.stack((-xy[..., 1], xy[..., 0]), axis=-1)
+
+
+def _grid_segments(rng, n):
+    """Endpoints (n, 2) of segments on a small integer grid, a third of them
+    horizontal and a third vertical, so many boxes tie in their low ends."""
+    p, q = rng.integers(-3, 4, size=(2, n, 2)).astype(float)
+    kind = rng.integers(0, 3, size=n)
+    q[kind == 0, 1] = p[kind == 0, 1]
+    q[kind == 1, 0] = p[kind == 1, 0]
+    return p, q
+
+
+def _ring_keep(ring):
+    """The ring check's mask: adjacent edges, which share a vertex, are skipped."""
+    last = len(ring) - 2
+    return lambda i, j: (j >= i + 2) & ((i != 0) | (j != last))
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_sweep_matches_the_masked_matrix(monkeypatch, block):
+    """The sweep finds the row-major first hit of the whole masked pair
+    matrix where it is easiest to get wrong: boxes that tie in their low ends
+    (horizontal and vertical grid segments), sets turned by 90 degrees, a-vs-b
+    sets of different sizes, a set against itself, rings under the ring
+    check's mask, and every pair of rings of multi-hole polygons and
+    multi-polygon areas, shifted onto each other."""
+    if block is not None:
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    rng = np.random.Generator(np.random.PCG64(29))
+    found = []
+    for _ in range(60):
+        a, b = _grid_segments(rng, int(rng.integers(1, 6))), _grid_segments(rng, int(rng.integers(1, 20)))
+        keep = (lambda i, j: (j >= i + 2) | (j == 0)) if rng.random() < 0.5 else None
+        for a0, a1, b0, b1 in ((*a, *b), tuple(map(_quarter_turn, (*a, *b)))):
+            first = _matrix_first(a0, a1, b0, b1, keep)
+            assert geometry._first_crossing(a0, a1, b0, b1, keep) == first
+            assert geometry._first_crossing(b0, b1, b0, b1, keep) == _matrix_first(b0, b1, b0, b1, keep)
+            assert geometry._first_crossing(b0, b1) == _matrix_first(b0, b1, b0, b1, lambda i, j: j > i)
+            found.append(first is not None)
+    for _ in range(150):
+        ring = _xy(_ring_from(rng.integers(-4, 5, size=(int(rng.integers(3, 16)), 2)).tolist()))
+        for xy in (ring, _quarter_turn(ring)):
+            edges = xy[:-1], xy[1:]
+            first = _matrix_first(*edges, *edges, _ring_keep(xy))
+            assert geometry._first_crossing(*edges, keep=_ring_keep(xy)) == first
+            found.append(first is not None)
+    # rim-hole and hole-hole pairs, and whole areas against each other
+    rings = [(xy[:-1], xy[1:]) for poly in CONTAINMENT_POLYGONS for xy in poly.rings]
+    areas = [MultiPolygon(CONTAINMENT_POLYGONS).edges, CONTAINMENT_POLYGONS[0].edges]
+    for shift, turn in (((0.0, 0.0), False), ((2.0, 0.0), True), ((-4.0, -2.0), False), ((6.0, 10.0), True)):
+        for sets in (rings, areas):
+            for ea in sets:
+                for eb in sets:
+                    eb = tuple(_quarter_turn(v + shift) if turn else v + shift for v in eb)
+                    first = _matrix_first(*ea, *eb)
+                    assert geometry._first_crossing(*ea, *eb) == first
+                    found.append(first is not None)
+    assert 0.25 < np.mean(found) < 0.75  # hits and misses both common
 
 
 def test_clearance_in_small_blocks(monkeypatch):
@@ -551,7 +623,7 @@ CONTAINMENT_POLYGONS = (
 
 
 def ring_edges(ring):
-    xy = np.array([(p.x, p.y) for p in ring])
+    xy = _xy(ring)
     return xy[:-1], xy[1:]
 
 
@@ -580,18 +652,66 @@ def test_containment_kernel_matches_scalar_loops(monkeypatch, block):
     assert [point_in_multipolygon(p, area) for p in pts[::37]] == expected[::37]
 
 
+def _circle(n=400):
+    ring = tuple(Point2(50.0 * math.cos(math.tau * k / n), 50.0 * math.sin(math.tau * k / n)) for k in range(n))
+    return ring + ring[:1]
+
+
+def _zigzag(teeth=400):
+    """A ring 1000 m tall and `teeth` m wide whose top is a zig-zag: every
+    edge overlaps nearly every other on the sweep axis, y."""
+    top = [Point2(float(k), 1000.0 if k % 2 == 0 else 1.0) for k in range(teeth, -1, -1)]
+    return (Point2(0.0, 0.0), Point2(float(teeth), 0.0), *top, Point2(0.0, 0.0))
+
+
+def test_sweep_work_grows_with_the_edges_not_their_pairs(monkeypatch):
+    """On the dense-map corridor rings and the 400-edge circle, each also
+    turned by 90 degrees, the ring check sweeps at most a few pairs per edge
+    and hands the kernel fewer still: all E^2/2 pairs, or a sweep along the
+    narrow axis of a straight corridor, would fail. The zig-zag is the worst
+    case, where the sweep prunes almost nothing."""
+    params = GeneratorParams(n_element_points=80)
+    rings = [generate_scenario(kind, params, 3).map.drivable_area.polygons[0].rings[0] for kind in ScenarioKind]
+    rings.append(_xy(_circle()))
+    kernel, tested = geometry._segments_intersect, []
+
+    def counting_kernel(p1, p2, q1, q2, keep=True):
+        tested.append(np.broadcast(p1[..., 0], q1[..., 0]).size)
+        return kernel(p1, p2, q1, q2, keep)
+
+    def swept_pairs(xy):
+        swept = []
+
+        def keep(i, j):
+            swept.append(np.broadcast(i, j).size)
+            return _ring_keep(xy)(i, j)
+
+        assert geometry._first_crossing(xy[:-1], xy[1:], keep=keep) is None
+        return sum(swept)
+
+    monkeypatch.setattr(geometry, "_segments_intersect", counting_kernel)
+    for xy in rings + [_quarter_turn(xy) for xy in rings]:
+        edges = len(xy) - 1
+        tested.clear()
+        Polygon(xy)
+        assert sum(tested) <= 2 * edges
+        assert swept_pairs(xy) <= 4 * edges
+    zigzag = _xy(_zigzag())
+    edges = len(zigzag) - 1
+    assert swept_pairs(zigzag) > 0.99 * edges * (edges - 1) / 2
+
+
 def test_pairwise_kernels_allocate_per_block():
     """The ring check, the clearance kernel and the containment kernel hold
     one block of pairs at a time, so their peak allocation does not grow with
-    the number of pairs.
+    the number of pairs. The zig-zag ring is the ring check's worst case: the
+    sweep generates nearly all of its pairs.
     Temporaries above the allocator's 128 KB mmap threshold would be mapped
     and page-faulted in anew on every call."""
-    n = 400
-    ring = tuple(Point2(50.0 * math.cos(math.tau * k / n), 50.0 * math.sin(math.tau * k / n)) for k in range(n))
-    ring += ring[:1]
+    ring, zigzag = _circle(), _zigzag()
     rng = np.random.Generator(np.random.PCG64(7))
     corners = rng.uniform(-50.0, 50.0, size=(20, T_F, 4, 2))
-    segments = (np.array([(p.x, p.y) for p in ring[:-1]]), np.array([(p.x, p.y) for p in ring[1:]]))
+    segments = ring_edges(ring)
     tracemalloc.start()
     try:
         area = MultiPolygon((Polygon(ring),))
@@ -602,13 +722,18 @@ def test_pairwise_kernels_allocate_per_block():
         tracemalloc.reset_peak()
         area.contains(corners.reshape(-1, 2))
         _, containment_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        Polygon(zigzag)
+        _, zigzag_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # 80k edge pairs and 192k point-segment and point-edge pairs: unblocked,
-    # these calls peak at 6.6, 9.2 and 4.7 MB
+    # these calls peak at 6.6, 9.2 and 4.7 MB, and the zig-zag's 80k swept
+    # pairs at 5.0 MB
     assert ring_peak < 512 * 1024
     assert clearance_peak < 512 * 1024
     assert containment_peak < 512 * 1024
+    assert zigzag_peak < 512 * 1024
 
 
 @settings(max_examples=100, deadline=None)

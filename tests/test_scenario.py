@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -631,3 +632,26 @@ def test_generate_suite_fixed_id_multiset(tmp_path):
 def test_generate_suite_rejects_bad_count(tmp_path):
     with pytest.raises(ValueError):
         generate_suite(tmp_path / "z", 0, 0.5, GeneratorParams(), master_seed=1)
+
+
+_DEFAULTS = GeneratorParams()
+_FLOAT_FIELDS = [f.name for f in fields(GeneratorParams) if isinstance(getattr(_DEFAULTS, f.name), float)]
+_RANGE_FIELDS = [f.name for f in fields(GeneratorParams) if isinstance(getattr(_DEFAULTS, f.name), tuple)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_generator_params_reject_non_finite_floats(name, value):
+    # a NaN fails the field's range comparison without raising, and would reach the generator
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        GeneratorParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("end", [0, 1])
+@pytest.mark.parametrize("name", _RANGE_FIELDS)
+def test_generator_params_reject_non_finite_range_ends(name, end, value):
+    bounds = list(getattr(_DEFAULTS, name))
+    bounds[end] = value
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        GeneratorParams(**{name: tuple(bounds)})
