@@ -25,7 +25,7 @@ from .scenario import (
     load_scenario,
     load_suite,
 )
-from .selection import SelectionConfig, ucas_select
+from .selection import FilterValues, SelectionConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,23 +103,30 @@ def evaluate_suite(
     suite: Path, presets: Sequence[str], base: SelectionConfig, convention: str, verify: bool = False
 ) -> tuple[dict, list[tuple[list[MetricsRow], list[ScenarioMetrics]]]]:
     """Select and score every scenario of a suite under each preset, loading
-    each scenario once, in id order. Returns the manifest and, per preset, the
-    aggregate rows and the per-scenario metrics."""
+    each scenario once, in id order. Each filter runs at most once per
+    scenario, and each distinct chosen trajectory is scored once. Returns the
+    manifest and, per preset, the aggregate rows and the per-scenario metrics."""
     manifest, paths = load_suite(suite)
     runs = [preset_selection(preset, base) for preset in presets]
     per_preset: list[list[ScenarioMetrics]] = [[] for _ in runs]
-    for entry, path in sorted(zip(manifest["scenarios"], paths), key=lambda e: e[0]["id"]):
+    for i, (entry, path) in sorted(enumerate(zip(manifest["scenarios"], paths)), key=lambda e: e[1][0]["id"]):
         try:
             s = load_scenario(path)
+            if s.scenario_id != entry["id"]:
+                message = f"{entry['id']!r} is not the file's id {s.scenario_id!r}"
+                raise ScenarioInvariantError(f"field 'scenarios[{i}].id': {message}")
             gt = s.ground_truth()
+            values = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, base)
+            scored: dict[int, ScenarioMetrics] = {}  # by chosen index: the metrics read only the trajectory
             for (cfg, limit), results in zip(runs, per_preset):
-                candidates = s.candidates if limit is None else s.candidates.head(limit)
-                report = ucas_select(candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
+                report = values.select(cfg, limit)
                 if verify:
-                    _verify_scenario(s, cfg, report, candidates)
-                results.append(
-                    evaluate_trajectory(report.chosen, s.ego_dims, gt, s.scenario_id, s.scenario_class, convention)
-                )
+                    _verify_scenario(s, cfg, report, s.candidates if limit is None else s.candidates.head(limit))
+                if report.chosen_index not in scored:
+                    scored[report.chosen_index] = evaluate_trajectory(
+                        report.chosen, s.ego_dims, gt, s.scenario_id, s.scenario_class, convention
+                    )
+                results.append(scored[report.chosen_index])
         except (ValueError, OSError) as e:
             raise _scoped(e, entry["id"]) from None
     return manifest, [(aggregate(results, stratify=True), results) for results in per_preset]

@@ -145,7 +145,7 @@ def oracle_select(
     """Literal zero-then-argmax transcription over precomputed per-candidate flags.
 
     risks are only consulted when the uncertainty filter is enabled, matching
-    the production rule where a disabled filter never evaluates its quantity.
+    the production rule, which never reads the values of a disabled filter.
     """
     candidates = command_filter(candidate_set, command)
     n = len(candidates)

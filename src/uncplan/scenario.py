@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -803,11 +804,19 @@ def generate_suite(
 
 
 def load_suite(manifest_path: str | Path) -> tuple[dict, list[Path]]:
-    """Read a suite manifest; returns (manifest dict, resolved scenario paths)."""
+    """Read a suite manifest; returns (manifest dict, scenario paths joined to its directory)."""
     manifest_path = Path(manifest_path)
     data = _decode(manifest_path.read_text(encoding="utf-8"), manifest_path)
     _check_version(data, manifest_path)
-    return data, list(_field(data, "scenarios", list, None, _suite_entry, manifest_path.parent))
+    paths = list(_field(data, "scenarios", list, None, _suite_entry, manifest_path.parent))
+    ids = [entry["id"] for entry in data["scenarios"]]
+    for what, keys in (("id", ids), ("path", list(map(os.path.normpath, paths)))):
+        first: dict = {}  # key -> index of the first entry with it
+        for i, key in enumerate(keys):
+            if (j := first.setdefault(key, i)) != i:
+                message = f"{ids[i]!r} repeats the {what} of scenarios[{j}] ({ids[j]!r})"
+                raise ScenarioInvariantError(f"field 'scenarios[{i}].id': {message}")
+    return data, paths
 
 
 def _suite_entry(obj, path, root: Path) -> Path:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -139,8 +140,9 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """Audit record of one candidate's evaluation. Values a disabled filter
-    would have produced are not computed: risk_nll stays +inf and flags stay False."""
+    """Audit record of one candidate's evaluation. The values of a disabled
+    filter are not reported: risk_nll stays +inf and its flag stays False,
+    even when another preset computed them."""
 
     index: int
     confidence: float
@@ -264,6 +266,79 @@ def boundary_collision_check(
     return _clearance_flags(corners, _segments(boundaries), clearance)[0]
 
 
+class FilterValues:
+    """Per-candidate filter values of one scenario and command under the kernel
+    parameters of cfg. Each filter runs once, over all K candidates, when first
+    read; its kernel decides each candidate alone, so the first k values are those of head(k)."""
+
+    def __init__(self, candidate_set: CandidateSet, command: Command | str, uncertain_map: UncertainMap,
+                 agents: Sequence["AgentPrediction"], ego_dims: tuple[float, float], cfg: SelectionConfig) -> None:
+        self.xy, self.headings, confidences = candidate_set.batches[_command(command)]
+        self.confidences = confidences.tolist()
+        self.map, self.agents, self.ego_dims, self.cfg = uncertain_map, agents, ego_dims, cfg
+
+    @cached_property
+    def risks(self) -> list[float]:
+        cfg, m = self.cfg, self.map
+        elements = [e.polyline for e in m.elements] if cfg.risk_on_all_elements else boundary_elements(m)
+        if not elements:
+            raise ValueError("uncertainty filter needs at least one boundary element")
+        return _risks(self.xy, elements, cfg.risk_aggregator)
+
+    @cached_property
+    def _corners(self) -> np.ndarray:
+        return box_corners(self.xy, self.headings, self.ego_dims[0], self.ego_dims[1])
+
+    @cached_property
+    def agent_flags(self) -> list[bool]:
+        axes, cfg = box_axes(self.headings), self.cfg
+        return _agent_flags(self._corners, axes, self.agents, cfg.agent_margin, cfg.check_all_agent_modes)
+
+    @cached_property
+    def boundary_flags(self) -> list[bool]:
+        bounds = boundary_elements(self.map)
+        if not bounds:
+            raise ValueError("boundary filter needs at least one boundary element")
+        return _clearance_flags(self._corners, _segments([b.mu for b in bounds]), self.cfg.boundary_clearance)
+
+    def select(self, cfg: SelectionConfig, limit: int | None = None) -> SelectionReport:
+        """Score, filter and pick the safest of the first limit candidates (all
+        when None) under the filters and threshold of cfg.
+
+        final_score = confidence, zeroed when an enabled filter flags the
+        candidate. Winner: highest score, ties broken by lower risk_nll, then by
+        lowest index. If every score is zero the fallback prefers candidates
+        without agent collisions and takes the one farthest from uncertain
+        boundaries (highest risk_nll); if all collide, the raw-confidence argmax.
+        """
+        confidences = self.confidences[:limit]
+        n = len(confidences)
+        # a disabled filter leaves its risk at +inf (never below the finite threshold) and its flags False
+        risks = self.risks[:n] if cfg.enable_uncertainty_filter else [math.inf] * n
+        agent_flags = self.agent_flags[:n] if cfg.enable_agent_filter else [False] * n
+        boundary_flags = self.boundary_flags[:n] if cfg.enable_boundary_filter else [False] * n
+
+        scores = []
+        for i, confidence in enumerate(confidences):
+            flagged = risks[i] < cfg.nll_threshold or agent_flags[i] or boundary_flags[i]
+            scores.append(0.0 if flagged else confidence)
+
+        fallback_used = max(scores) == 0.0
+        if not fallback_used:
+            chosen_index = max(range(n), key=lambda i: (scores[i], -risks[i], -i))
+        else:
+            non_colliding = [i for i in range(n) if not agent_flags[i]]
+            if non_colliding:
+                chosen_index = max(non_colliding, key=lambda i: (risks[i], confidences[i], -i))
+            else:
+                chosen_index = max(range(n), key=lambda i: (confidences[i], -i))
+
+        records = tuple(map(CandidateRecord, range(n), confidences, risks, agent_flags, boundary_flags, scores))
+        xy, yaw, confidence = self.xy[chosen_index], self.headings[chosen_index], confidences[chosen_index]
+        chosen = CandidateTrajectory._of(xy=xy, yaw=yaw, confidence=confidence)
+        return SelectionReport(chosen_index=chosen_index, chosen=chosen, records=records, fallback_used=fallback_used)
+
+
 def ucas_select(
     candidate_set: CandidateSet,
     command: Command | str,
@@ -272,63 +347,5 @@ def ucas_select(
     ego_dims: tuple[float, float],
     cfg: SelectionConfig,
 ) -> SelectionReport:
-    """Score, filter and pick the safest candidate for a command.
-
-    final_score = confidence, zeroed when an enabled filter flags the
-    candidate. Winner: highest score, ties broken by lower risk_nll, then by
-    lowest index. If every score is zero the fallback prefers candidates
-    without agent collisions and takes the one farthest from uncertain
-    boundaries (highest risk_nll); if all collide, the raw-confidence argmax.
-    """
-    command = _command(command)
-    xy, headings, confidences = candidate_set.batches[command]
-    confidences = confidences.tolist()
-    n = len(confidences)
-
-    if cfg.enable_uncertainty_filter:
-        if cfg.risk_on_all_elements:
-            risk_elements = [e.polyline for e in uncertain_map.elements]
-        else:
-            risk_elements = boundary_elements(uncertain_map)
-        if not risk_elements:
-            raise ValueError("uncertainty filter needs at least one boundary element")
-        risks = _risks(xy, risk_elements, cfg.risk_aggregator)
-    else:
-        risks = [math.inf] * n
-
-    if cfg.enable_agent_filter or cfg.enable_boundary_filter:
-        corners = box_corners(xy, headings, ego_dims[0], ego_dims[1])
-
-    if cfg.enable_agent_filter:
-        agent_flags = _agent_flags(corners, box_axes(headings), agents, cfg.agent_margin, cfg.check_all_agent_modes)
-    else:
-        agent_flags = [False] * n
-
-    if cfg.enable_boundary_filter:
-        bounds = boundary_elements(uncertain_map)
-        if not bounds:
-            raise ValueError("boundary filter needs at least one boundary element")
-        segments = _segments([b.mu for b in bounds])
-        boundary_flags = _clearance_flags(corners, segments, cfg.boundary_clearance)
-    else:
-        boundary_flags = [False] * n
-
-    scores = []
-    for i, confidence in enumerate(confidences):
-        # a disabled filter left its risk at +inf (never below the finite threshold) and its flags False
-        flagged = risks[i] < cfg.nll_threshold or agent_flags[i] or boundary_flags[i]
-        scores.append(0.0 if flagged else confidence)
-
-    fallback_used = max(scores) == 0.0
-    if not fallback_used:
-        chosen_index = max(range(n), key=lambda i: (scores[i], -risks[i], -i))
-    else:
-        non_colliding = [i for i in range(n) if not agent_flags[i]]
-        if non_colliding:
-            chosen_index = max(non_colliding, key=lambda i: (risks[i], confidences[i], -i))
-        else:
-            chosen_index = max(range(n), key=lambda i: (confidences[i], -i))
-
-    records = tuple(map(CandidateRecord, range(n), confidences, risks, agent_flags, boundary_flags, scores))
-    chosen = candidate_set.for_command(command)[chosen_index]
-    return SelectionReport(chosen_index=chosen_index, chosen=chosen, records=records, fallback_used=fallback_used)
+    """Score, filter and pick the safest candidate for a command, by the rule of FilterValues.select."""
+    return FilterValues(candidate_set, command, uncertain_map, agents, ego_dims, cfg).select(cfg)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ from uncplan.cli import (
     main,
     preset_selection,
 )
+from uncplan.metrics import evaluate_trajectory
 from uncplan.scenario import GeneratorParams, ScenarioKind, generate_scenario, load_scenario, scenario_to_dict
-from uncplan.selection import SelectionConfig
+from uncplan.selection import SelectionConfig, ucas_select
 
 
 def run(args):
@@ -180,16 +182,24 @@ def test_eval_nan_dimension_is_parse_error_naming_scenario(small_suite, tmp_path
     assert f"scenario {sid}:" in err and "NaN" in err
 
 
-def test_selection_error_names_scenario(small_suite, tmp_path, capsys):
-    def no_boundaries(text):
-        data = json.loads(text)
-        for element in data["map"]["elements"]:
-            element["kind"] = "LaneDivider"
-        return json.dumps(data)
+def _no_boundaries(text):
+    data = json.loads(text)
+    for element in data["map"]["elements"]:
+        element["kind"] = "LaneDivider"
+    return json.dumps(data)
 
-    manifest, sid = _edited_suite(small_suite, tmp_path, "nobound", no_boundaries)
+
+def test_selection_error_names_scenario(small_suite, tmp_path, capsys):
+    manifest, sid = _edited_suite(small_suite, tmp_path, "nobound", _no_boundaries)
     assert run(["eval", "--suite", manifest, "--out", tmp_path / "x"]) == EXIT_INVARIANT
     assert f"scenario {sid}: uncertainty filter needs at least one boundary element" in capsys.readouterr().err
+
+
+def test_ablate_selection_error_names_scenario(small_suite, tmp_path, capsys):
+    # cas runs before ucas and reads the boundary flags first, so the boundary filter names the fault
+    manifest, sid = _edited_suite(small_suite, tmp_path, "nobound", _no_boundaries)
+    assert run(["ablate", "--suite", manifest, "--out", tmp_path / "x"]) == EXIT_INVARIANT
+    assert f"scenario {sid}: boundary filter needs at least one boundary element" in capsys.readouterr().err
 
 
 def _square(lo, hi, cw=False):
@@ -228,7 +238,8 @@ def test_verify_accepts_footprint_corners_on_a_hole_edge(tmp_path, capsys):
                                      "holes": [[[4, -5], [4, 5], [16, 5], [16, -5], [4, -5]]]}]
     data["candidates"]["GoStraight"][0].update(waypoints=[[4.0 + 2 * t, -6.0] for t in range(1, 7)], headings=[0.0] * 6)
     (tmp_path / "s.json").write_text(json.dumps(data))
-    (tmp_path / "manifest.json").write_text(json.dumps({"version": 1, "scenarios": [{"id": "s", "path": "s.json"}]}))
+    entry = {"id": s.scenario_id, "path": "s.json"}
+    (tmp_path / "manifest.json").write_text(json.dumps({"version": 1, "scenarios": [entry]}))
     args = ["eval", "--suite", tmp_path / "manifest.json", "--preset", "baseline", "--verify", "--out", tmp_path / "r"]
     assert run(args) == EXIT_OK, capsys.readouterr().err
     assert read_rows(str(tmp_path / "r") + ".csv")[0][-1] == "0.0"  # no DACR: the hole edge is drivable
@@ -316,6 +327,56 @@ def test_eval_manifest_entry_without_string_id_is_parse_error(small_suite, tmp_p
     assert message in capsys.readouterr().err
 
 
+def _repeat_entry(suite_dir, entries):
+    entries.append(dict(entries[2]))
+    return 8, "id", 2
+
+
+def _repeat_id(suite_dir, entries):
+    (suite_dir / "copy.json").write_text((suite_dir / entries[2]["path"]).read_text())
+    entries.append({"id": entries[2]["id"], "path": "copy.json"})
+    return 8, "id", 2
+
+
+def _repeat_path(suite_dir, entries):
+    entries[5]["path"] = f"../{suite_dir.name}/{entries[2]['path']}"  # the same file by another spelling
+    return 5, "path", 2
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+@pytest.mark.parametrize("edit", [_repeat_entry, _repeat_id, _repeat_path], ids=["entry", "id", "path"])
+def test_manifest_repeating_an_id_or_path_is_invariant_error(small_suite, tmp_path, capsys, command, edit):
+    import shutil
+
+    suite_dir = tmp_path / "repeat"
+    shutil.copytree(small_suite.parent, suite_dir)
+    manifest_path = suite_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entries = manifest["scenarios"]
+    i, what, j = edit(suite_dir, entries)
+    manifest_path.write_text(json.dumps(manifest))
+    assert run([command, "--suite", manifest_path, "--out", tmp_path / "x"]) == EXIT_INVARIANT
+    expected = f"field 'scenarios[{i}].id': {entries[i]['id']!r} repeats the {what} of scenarios[{j}] ({entries[j]['id']!r})"
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_manifest_id_other_than_the_files_is_invariant_error(small_suite, tmp_path, capsys, command):
+    import shutil
+
+    suite_dir = tmp_path / "renamed"
+    shutil.copytree(small_suite.parent, suite_dir)
+    manifest_path = suite_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    file_id = manifest["scenarios"][3]["id"]
+    manifest["scenarios"][3]["id"] = "renamed"
+    manifest_path.write_text(json.dumps(manifest))
+    assert run([command, "--suite", manifest_path, "--out", tmp_path / "x"]) == EXIT_INVARIANT
+    expected = f"scenario renamed: field 'scenarios[3].id': 'renamed' is not the file's id {file_id!r}"
+    assert expected in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
 @pytest.mark.parametrize("target", ["manifest", "scenario"])
 def test_eval_version_must_be_the_integer_1(small_suite, tmp_path, capsys, target, version):
@@ -369,6 +430,72 @@ def test_ablate_loads_each_scenario_once(small_suite, tmp_path, monkeypatch):
     names = [entry["path"] for entry in json.loads(small_suite.read_text())["scenarios"]]
     assert sorted(loaded) == sorted(names)
     assert len(loaded) == len(names) == 8
+
+
+def test_ablate_runs_each_filter_once_and_scores_each_distinct_choice_once(small_suite, tmp_path, monkeypatch):
+    import uncplan.cli as cli_mod
+    import uncplan.selection as selection_mod
+
+    calls = Counter()
+
+    def counting(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    for name in ("_risks", "_agent_flags", "_clearance_flags"):
+        monkeypatch.setattr(selection_mod, name, counting(name, getattr(selection_mod, name)))
+    scored = []
+
+    def counting_evaluate(traj, ego_dims, gt, scenario_id, scenario_class, convention):
+        scored.append((scenario_id, traj.xy.tobytes()))
+        return evaluate_trajectory(traj, ego_dims, gt, scenario_id, scenario_class, convention)
+
+    monkeypatch.setattr(cli_mod, "evaluate_trajectory", counting_evaluate)
+    assert run(["ablate", "--suite", small_suite, "--out", tmp_path / "abl"]) == EXIT_OK
+    n = 8
+    assert calls == {"_risks": n, "_agent_flags": n, "_clearance_flags": n}  # ucas reads every filter
+
+    # each preset selected on its own: the chosen indices per scenario
+    runs = [preset_selection(preset, SelectionConfig()) for preset in PRESETS]
+    distinct = 0
+    for entry in json.loads(small_suite.read_text())["scenarios"]:
+        s = load_scenario(small_suite.parent / entry["path"])
+        distinct += len({
+            ucas_select(s.candidates.head(limit), s.command, s.map, s.agents, s.ego_dims, cfg).chosen_index
+            for cfg, limit in runs
+        })
+    assert len(scored) == len(set(scored)) == distinct < len(PRESETS) * n
+
+
+@pytest.fixture(scope="module")
+def noisy_wide_suite(tmp_path_factory):
+    """Noisy 20-candidate suite on which the presets choose differently."""
+    out = tmp_path_factory.mktemp("wide")
+    code = run([
+        "generate", "--count", 12, "--mix", "0.5", "--noise", 1.0,
+        "--candidates", 20, "--seed", 29, "--out", out,
+    ])
+    assert code == EXIT_OK
+    return out / "manifest.json"
+
+
+@pytest.mark.parametrize("settings", [[], ["--clearance", 0.45, "--nll-threshold", 2.5]], ids=["default", "tuned"])
+@pytest.mark.parametrize("convention", ["cumulative", "instantaneous"])
+def test_ablate_rows_are_the_overall_rows_of_eval(noisy_wide_suite, tmp_path, convention, settings):
+    common = ["--suite", noisy_wide_suite, "--convention", convention, *settings]
+    assert run(["ablate", *common, "--out", tmp_path / "abl"]) == EXIT_OK
+    ablate_rows = {
+        l.split(",")[0]: l.split(",")[1:] for l in Path(str(tmp_path / "abl") + ".csv").read_text().splitlines()
+        if not l.startswith("#") and not l.startswith("preset")
+    }
+    assert list(ablate_rows) == list(PRESETS)
+    for preset in PRESETS:
+        assert run(["eval", *common, "--preset", preset, "--out", tmp_path / preset]) == EXIT_OK
+        [overall] = [r for r in read_rows(str(tmp_path / preset) + ".csv") if r[0] == "Overall"]
+        assert [overall[1], overall[9], overall[13]] == ablate_rows[preset]  # n, cr_avg, dacr_avg, as repr
+    assert len({tuple(row) for row in ablate_rows.values()}) >= 3
 
 
 def test_ablate_noiseless_rows_identical(clean_suite, tmp_path):

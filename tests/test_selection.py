@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 
 from uncplan.geometry import MultiPolygon, Point2, Polygon, Pose2
 from uncplan.map_model import MapElement, MapElementKind, UncertainMap
-from uncplan.scenario import AgentMode, AgentPrediction
+from uncplan.scenario import AgentMode, AgentPrediction, GeneratorParams, ScenarioKind, generate_scenario
 from uncplan.selection import (
     T_F,
     CandidateSet,
     CandidateTrajectory,
     Command,
+    FilterValues,
     SelectionConfig,
     agent_collision_check,
     boundary_collision_check,
@@ -368,3 +370,44 @@ def test_risk_on_all_elements_flag():
     wide = dataclasses.replace(base, risk_on_all_elements=True)
     report = ucas_select(s, Command.GO_STRAIGHT, m, [], EGO_DIMS, wide)
     assert report.records[0].final_score == 0.0  # divider now contributes risk
+
+
+FILTERS = ("enable_uncertainty_filter", "enable_agent_filter", "enable_boundary_filter")
+
+
+def noisy_wide_scenarios():
+    """Generated scenarios with 20 candidates on which every filter fires."""
+    params = GeneratorParams(noise_scale=1.0, n_candidates=20)
+    return [generate_scenario(kind, params, seed) for kind, seed in itertools.product(ScenarioKind, range(6))]
+
+
+@pytest.mark.parametrize("enabled", FILTERS)
+def test_head_k_records_are_the_first_k_records(enabled):
+    # each kernel decides every candidate on its own, so a prefix of the set has a prefix of the values
+    cfg = SelectionConfig(**{name: name == enabled for name in FILTERS})
+    zeroed = 0
+    for s in noisy_wide_scenarios():
+        full = ucas_select(s.candidates, s.command, s.map, s.agents, s.ego_dims, cfg).records
+        zeroed += sum(r.final_score == 0.0 for r in full)
+        for k in range(1, len(full) + 1):
+            head = ucas_select(s.candidates.head(k), s.command, s.map, s.agents, s.ego_dims, cfg).records
+            assert head == full[:k]
+    assert zeroed > 0
+
+
+def test_one_values_object_selects_as_ucas_select_under_every_flag_set_and_cap():
+    base = SelectionConfig(nll_threshold=2.5, boundary_clearance=0.45)
+    rules = [
+        (dataclasses.replace(base, **dict(zip(FILTERS, flags))), limit)
+        for flags in itertools.product((False, True), repeat=3)
+        for limit in (1, 7, None)
+    ]
+    for s in noisy_wide_scenarios():
+        values = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, base)
+        for cfg, limit in rules[::-1] + rules:  # all filters computed first, then read by every rule
+            report = values.select(cfg, limit)
+            candidates = s.candidates if limit is None else s.candidates.head(limit)
+            assert report == ucas_select(candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
+            assert report.chosen == s.candidates.for_command(s.command)[report.chosen_index]
+            if not cfg.enable_uncertainty_filter:  # computed by another rule, yet not reported
+                assert all(r.risk_nll == math.inf for r in report.records)
