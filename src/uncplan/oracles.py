@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import MultiPolygon, Point2
-from .selection import CandidateSet, CandidateTrajectory, Command, SelectionConfig, command_filter
+from .selection import CandidateSet, CandidateTrajectory, Command, SelectionConfig
 from .uncertainty import B_MIN, LaplacePoint
 
 _LD = np.longdouble
@@ -147,8 +147,8 @@ def oracle_select(
     risks are only consulted when the uncertainty filter is enabled, matching
     the production rule, which never reads the values of a disabled filter.
     """
-    candidates = command_filter(candidate_set, command)
-    n = len(candidates)
+    confidences = candidate_set.batches[Command(command)][2].tolist()
+    n = len(confidences)
     if not (len(risks) == len(agent_flags) == len(boundary_flags) == n):
         raise ValueError("flag arrays must match the candidate count")
 
@@ -156,7 +156,7 @@ def oracle_select(
 
     scores = []
     for i in range(n):
-        score = candidates[i].confidence
+        score = confidences[i]
         if cfg.enable_uncertainty_filter and effective_risk[i] < cfg.nll_threshold:
             score = 0.0
         if cfg.enable_agent_filter and agent_flags[i]:
@@ -180,13 +180,13 @@ def oracle_select(
     if pool:
         best = pool[0]
         for i in pool[1:]:
-            key_i = (effective_risk[i], candidates[i].confidence)
-            key_b = (effective_risk[best], candidates[best].confidence)
+            key_i = (effective_risk[i], confidences[i])
+            key_b = (effective_risk[best], confidences[best])
             if key_i > key_b:
                 best = i
         return best
     best = 0
     for i in range(1, n):
-        if candidates[i].confidence > candidates[best].confidence:
+        if confidences[i] > confidences[best]:
             best = i
     return best

@@ -478,10 +478,55 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+_ENCODE = json.JSONEncoder(allow_nan=False).encode  # one key or scalar, as json.dumps writes it
+_REFERENCE = json.JSONEncoder(indent=2, allow_nan=False).encode  # json.dumps(indent=2), for json's own nan error
+
+
+def _number_rows(items: list | tuple, inner: str) -> tuple[str, list[tuple]] | None:
+    """(%r template, value tuples) if the items are number lists of one length, or number dicts with one key order."""
+    first, deeper = items[0], inner + "  "
+    if type(first) in (list, tuple):
+        rows = [tuple(r) for r in items if type(r) in (list, tuple) and len(r) == len(first)]
+        fields, brackets = ["%r"] * len(first), "[]"
+    elif type(first) is dict:
+        keys = list(first)
+        rows = [tuple(r.values()) for r in items if type(r) is dict and list(r) == keys]
+        fields, brackets = [_ENCODE(k).replace("%", "%%") + ": %r" for k in keys], "{}"
+    else:
+        return None
+    if not fields or len(rows) != len(items) or not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        return None
+    return brackets[0] + deeper + ("," + deeper).join(fields) + inner + brackets[1], rows
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, allow_nan=False) for trees of dicts with str keys, lists, tuples, str,
+    int, float, bool and None. A list of numbers, or of number rows (see _number_rows), is one join."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{_ENCODE(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if not isinstance(obj, (list, tuple)):
+        return _ENCODE(obj) if not isinstance(obj, float) or math.isfinite(obj) else _REFERENCE(obj)
+    if not obj:
+        return "[]"
+    sep = "," + inner
+    if set(map(type, obj)) <= {int, float}:
+        text, template, values = sep.join(map(repr, obj)), "", obj
+    elif found := _number_rows(obj, inner):
+        template, values = found
+        text = sep.join(map(template.__mod__, values))
+    else:
+        return "[" + inner + sep.join(_json_text(v, inner) for v in obj) + indent + "]"
+    # the repr of an int or a finite float has no letter n; those of nan, inf and -inf have one
+    if text.count("n") != len(obj) * template.count("n"):
+        _REFERENCE(values)  # raises json's ValueError for the out-of-range float
+    return "[" + inner + text + indent + "]"
+
+
 def save_scenario(s: Scenario, path: str | Path) -> None:
     """Write one scenario as indented JSON (floats keep full round-trip precision)."""
-    text = json.dumps(scenario_to_dict(s), indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(scenario_to_dict(s)) + "\n", encoding="utf-8")
 
 
 def _name(path) -> str:
@@ -799,7 +844,7 @@ def generate_suite(
         "scenarios": entries,
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    manifest_path.write_text(_json_text(manifest) + "\n", encoding="utf-8")
     return manifest_path
 
 

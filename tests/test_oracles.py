@@ -214,6 +214,20 @@ def test_oracle_select_differential():
         assert idx == report.chosen_index
 
 
+def test_oracle_select_reads_the_commands_stored_confidences():
+    # each command has its own confidences; with every filter off the choice is that command's argmax
+    def cands(*confidences):
+        return tuple(CandidateTrajectory(traj_along_x().waypoints, (0.0,) * T_F, c) for c in confidences)
+
+    stored = CandidateSet(cands(0.2, 0.7, 0.4), cands(0.9, 0.1, 0.3), cands(0.1, 0.2, 0.6)).head(3)
+    off = SelectionConfig(enable_uncertainty_filter=False, enable_agent_filter=False, enable_boundary_filter=False)
+    flags = [False] * 3
+    for command, best in zip(Command, (1, 0, 2)):
+        assert oracle_select(stored, command, off, [0.0] * 3, flags, flags) == best
+        assert oracle_select(stored, command.value, off, [0.0] * 3, flags, flags) == best
+    assert not {"turn_left", "turn_right", "go_straight"} & set(vars(stored))  # no candidate views built
+
+
 def test_oracle_select_validates_lengths():
     cands = (traj_along_x(),)
     cset = CandidateSet(cands, cands, cands)

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -30,7 +31,7 @@ from uncplan.scenario import (
     scenario_to_dict,
     splitmix64,
 )
-from uncplan.scenario import _read, _walk
+from uncplan.scenario import _json_text, _read, _walk
 from uncplan.selection import T_F, Command
 
 
@@ -655,3 +656,88 @@ def test_generator_params_reject_non_finite_range_ends(name, end, value):
     bounds[end] = value
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         GeneratorParams(**{name: tuple(bounds)})
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+_numbers = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+_keys = st.text(st.sampled_from('an%"\\\n\té☃\x00\U0001f600'), max_size=4)
+
+
+def _containers(children):
+    # the writer's fast paths: equal-shape number rows, sometimes followed by an item of another shape
+    list_rows = st.integers(0, 3).flatmap(lambda m: st.lists(st.lists(_numbers, min_size=m, max_size=m), max_size=4))
+    dict_rows = st.lists(_keys, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: _numbers for k in keys}), max_size=4)
+    )
+    rows = st.one_of(list_rows, dict_rows, st.lists(_numbers, max_size=5))
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+        rows,
+        st.tuples(rows, children).map(lambda pair: [*pair[0], pair[1]]),
+    )
+
+
+_trees = st.recursive(st.one_of(st.none(), st.booleans(), _numbers, st.text(max_size=6)), _containers, max_leaves=30)
+
+
+@given(_trees)
+@settings(max_examples=400, deadline=None)
+def test_json_text_is_json_dumps_indent_2(tree):
+    assert _json_text(tree) == _dumps(tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {}, [], (), [[]], [{}], [()], [[], []], [{}, {}], {"a": [], "b": {}, "c": [[], {}]},
+        [-0.0, 5e-324, 1e16, -1e16, 1e-7, 2**70, -(2**70), 0],
+        [[-0.0, 5e-324], [1e16, 2**64]],
+        [{"x": -0.0, "y": 5e-324}, {"x": 1e16, "y": -(2**64)}],
+        [1, True, 2.0], [[1, True], [2, 3]], [[1.0, 2.0], [False, 3.0]], [{"a": 1}, {"a": False}],
+        [None, 1.0], [[1.0, None]], [[1.0, "a"], [2.0, "b"]], [np.float64(1.5), 2.0], [[np.float64(1.5), 2.0]],
+        [[1, 2.5], [3.0, 4]], [(1.0, 2.0), [3.0, 4.0]], [{"a": 1.0}, [1.0]], [[1.0], {"a": 1.0}],
+        [[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1}, {"b": 1}],
+        {"é☃\n\t\"\\/": "ünï\x00\x1f \U0001f600"}, ["\ud800", "/", ""],
+        [{"%r%%": 1.5, 'n"': 2}, {"%r%%": -0.0, 'n"': 3}], {"%s": [1.0], "nnn": {"n": 1}},
+        [{"%": 1.0, "%d": 2}], [{"\n": 1.0}, {"\n": 2.0}],
+    ],
+)
+def test_json_text_edge_cases(tree):
+    assert _json_text(tree) == _dumps(tree)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda v: v,
+        lambda v: {"a": v},
+        lambda v: [1.0, v, 2],
+        lambda v: [[1.0, 2.0], [v, 3.0]],
+        lambda v: [{"n": 1.0, "a": 2.0}, {"n": v, "a": 3.0}],
+        lambda v: [[1.0, "a"], [v, "b"]],
+    ],
+    ids=["scalar", "dict value", "number list", "list row", "dict row", "mixed row"],
+)
+def test_json_text_rejects_non_finite_as_json_does(place, value):
+    with pytest.raises(ValueError) as expected:
+        _dumps(place(value))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        _json_text(place(value))
+
+
+@pytest.mark.parametrize("knobs", [{}, {"n_candidates": 20}, {"n_element_points": 80}])
+def test_suite_files_are_json_dumps_indent_2(tmp_path, knobs):
+    params = GeneratorParams(**knobs)
+    manifest_path = generate_suite(tmp_path, 4, 0.5, params, master_seed=73)
+    manifest, paths = load_suite(manifest_path)
+    assert manifest_path.read_bytes() == (_dumps(manifest) + "\n").encode("ascii")
+    for i, (entry, path) in enumerate(zip(manifest["scenarios"], paths)):
+        s = generate_scenario(ScenarioKind(entry["kind"]), params, scenario_seed(73, i))
+        assert path.read_bytes() == (_dumps(scenario_to_dict(s)) + "\n").encode("ascii")
