@@ -9,7 +9,6 @@ from .geometry import (
     Point2,
     Polygon,
     Pose2,
-    point_in_multipolygon,
     vehicle_corners,
 )
 from .map_model import MapElement, MapElementKind, UncertainMap, boundary_elements, perturb_map

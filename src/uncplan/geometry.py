@@ -10,6 +10,11 @@ bit for bit as the scalar formulas do: trigonometry goes through
 `math.cos`/`math.sin` per heading, and distances within a few ulps of a
 threshold are recomputed with `math.hypot`, because numpy's versions can
 differ from `math`'s in the last bit.
+
+A broad phase hands each pairwise kernel only the pairs that can hit (boxes
+that meet, a point in a segment's box grown by the clearance, a point in an
+edge's y-range, meeting bounding circles), and those pairs are decided as
+without it, so no decision changes.
 """
 
 from __future__ import annotations
@@ -25,11 +30,15 @@ MIN_VERTEX_SEPARATION = 1e-9  # m, closer consecutive polyline vertices are reje
 MIN_POLYGON_AREA = 1e-12  # m^2, smaller rings are degenerate
 _HYPOT_ULPS = 16  # np.hypot and math.hypot are each within 1 ulp; distances this close to a limit are re-decided
 # Pairs per block of the pairwise kernels (segment intersection, point-to-segment
-# distance, point-in-ring). A float temporary of a block is 32 KB, well under
-# the allocator's 128 KB mmap and trim thresholds, so its memory is reused from
-# call to call instead of being mapped, page-faulted in and released again
-# every time.
-_PAIR_BLOCK = 1 << 12
+# distance, point-in-ring), as the sweep yields them. A float temporary of a
+# block is 16 KB, well under the allocator's 128 KB mmap and trim thresholds,
+# so its memory is reused from call to call instead of being mapped, faulted in
+# and released every time; the dozen the distance kernel holds stay ~200 KB.
+_PAIR_BLOCK = 1 << 11
+# Slack of the clearance and bounding-circle broad phases, relative and per
+# metre of the largest coordinate: rounding moves an offset or a corner by
+# about 1e-15 of the coordinates, so every pair dropped would be refused.
+_BROAD_EPS = 1e-9
 
 
 def normalize_heading(theta: float) -> float:
@@ -263,27 +272,38 @@ def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.n
     return hit
 
 
+def _swept_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Every (i, j) with lo[j] <= keys[i] <= hi[j], as index arrays of at most
+    _PAIR_BLOCK pairs at a time: the keys are sorted once, and interval j
+    takes the run of sorted keys between two searchsorted bounds."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    last = np.searchsorted(ranked, hi, side="right")
+    # interval j's pairs are numbered ends[j - 1] <= k < ends[j]
+    ends = np.cumsum(last - np.searchsorted(ranked, lo, side="left"))
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, _PAIR_BLOCK):
+        k = np.arange(start, min(start + _PAIR_BLOCK, total))
+        j = np.searchsorted(ends, k, side="right")
+        yield order[k - ends[j] + last[j]], j
+
+
 def _first_crossing(a0, a1, b0=None, b1=None, keep=None) -> tuple[int, int] | None:
     """First (i, j) in row-major order at which segment a0[i]-a1[i] meets
     segment b0[j]-b1[j] and keep(i, j) holds, or None; without b, the first
     i < j at which two segments of a meet. The kernel hits only pairs whose
-    closed bounding boxes meet, so only those are tested. The boxes of all
-    segments are sorted by their low end on the axis of larger extent, and
-    each is paired with the later ones that start by its end, in blocks of
-    at most _PAIR_BLOCK pairs; the other axis filters those pairs."""
+    closed bounding boxes meet, so only those are tested: on the axis of
+    larger extent, each box is swept against the boxes whose low end lies in
+    its range, and the other axis filters those pairs."""
     off, width = (0, len(a0)) if b0 is None else (len(a0), len(b0))
     e0, e1 = (a0, a1) if b0 is None else (np.concatenate((a0, b0)), np.concatenate((a1, b1)))
     lo, hi = np.minimum(e0, e1), np.maximum(e0, e1)
     x = int(np.ptp(np.concatenate((lo, hi)), axis=0).argmax())
-    order = np.argsort(lo[:, x], kind="stable")
-    # sorted position s pairs with each t, s < t < last[s]; pair number k counts them in order of s
-    last = np.searchsorted(lo[order, x], hi[order, x], side="right")
-    ends = np.cumsum(last - np.arange(1, len(order) + 1))
     hits = []
-    for start in range(0, int(ends[-1]), _PAIR_BLOCK):
-        k = np.arange(start, min(start + _PAIR_BLOCK, int(ends[-1])))
-        s = np.searchsorted(ends, k, side="right")
-        i, j = np.sort((order[s], order[k - ends[s] + last[s]]), axis=0)  # a segment of a, and one of b at j - off
+    for t, s in _swept_pairs(lo[:, x], lo[:, x], hi[:, x]):
+        # each pair once, where t's low end comes after s's in (low end, index) order
+        later = (lo[t, x] > lo[s, x]) | ((lo[t, x] == lo[s, x]) & (t > s))
+        i, j = np.minimum(s, t)[later], np.maximum(s, t)[later]  # a segment of a, and one of b at j - off
         take = (lo[i, 1 - x] <= hi[j, 1 - x]) & (lo[j, 1 - x] <= hi[i, 1 - x]) & (i < len(a0)) & (j >= off)
         if keep is not None:
             take &= keep(i, j - off)
@@ -361,13 +381,18 @@ def _trig(headings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+def _checked_dims(length, width) -> tuple[np.ndarray, np.ndarray]:
+    lengths, widths = np.asarray(length, dtype=float), np.asarray(width, dtype=float)
+    if not ((0 < lengths) & (lengths < math.inf)).all() or not ((0 < widths) & (widths < math.inf)).all():
+        raise ValueError(f"vehicle dimensions must be positive and finite, got {length} x {width}")
+    return lengths, widths
+
+
 def box_corners(centers: np.ndarray, headings: np.ndarray, length, width) -> np.ndarray:
     """Corners (..., 4, 2) of boxes centred at centers (..., 2) with headings
     (...), counterclockwise from front-left: vehicle_corners, batched and
     bit-identical to it. length and width broadcast against headings."""
-    lengths, widths = np.asarray(length, dtype=float), np.asarray(width, dtype=float)
-    if not ((0 < lengths) & (lengths < math.inf)).all() or not ((0 < widths) & (widths < math.inf)).all():
-        raise ValueError(f"vehicle dimensions must be positive and finite, got {length} x {width}")
+    lengths, widths = _checked_dims(length, width)
     c, s = _trig(_normalized(np.asarray(headings, dtype=float)))
     c, s = c[..., None], s[..., None]
     lx = (0.5 * lengths)[..., None] * _SIGN_X
@@ -396,6 +421,25 @@ def boxes_overlap_batch(corners_a, axes_a, corners_b, axes_b) -> np.ndarray:
     return ~separated.any(axis=-1)
 
 
+def aligned_box_hits(xy, headings, corners, dims, poses, lengths, widths) -> np.ndarray:
+    """(K, P, T) boxes_overlap_batch of boxes (k, t), centred at xy (K, T, 2)
+    with headings (K, T), corners (K, T, 4, 2) and dims, and boxes (p, t) at
+    poses (P, T, 3) with lengths and widths broadcasting to (P, T). Only pairs
+    whose bounding circles meet within _BROAD_EPS are tested."""
+    lengths, widths = _checked_dims(lengths, widths)
+    centres, turns = poses[..., :2], poses[..., 2]
+    gap = np.hypot(xy[:, None, :, 0] - centres[..., 0], xy[:, None, :, 1] - centres[..., 1])
+    reach = 0.5 * math.hypot(*dims) + 0.5 * np.hypot(lengths, widths)
+    slack = _BROAD_EPS * (1.0 + max(np.abs(xy).max(), np.abs(centres).max()))
+    hits = gap <= reach * (1.0 + _BROAD_EPS) + slack  # the kept pairs, each then replaced by its test
+    k, p, t = np.nonzero(hits)
+    if k.size:
+        size = (np.broadcast_to(v, turns.shape)[p, t] for v in (lengths, widths))
+        other = box_corners(centres[p, t], turns[p, t], *size)
+        hits[k, p, t] = boxes_overlap_batch(corners[k, t], box_axes(headings[k, t]), other, box_axes(turns[p, t]))
+    return hits
+
+
 def vehicle_corners(pose: Pose2, length: float, width: float) -> list[Point2]:
     """Footprint corners in counterclockwise order starting at front-left."""
     xy = box_corners(np.array([[pose.position.x, pose.position.y]]), np.array([pose.heading]), length, width)
@@ -409,24 +453,19 @@ def vehicle_corners(pose: Pose2, length: float, width: float) -> list[Point2]:
 def _ring_hits(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per point of points (N, 2), against the edges a[j]-b[j] (E, 2): whether
     it lies on an edge, or the ray from it along +x crosses an odd number of
-    edges. Points go in blocks of at most _PAIR_BLOCK point-edge pairs."""
-    (ax, ay), (bx, by) = a.T, b.T
-    rows = max(1, _PAIR_BLOCK // len(ax))
-    hit = np.empty(len(points), dtype=bool)
+    edges. A point outside an edge's closed y-range is neither on it nor
+    crossed by it, so only the pairs inside are tested."""
+    n = len(points)
+    on, crossings = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.intp)
     # x_at is only read where the edge straddles the ray (by != ay); overflow gives inf as in Python
     with np.errstate(all="ignore"):
-        for start in range(0, len(points), rows):
-            p = points[start:start + rows]
-            px, py = p[:, 0, None], p[:, 1, None]
-            on = ((_cross(ax, ay, bx, by, px, py) == 0.0) & _in_bbox(a, b, p[:, None])).any(axis=1)
+        for i, j in _swept_pairs(points[:, 1], np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])):
+            p, e0, e1 = points[i], a[j], b[j]
+            (px, py), (ax, ay), (bx, by) = p.T, e0.T, e1.T
+            on[i[(_cross(ax, ay, bx, by, px, py) == 0.0) & _in_bbox(e0, e1, p)]] = True
             x_at = ax + (py - ay) * (bx - ax) / (by - ay)
-            hit[start:start + rows] = on | np.logical_xor.reduce(((ay > py) != (by > py)) & (px < x_at), axis=1)
-    return hit
-
-
-def point_in_multipolygon(p: Point2, area: MultiPolygon) -> bool:
-    """Closed-set containment: points on any boundary count as inside."""
-    return bool(area.contains(np.array([[p.x, p.y]]))[0])
+            crossings += np.bincount(i[((ay > py) != (by > py)) & (px < x_at)], minlength=n)
+    return on | (crossings % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +497,19 @@ def hypot_near(dx: np.ndarray, dy: np.ndarray, limit: float) -> np.ndarray:
 
 def near_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray, limit: float) -> np.ndarray:
     """Per point of points (N, 2): whether it lies strictly closer than limit
-    to any closed segment a[j]-b[j] (S, 2), or on one. Points go in blocks of
-    at most _PAIR_BLOCK point-segment pairs."""
-    (ax, ay), (bx, by) = a.T, b.T
-    rows = max(1, _PAIR_BLOCK // len(ax))
-    near = np.empty(len(points), dtype=bool)
-    for start in range(0, len(points), rows):
-        p = points[start:start + rows]
-        d = hypot_near(*segment_offsets(p[:, 0, None], p[:, 1, None], ax, ay, bx, by), limit)
-        near[start:start + rows] = ((d < limit) | (d == 0.0)).any(axis=1)
+    to any closed segment a[j]-b[j] (S, 2), or on one. Only the pairs whose
+    point lies in the segment's box grown by limit and _BROAD_EPS reach the
+    distance kernel."""
+    scale = max(np.abs(points).max(initial=0.0), np.abs(a).max(), np.abs(b).max())
+    pad = limit * (1.0 + _BROAD_EPS) + _BROAD_EPS * (1.0 + scale)
+    lo, hi = np.minimum(a, b) - pad, np.maximum(a, b) + pad
+    near = np.zeros(len(points), dtype=bool)
+    for i, j in _swept_pairs(points[:, 1], lo[:, 1], hi[:, 1]):
+        x = points[i, 0]
+        take = (lo[j, 0] <= x) & (x <= hi[j, 0])
+        i, j = i[take], j[take]
+        d = hypot_near(*segment_offsets(*points[i].T, *a[j].T, *b[j].T), limit)
+        near[i[(d < limit) | (d == 0.0)]] = True
     return near
 
 

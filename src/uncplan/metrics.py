@@ -21,9 +21,8 @@ from .geometry import (
     POINT,
     ArrayValue,
     MultiPolygon,
-    box_axes,
+    aligned_box_hits,
     box_corners,
-    boxes_overlap_batch,
     frozen,
     row_array,
 )
@@ -134,14 +133,13 @@ def displacement_error(
 
 def _collision_steps(traj: CandidateTrajectory, ego_dims: tuple[float, float], gt: GroundTruth) -> list[bool]:
     """Per step: whether the ego box overlaps any agent's true box, from one
-    separating-axis call over the (agents, T) overlap matrix."""
+    call over the (agents, T) time-aligned box pairs."""
     boxes = gt.agent_boxes
     if not len(boxes):
         return [False] * T_F
-    ego_corners = box_corners(traj.xy, traj.yaw, ego_dims[0], ego_dims[1])
-    agent_corners = box_corners(boxes[..., :2], boxes[..., 2], boxes[..., 3], boxes[..., 4])
-    hit = boxes_overlap_batch(ego_corners, box_axes(traj.yaw), agent_corners, box_axes(boxes[..., 2]))
-    return hit.any(axis=0).tolist()
+    xy, yaw = traj.xy[None], traj.yaw[None]
+    hit = aligned_box_hits(xy, yaw, box_corners(xy, yaw, *ego_dims), ego_dims, boxes[..., :3], boxes[..., 3], boxes[..., 4])
+    return hit[0].any(axis=0).tolist()
 
 
 def _collision_at(steps: list[bool], horizon_steps: int, convention: str) -> bool:

@@ -9,8 +9,8 @@ deterministic fallback still emits a trajectory.
 
 Each filter is one array kernel over all candidates of a command: risk over a
 (K, T, V) NLL array, the agent check over (K, T) ego boxes x agent boxes, and
-clearance over (K, T, 4, S) corner-to-segment offsets. The per-candidate
-functions are the same kernels called with K = 1.
+clearance over (K, T, 4) corners x S segments, the last two behind a broad
+phase. The per-candidate functions are the same kernels called with K = 1.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .geometry import (
     POINT,
     ArrayValue,
     Point2,
-    box_axes,
+    aligned_box_hits,
     box_corners,
-    boxes_overlap_batch,
     frozen,
     near_segments,
     point_tuple,
@@ -187,16 +186,10 @@ def _risks(xy: np.ndarray, elements: Sequence[UncertainPolyline], aggregator: st
     raise ValueError(f"unknown aggregator {aggregator!r}")
 
 
-def _agent_flags(
-    ego_corners: np.ndarray,
-    ego_axes: np.ndarray,
-    agents: Sequence["AgentPrediction"],
-    margin: float,
-    all_modes: bool,
-) -> list[bool]:
-    """Per-candidate overlap of the (K, T) ego boxes with the time-aligned boxes
-    of every checked agent mode, in one separating-axis call."""
-    k = len(ego_corners)
+def _agent_flags(xy: np.ndarray, headings: np.ndarray, corners: np.ndarray, ego_dims: tuple[float, float],
+                 agents: Sequence["AgentPrediction"], margin: float, all_modes: bool) -> list[bool]:
+    """Per-candidate overlap of the (K, T) ego boxes, centred at xy with the
+    given corners, with the time-aligned boxes of every checked agent mode."""
     poses, lengths, widths = [], [], []
     for agent in agents:
         modes = agent.modes if all_modes else (max(agent.modes, key=lambda m: m.confidence),)
@@ -205,12 +198,9 @@ def _agent_flags(
             lengths.append(agent.dims[0] + 2.0 * margin)
             widths.append(agent.dims[1] + 2.0 * margin)
     if not poses:
-        return [False] * k
-    poses = np.stack(poses)
-    headings = poses[..., 2]
-    corners = box_corners(poses[..., :2], headings, np.array(lengths)[:, None], np.array(widths)[:, None])
-    hit = boxes_overlap_batch(ego_corners[:, None], ego_axes[:, None], corners[None], box_axes(headings)[None])
-    return hit.reshape(k, -1).any(axis=1).tolist()
+        return [False] * len(xy)
+    hit = aligned_box_hits(xy, headings, corners, ego_dims, np.stack(poses), *np.array([lengths, widths])[..., None])
+    return hit.reshape(len(xy), -1).any(axis=1).tolist()
 
 
 def _segments(lines: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +237,8 @@ def agent_collision_check(
     """Time-aligned oriented-box overlap between the ego footprint along the
     trajectory and each agent's predicted motion (highest-confidence mode by
     default). Agent boxes are inflated by margin on each side."""
-    corners = box_corners(traj.xy[None], traj.yaw[None], ego_dims[0], ego_dims[1])
-    return _agent_flags(corners, box_axes(traj.yaw[None]), agents, margin, all_modes)[0]
+    xy, yaw = traj.xy[None], traj.yaw[None]
+    return _agent_flags(xy, yaw, box_corners(xy, yaw, *ego_dims), ego_dims, agents, margin, all_modes)[0]
 
 
 def boundary_collision_check(
@@ -291,8 +281,8 @@ class FilterValues:
 
     @cached_property
     def agent_flags(self) -> list[bool]:
-        axes, cfg = box_axes(self.headings), self.cfg
-        return _agent_flags(self._corners, axes, self.agents, cfg.agent_margin, cfg.check_all_agent_modes)
+        return _agent_flags(self.xy, self.headings, self._corners, self.ego_dims, self.agents, self.cfg.agent_margin,
+                            self.cfg.check_all_agent_modes)
 
     @cached_property
     def boundary_flags(self) -> list[bool]:

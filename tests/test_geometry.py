@@ -16,7 +16,6 @@ from uncplan.geometry import (
     boxes_overlap_batch,
     near_segments,
     normalize_heading,
-    point_in_multipolygon,
     polyline_array,
     vehicle_corners,
 )
@@ -185,19 +184,21 @@ def test_vehicle_corners_equidistant(x, y, heading, length, width):
 
 
 def test_point_in_unit_square():
-    assert point_in_multipolygon(Point2(0.5, 0.5), UNIT_SQUARE)
-    assert not point_in_multipolygon(Point2(1.5, 0.5), UNIT_SQUARE)
-    assert point_in_multipolygon(Point2(1.0, 0.5), UNIT_SQUARE)  # boundary-inclusive
+    assert UNIT_SQUARE.contains(np.array([(0.5, 0.5), (1.5, 0.5), (1.0, 0.5)])).tolist() == [True, False, True]
+    assert UNIT_SQUARE.contains(np.array([(1.0, 0.5)])).tolist() == [True]  # boundary-inclusive, alone
 
 
 def test_point_in_polygon_with_hole():
     outer = square_ring(0.0, 0.0, 2.0)
     hole = tuple(reversed(square_ring(0.0, 0.0, 1.0)))
     mp = MultiPolygon((Polygon(outer, (hole,)),))
-    assert not point_in_multipolygon(Point2(0.0, 0.0), mp)  # inside the hole
-    assert point_in_multipolygon(Point2(1.5, 0.0), mp)  # between hole and outer
-    assert point_in_multipolygon(Point2(1.0, 0.0), mp)  # hole boundary is still polygon
-    assert point_in_multipolygon(Point2(2.0, 0.0), mp)  # outer boundary
+    inside = mp.contains(np.array([
+        (0.0, 0.0),  # inside the hole
+        (1.5, 0.0),  # between hole and outer
+        (1.0, 0.0),  # hole boundary is still polygon
+        (2.0, 0.0),  # outer boundary
+    ]))
+    assert inside.tolist() == [False, True, True, True]
 
 
 def _winding_number_inside(p, ring):

@@ -6,6 +6,7 @@ corner and segment, nested loops over edge pairs). The kernels reorder no
 arithmetic, so every comparison is exact.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -25,17 +26,18 @@ from uncplan.geometry import (
     box_corners,
     boxes_overlap_batch,
     hypot_near,
+    near_segments,
     normalize_heading,
-    point_in_multipolygon,
 )
-from uncplan.map_model import MapElement, MapElementKind, UncertainMap
-from uncplan.metrics import GroundTruth, collision_rate_frame
+from uncplan.map_model import MapElement, MapElementKind, UncertainMap, boundary_elements
+from uncplan.metrics import GroundTruth, _collision_steps, collision_rate_frame, dacr_flags
 from uncplan.scenario import AgentMode, AgentPrediction, GeneratorParams, ScenarioKind, generate_scenario
 from uncplan.selection import (
     T_F,
     CandidateSet,
     CandidateTrajectory,
     Command,
+    FilterValues,
     SelectionConfig,
     _clearance_flags,
     agent_collision_check,
@@ -649,7 +651,7 @@ def test_containment_kernel_matches_scalar_loops(monkeypatch, block):
     assert MultiPolygon(polys).contains(xy).tolist() == expected
     assert 0 < sum(expected) < len(expected)
     area = MultiPolygon(polys)
-    assert [point_in_multipolygon(p, area) for p in pts[::37]] == expected[::37]
+    assert [area.contains(xy[k:k + 1])[0] for k in range(0, len(pts), 37)] == expected[::37]  # one point per call
 
 
 def _circle(n=400):
@@ -705,7 +707,8 @@ def test_pairwise_kernels_allocate_per_block():
     """The ring check, the clearance kernel and the containment kernel hold
     one block of pairs at a time, so their peak allocation does not grow with
     the number of pairs. The zig-zag ring is the ring check's worst case: the
-    sweep generates nearly all of its pairs.
+    sweep generates nearly all of its pairs. So is a clearance of 1 km, whose
+    grown boxes keep every corner-segment pair.
     Temporaries above the allocator's 128 KB mmap threshold would be mapped
     and page-faulted in anew on every call."""
     ring, zigzag = _circle(), _zigzag()
@@ -720,6 +723,9 @@ def test_pairwise_kernels_allocate_per_block():
         _clearance_flags(corners, segments, 1.0)
         _, clearance_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
+        assert all(_clearance_flags(corners, segments, 1e3))
+        _, wide_clearance_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         area.contains(corners.reshape(-1, 2))
         _, containment_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -732,6 +738,7 @@ def test_pairwise_kernels_allocate_per_block():
     # pairs at 5.0 MB
     assert ring_peak < 512 * 1024
     assert clearance_peak < 512 * 1024
+    assert wide_clearance_peak < 512 * 1024
     assert containment_peak < 512 * 1024
     assert zigzag_peak < 512 * 1024
 
@@ -748,3 +755,249 @@ def test_polygon_edges_touch_matches_pair_loop(points):
         for p, q in zip(a, a[1:]) for r, s in zip(b, b[1:])
     )
     assert (geometry._first_crossing(*pa.edges, *pb.edges) is not None) == expected
+
+
+# -- broad phase ------------------------------------------------------------------
+# The all-pairs kernels the broad phase replaced, kept here as references only:
+# every pair goes through the narrow-phase arithmetic.
+
+
+def allpairs_near(points, a, b, limit):
+    offsets = geometry.segment_offsets(points[:, 0, None], points[:, 1, None], a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+    d = hypot_near(*offsets, limit)
+    return ((d < limit) | (d == 0.0)).any(axis=1)
+
+
+def allpairs_ring_hits(points, a, b):
+    (ax, ay), (bx, by) = a.T, b.T
+    px, py = points[:, 0, None], points[:, 1, None]
+    with np.errstate(all="ignore"):
+        on = ((geometry._cross(ax, ay, bx, by, px, py) == 0.0) & geometry._in_bbox(a, b, points[:, None])).any(axis=1)
+        x_at = ax + (py - ay) * (bx - ax) / (by - ay)
+        return on | np.logical_xor.reduce(((ay > py) != (by > py)) & (px < x_at), axis=1)
+
+
+def allpairs_box_hits(headings, corners, poses, lengths, widths):
+    """(K, P, T) separating-axis test of every time-aligned pair."""
+    other = box_corners(poses[..., :2], poses[..., 2], lengths, widths)
+    return boxes_overlap_batch(corners[:, None], box_axes(headings)[:, None], other[None], box_axes(poses[..., 2])[None])
+
+
+def checked_modes(agents, margin, all_modes):
+    """Poses (P, T, 3) and inflated lengths and widths (P, 1) of the checked agent modes."""
+    rows = [(m.poses, a.dims[0] + 2.0 * margin, a.dims[1] + 2.0 * margin) for a in agents
+            for m in (a.modes if all_modes else (max(a.modes, key=lambda m: m.confidence),))]
+    poses, lengths, widths = zip(*rows)
+    return np.stack(poses), np.array(lengths)[:, None], np.array(widths)[:, None]
+
+
+def allpairs_flags(fv, segments, cfg):
+    """Agent and clearance flags of FilterValues fv, from the all-pairs kernels."""
+    corners, k = fv._corners, len(fv.xy)
+    poses, lengths, widths = checked_modes(fv.agents, cfg.agent_margin, cfg.check_all_agent_modes)
+    agent = allpairs_box_hits(fv.headings, corners, poses, lengths, widths).reshape(k, -1).any(axis=1)
+    clear = allpairs_near(corners.reshape(-1, 2), *segments, cfg.boundary_clearance).reshape(k, -1).any(axis=1)
+    return agent.tolist(), clear.tolist()
+
+
+def boundary_segments(s):
+    bounds = boundary_elements(s.map)
+    return np.concatenate([b.mu[:-1] for b in bounds]), np.concatenate([b.mu[1:] for b in bounds])
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.tuples(coord, coord), min_size=1, max_size=40),
+       st.lists(st.tuples(coord, coord), min_size=2, max_size=12), st.floats(0.0, 30.0))
+def test_pruned_kernels_match_all_pairs_on_random_layouts(points, vertices, limit):
+    """Points against the segments of a random polyline, and the same rounded
+    onto the integer grid, where rays run along edges and through vertices."""
+    xy, line = np.array(points), np.array(vertices)
+    a, b = line[:-1], line[1:]
+    keep = np.hypot(*(b - a).T) > 1e-6  # as polylines have: a zero-length segment has no closest point
+    if keep.any():
+        assert near_segments(xy, a[keep], b[keep], limit).tolist() == allpairs_near(xy, a[keep], b[keep], limit).tolist()
+    assert geometry._ring_hits(xy, a, b).tolist() == allpairs_ring_hits(xy, a, b).tolist()
+    grid, ga, gb = np.round(xy), np.round(a), np.round(b)
+    assert geometry._ring_hits(grid, ga, gb).tolist() == allpairs_ring_hits(grid, ga, gb).tolist()
+
+
+@KERNEL_SETTINGS
+@given(trajectories(), agents(), st.floats(0.0, 1.5), st.booleans())
+def test_box_broad_phase_matches_all_pairs_on_random_layouts(cands, agent_list, margin, all_modes):
+    if not agent_list:
+        return
+    xy, yaw = np.stack([c.xy for c in cands]), np.stack([c.yaw for c in cands])
+    corners = box_corners(xy, yaw, *EGO_DIMS)
+    poses, lengths, widths = checked_modes(agent_list, margin, all_modes)
+    got = geometry.aligned_box_hits(xy, yaw, corners, EGO_DIMS, poses, lengths, widths)
+    assert got.tolist() == allpairs_box_hits(yaw, corners, poses, lengths, widths).tolist()
+
+
+def _ulps_around(value):
+    return value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf)
+
+
+@pytest.mark.parametrize("segment", [((0.0, 0.0), (2.0, 0.0)), ((0.0, 0.0), (0.0, 3.0)), ((1.0, -2.0), (4.0, 2.0)),
+                                     ((-7.3, 11.9), (-2.1, 9.4))])
+@pytest.mark.parametrize("gap", [0.3, 1.0, 5.0, 1e-3])
+def test_clearance_broad_phase_at_the_limit(segment, gap):
+    """Points at exactly the limit from a segment, with the limit and one ulp
+    either side: on the edges of the segment's box grown by the gap, and off
+    its corners, both diagonally from an endpoint and at the corner itself."""
+    a, b = np.array([segment[0]]), np.array([segment[1]])
+    (x0, y0), (x1, y1) = np.minimum(a, b)[0], np.maximum(a, b)[0]
+    u = gap / math.sqrt(2.0)
+    points = [
+        (x0 - gap, y0), (x0, y0 - gap), (x1 + gap, y1), (x1, y1 + gap), (x0 - gap, y1), (x1 + gap, y0),
+        (x0 - u, y0 - u), (x1 + u, y1 + u), (x0 - u, y1 + u), (x1 + u, y0 - u),
+        (x0 - gap, y0 - gap), (x1 + gap, y1 + gap), (0.5 * (x0 + x1), y1 + gap),
+    ]
+    for p in points:
+        xy, exact = np.array([p]), ref_dist(p, segment[0], segment[1])
+        # at its own distance and one ulp either side, and at the gap the points were placed by
+        for limit in (*_ulps_around(exact), gap):
+            expected = [exact < limit]
+            assert near_segments(xy, a, b, limit).tolist() == allpairs_near(xy, a, b, limit).tolist() == expected
+
+
+def test_clearance_broad_phase_at_limit_zero():
+    a, b = np.array([(0.0, 0.0), (1.0, 1.0), (5.0, -3.0)]), np.array([(2.0, 0.0), (3.0, 3.0), (5.0, 4.0)])
+    on = [(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (2.0, 2.0), (3.0, 3.0), (5.0, 0.5), (5.0, 4.0)]
+    off = [(1.0, math.ulp(0.0)), (2.0 + math.ulp(2.0), 0.0), (5.0 + math.ulp(5.0), 0.5), (3.0, 3.0 + math.ulp(3.0))]
+    xy = np.array(on + off)
+    assert near_segments(xy, a, b, 0.0).tolist() == allpairs_near(xy, a, b, 0.0).tolist() == [True] * 7 + [False] * 4
+
+
+def _corner_to_corner(rotation, dims_a, dims_b, push=0.0):
+    """Box b placed along box a's front-left diagonal, turned so that b's
+    rear-right corner meets a's front-left one: the centre distance is the sum
+    of the half-diagonals (plus push)."""
+    (la, wa), (lb, wb) = dims_a, dims_b
+    along = rotation + math.atan2(wa, la)
+    reach = 0.5 * math.hypot(la, wa) + 0.5 * math.hypot(lb, wb) + push
+    return (reach * math.cos(along), reach * math.sin(along), along - math.atan2(wb, lb))
+
+
+@pytest.mark.parametrize("rotation", [0.0, 0.3, math.pi / 4, 1.0, math.pi / 2, 2.5, -math.pi, 7.0])
+@pytest.mark.parametrize("dims_b", [(4.0, 2.0), (4.5, 1.8), (1.0, 3.0)])
+def test_boxes_touching_corner_to_corner_reach_the_exact_test(monkeypatch, rotation, dims_b):
+    tested = []
+
+    def counting(*frames):
+        tested.append(len(frames[0]))
+        return boxes_overlap_batch(*frames)
+
+    monkeypatch.setattr(geometry, "boxes_overlap_batch", counting)
+    for push in (0.0, math.ulp(10.0), -math.ulp(10.0), 1e-12, -1e-12, 1e-6):
+        x, y, turn = _corner_to_corner(rotation, EGO_DIMS, dims_b, push)
+        xy, yaw = np.zeros((1, 1, 2)), np.array([[rotation]])
+        poses = np.array([[(x, y, turn)]])
+        corners = box_corners(xy, yaw, *EGO_DIMS)
+        tested.clear()
+        got = geometry.aligned_box_hits(xy, yaw, corners, EGO_DIMS, poses, dims_b[0], dims_b[1])
+        assert tested == ([] if push > 1e-8 else [1])  # kept by the bounding circles within their slack
+        assert got.tolist() == allpairs_box_hits(yaw, corners, poses, *dims_b).tolist()
+        assert got[0, 0, 0] == ref_overlap((0.0, 0.0, rotation) + EGO_DIMS, (x, y, turn) + dims_b)
+
+
+@pytest.mark.parametrize("margin", [0.5, 2.0])
+@pytest.mark.parametrize("rotation", [0.0, 0.7, -2.0])
+@pytest.mark.parametrize("push", [0.0, -1e-9])
+def test_inflated_agent_touching_corner_to_corner_with_all_modes(margin, rotation, push):
+    """The touching pose is the agent's less likely mode, so only the
+    all-modes check sees it; margin inflates a smaller agent to the touching size."""
+    size = (6.0, 5.0)
+    touching = _corner_to_corner(rotation, EGO_DIMS, size, push)
+    far = (100.0, 100.0, 0.0)
+    traj = CandidateTrajectory(tuple(Point2(0.0, 0.0) for _ in range(T_F)), (rotation,) * T_F, 0.5)
+    modes = (AgentMode(np.array((far,) * T_F), 0.6), AgentMode(np.array((far,) * 3 + (touching,) + (far,) * 2), 0.3))
+    agent = AgentPrediction("a", (size[0] - 2.0 * margin, size[1] - 2.0 * margin), modes)
+    for all_modes in (False, True):
+        expected = ref_agent_flag(traj, [agent], margin, all_modes)
+        assert agent_collision_check(traj, EGO_DIMS, [agent], margin, all_modes) == expected
+    assert not ref_agent_flag(traj, [agent], margin, False)
+    assert push == 0.0 or ref_agent_flag(traj, [agent], margin, True)  # pushed into each other, they overlap
+
+
+@pytest.mark.parametrize("params", [GeneratorParams(n_candidates=20), GeneratorParams(n_element_points=80)],
+                         ids=["20-candidates", "80-vertices"])
+def test_pruned_flags_match_all_pairs_on_generated_scenarios(params):
+    scenarios = [generate_scenario(kind, params, seed) for kind in ScenarioKind for seed in range(3)]
+    flagged = {"agent": 0, "clear": 0}
+    for s in scenarios:
+        segments = boundary_segments(s)
+        for clearance, margin, all_modes in itertools.product((0.0, 0.3, 1.0, 5.0), (0.0, 0.5, 2.0), (False, True)):
+            cfg = SelectionConfig(boundary_clearance=clearance, agent_margin=margin, check_all_agent_modes=all_modes)
+            fv = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
+            agent, clear = allpairs_flags(fv, segments, cfg)
+            assert (fv.agent_flags, fv.boundary_flags) == (agent, clear)
+            flagged["agent"] += sum(agent)
+            flagged["clear"] += sum(clear)
+        gt = s.ground_truth()
+        for traj in s.candidates.for_command(s.command):
+            corners = box_corners(traj.xy, traj.yaw, *s.ego_dims)
+            inside = allpairs_ring_hits(corners.reshape(-1, 2), *gt.drivable_area.edges).reshape(T_F, 4)
+            assert dacr_flags(traj, s.ego_dims, gt.drivable_area) == tuple((~inside.all(axis=1)).tolist())
+            boxes = gt.agent_boxes
+            steps = allpairs_box_hits(traj.yaw[None], corners[None], boxes[..., :3], boxes[..., 3], boxes[..., 4])
+            assert _collision_steps(traj, s.ego_dims, gt) == steps[0].any(axis=0).tolist()
+    assert all(flagged.values())  # both filters fire somewhere
+
+
+def test_broad_phase_work_is_a_small_share_of_all_pairs(monkeypatch):
+    """On generated wide-candidates and dense-map scenarios the distance
+    kernel gets at most 2 % of the K*T*4*S corner-segment pairs, and the
+    separating-axis test at most 15 % of the K*T*P time-aligned box pairs."""
+    offsets, sat = geometry.segment_offsets, geometry.boxes_overlap_batch
+    counts = {"offsets": 0, "sat": 0}
+
+    def counting_offsets(px, *rest):
+        counts["offsets"] += np.size(px)
+        return offsets(px, *rest)
+
+    def counting_sat(corners_a, *rest):
+        counts["sat"] += len(corners_a)
+        return sat(corners_a, *rest)
+
+    monkeypatch.setattr(geometry, "segment_offsets", counting_offsets)
+    monkeypatch.setattr(geometry, "boxes_overlap_batch", counting_sat)
+    for params in (GeneratorParams(n_candidates=20), GeneratorParams(n_element_points=80)):
+        counts.update(offsets=0, sat=0)
+        all_pairs = {"offsets": 0, "sat": 0}
+        for kind in ScenarioKind:
+            for seed in range(8):
+                s = generate_scenario(kind, params, seed)
+                fv = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, SelectionConfig())
+                fv.boundary_flags, fv.agent_flags
+                k, segments = len(fv.xy), len(boundary_segments(s)[0])
+                all_pairs["offsets"] += k * T_F * 4 * segments
+                all_pairs["sat"] += k * T_F * len(s.agents)
+        assert counts["offsets"] <= 0.02 * all_pairs["offsets"]
+        assert counts["sat"] <= 0.15 * all_pairs["sat"]
+        assert counts["offsets"] > 0 and counts["sat"] > 0
+
+
+@pytest.mark.parametrize("dims", [(0.0, 2.0), (4.0, -1.0), (math.inf, 2.0), (4.0, math.inf)])
+def test_invalid_dimensions_raise_when_no_pair_survives(dims):
+    """The bounding circles drop every pair, so no corners are built for the
+    agent boxes; the dimensions are still checked."""
+    traj = CandidateTrajectory(tuple(Point2(0.0, 0.0) for _ in range(T_F)), (0.0,) * T_F, 0.5)
+    far = AgentPrediction("a", (4.5, 2.0), (AgentMode(np.array(((500.0, 500.0, 0.0),) * T_F), 0.9),))
+    boxes = (tuple(OrientedBox(Point2(500.0, 500.0), 0.0, 4.5, 2.0) for _ in range(T_F)),)
+    gt = GroundTruth(traj.waypoints, traj.headings, boxes, wide_da())
+    assert not agent_collision_check(traj, EGO_DIMS, [far]) and not collision_rate_frame(traj, EGO_DIMS, gt, T_F)
+    with pytest.raises(ValueError, match="dimensions must be positive and finite"):
+        agent_collision_check(traj, dims, [far])
+    with pytest.raises(ValueError, match="dimensions must be positive and finite"):
+        collision_rate_frame(traj, dims, gt, T_F)
+    xy, yaw = traj.xy[None], traj.yaw[None]
+    with pytest.raises(ValueError, match="dimensions must be positive and finite"):
+        geometry.aligned_box_hits(xy, yaw, box_corners(xy, yaw, *EGO_DIMS), EGO_DIMS, far.modes[0].poses[None], *dims)
+
+
+@pytest.mark.parametrize("margin", [-2.25, -1.0, -5.0, math.inf])
+def test_agent_boxes_shrunk_to_nothing_or_unbounded_raise_when_far(margin):
+    traj = CandidateTrajectory(tuple(Point2(0.0, 0.0) for _ in range(T_F)), (0.0,) * T_F, 0.5)
+    far = AgentPrediction("a", (4.5, 2.0), (AgentMode(np.array(((500.0, 500.0, 0.0),) * T_F), 0.9),))
+    with pytest.raises(ValueError, match="dimensions must be positive and finite"):
+        agent_collision_check(traj, EGO_DIMS, [far], margin)

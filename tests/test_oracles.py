@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uncplan.geometry import MultiPolygon, Point2, Polygon, point_in_multipolygon
+from uncplan.geometry import MultiPolygon, Point2, Polygon
 from uncplan.map_model import MapElement, MapElementKind, UncertainMap
 from uncplan.metrics import dacr_flags
 from uncplan.oracles import (
@@ -53,7 +53,7 @@ def test_points_on_hole_edges_get_every_vote():
     xs, ys = (np.array(v, dtype=np.longdouble) for v in zip(*edge_points, *inside, *outside))
     votes = _point_in_da_votes(xs, ys, da).tolist()
     assert votes == [4] * len(edge_points) + [4] * len(inside) + [0] * len(outside)
-    assert [point_in_multipolygon(Point2(x, y), da) for x, y in edge_points + inside + outside] == [v > 0 for v in votes]
+    assert da.contains(np.array(edge_points + inside + outside, dtype=float)).tolist() == [v > 0 for v in votes]
 
 
 def test_oracle_dacr_agrees_on_generated_scenarios():
