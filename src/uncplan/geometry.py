@@ -243,9 +243,9 @@ def _in_bbox(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return ((np.minimum(a, b) <= p) & (p <= np.maximum(a, b))).all(axis=-1)
 
 
-def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray, keep=True) -> np.ndarray:
+def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Whether closed segments p1-p2 and q1-q2 share any point (touching counts),
-    for (..., 2) endpoint arrays that broadcast; False wherever the mask keep is."""
+    for (..., 2) endpoint arrays that broadcast."""
     (p1x, p1y), (p2x, p2y), (q1x, q1y), (q2x, q2y) = ((v[..., 0], v[..., 1]) for v in (p1, p2, q1, q2))
     # d1..d4 are _cross(q1, q2, p1), _cross(q1, q2, p2), _cross(p1, p2, q1) and _cross(p1, p2, q2), bit
     # for bit: d3 takes the p1 - q1 differences of d1 negated, and IEEE negation commutes with each step
@@ -254,10 +254,10 @@ def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.n
     d2, d4 = qdx * (p2y - q1y) - qdy * (p2x - q1x), pdx * (q2y - p1y) - pdy * (q2x - p1x)
     # opposite strict signs on both sides; a NaN or a zero makes a sign product other than negative
     strict = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0)
-    # Candidates are rare among kept pairs, so the bounding boxes are tested on those only: a strict hit
+    # Candidates are rare among the pairs, so the bounding boxes are tested on those only: a strict hit
     # needs meeting boxes, because rounding can give nearly collinear segments the crossing signs, and
     # an endpoint on the other segment's line must lie in that segment's box.
-    candidate = (strict | (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)) & keep
+    candidate = strict | (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
     hit, k = np.zeros_like(candidate), np.nonzero(candidate)
     if k[0].size:
         e1, e2, f1, f2 = (np.broadcast_to(v, hit.shape + (2,))[k] for v in (p1, p2, q1, q2))

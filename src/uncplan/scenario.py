@@ -29,8 +29,8 @@ import numpy as np
 from .geometry import ArrayValue, MultiPolygon, OrientedBox, Point2, Polygon, Pose2, frozen, pose_array, row_array
 from .map_model import MapElement, MapElementKind, UncertainMap, perturb_map
 from .metrics import GroundTruth, box_array, scenario_class_of
-from .selection import DT, T_F, CandidateSet, CandidateTrajectory, Command
-from .uncertainty import B_MIN, LaplacePoint, UncertainPolyline
+from .selection import DT, T_F, CandidateSet, Command
+from .uncertainty import B_MIN, UncertainPolyline
 
 SCHEMA_VERSION = 1
 _MASK64 = (1 << 64) - 1
@@ -424,55 +424,43 @@ def _script_agents(rng, params, speed, half_width, horizon_len, offset_point, he
 # serialization (schema v1)
 
 
-def _poses_to_dicts(poses: np.ndarray) -> list[dict]:
-    return [{"x": x, "y": y, "heading": h} for x, y, h in poses.tolist()]
+# The forms of the file's objects, as scenario_to_dict writes them and _scan reads them (see _scan).
+_NUMBER_TYPES = {int, float}  # exact types: true and false are not numbers
+_PAIR = "[x, y]"
+_POSE = dict.fromkeys(("x", "y", "heading"), float)
+_VERTEX = dict.fromkeys(("mx", "my", "bx", "by"), float)
+_BOX = dict.fromkeys(("cx", "cy", "heading", "length", "width"), float)
+_DIMS = ("length", "width")
+_CANDIDATE = {"confidence": float, "waypoints": (_PAIR, T_F), "headings": (float, T_F)}
+_MODE = {"confidence": float, "trajectory": (_POSE, T_F)}
+_POSE_ROW, _VERTEX_ROW, _BOX_ROW = (itemgetter(*form) for form in (_POSE, _VERTEX, _BOX))
+_EGO, _MAP, _AGENTS, _CANDIDATES = ((None, key) for key in ("ego", "map", "agents", "candidates"))  # paths, see _name
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Plain-data form of a scenario, schema v1."""
+    objects = lambda form, table: [dict(zip(form, row)) for row in table.tolist()]
     return {
         "version": SCHEMA_VERSION,
         "id": s.scenario_id,
         "seed": s.seed,
         "scenario_class": s.scenario_class,
         "command": s.command.value,
-        "ego": {
-            "pose": {"x": s.ego_pose.position.x, "y": s.ego_pose.position.y, "heading": s.ego_pose.heading},
-            "dims": {"length": s.ego_dims[0], "width": s.ego_dims[1]},
-        },
-        "ego_gt_future": _poses_to_dicts(s.ego_poses),
+        "ego": {"pose": dict(zip(_POSE, (s.ego_pose.position.x, s.ego_pose.position.y, s.ego_pose.heading))),
+                "dims": dict(zip(_DIMS, s.ego_dims))},
+        "ego_gt_future": objects(_POSE, s.ego_poses),
         "map": {
-            "elements": [
-                {
-                    "kind": e.kind.value,
-                    "points": [
-                        {"mx": mx, "my": my, "bx": bx, "by": by} for mx, my, bx, by in e.polyline.table.tolist()
-                    ],
-                }
-                for e in s.map.elements
-            ],
-            "drivable_area": [
-                {"outer": poly.rings[0].tolist(), "holes": [ring.tolist() for ring in poly.rings[1:]]}
-                for poly in s.map.drivable_area.polygons
-            ],
+            "elements": [{"kind": e.kind.value, "points": objects(_VERTEX, e.polyline.table)} for e in s.map.elements],
+            "drivable_area": [{"outer": poly.rings[0].tolist(), "holes": [ring.tolist() for ring in poly.rings[1:]]}
+                              for poly in s.map.drivable_area.polygons],
         },
-        "agents": [
-            {
-                "id": a.agent_id,
-                "dims": {"length": a.dims[0], "width": a.dims[1]},
-                "modes": [{"confidence": m.confidence, "trajectory": _poses_to_dicts(m.poses)} for m in a.modes],
-            }
-            for a in s.agents
-        ],
-        "agent_gt": [
-            [{"cx": cx, "cy": cy, "heading": h, "length": length, "width": width} for cx, cy, h, length, width in seq]
-            for seq in s.agent_boxes.tolist()
-        ],
+        "agents": [{"id": a.agent_id, "dims": dict(zip(_DIMS, a.dims)),
+                    "modes": [dict(zip(_MODE, (m.confidence, objects(_POSE, m.poses)))) for m in a.modes]}
+                   for a in s.agents],
+        "agent_gt": [objects(_BOX, seq) for seq in s.agent_boxes],
         "candidates": {
-            command.value: [
-                {"confidence": c, "waypoints": w, "headings": h}
-                for w, h, c in zip(*(a.tolist() for a in s.candidates.batches[command]))
-            ]
+            command.value: [dict(zip(_CANDIDATE, (c, w, h)))
+                            for w, h, c in zip(*(a.tolist() for a in s.candidates.batches[command]))]
             for command in Command
         },
     }
@@ -546,24 +534,25 @@ def _field(obj, key: str, kind, path, *read):
     if key not in obj:
         raise ScenarioFormatError(f"missing field '{_name((path, key))}'")
     value = obj[key]
-    if kind is float:
-        if type(value) is not float:
+    if type(value) is not kind or kind is float and not math.isfinite(value):  # else value is as asked
+        if kind is float:
             value = _number(value, (path, key))
-        if not math.isfinite(value):
-            raise ScenarioInvariantError(f"field '{_name((path, key))}': must be finite, got {value}")
-    elif isinstance(value, bool) or not isinstance(value, kind):
-        raise ScenarioFormatError(f"field '{_name((path, key))}' must be {kind.__name__}")
+        elif isinstance(value, bool) or not isinstance(value, kind):
+            raise ScenarioFormatError(f"field '{_name((path, key))}' must be {kind.__name__}")
     return _list(value, (path, key), *read) if read else value
 
 
 def _number(value, path) -> float:
-    """A number item as a float; an integer too large for a float is infinite, as 1e999 is."""
+    """A number item as a finite float; an integer too large for a float is infinite, as 1e999 is."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"field '{_name(path)}' must be a number")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ScenarioInvariantError(f"field '{_name(path)}': must be finite, got {number}")
+    return number
 
 
 def _floats(obj, path, *keys) -> tuple[float, ...]:
@@ -574,16 +563,6 @@ def _list(value, path, read, *args) -> tuple:
     if not isinstance(value, list):
         raise ScenarioFormatError(f"field '{_name(path)}' must be a list")
     return tuple([read(item, (path, i), *args) for i, item in enumerate(value)])
-
-
-def _point(value, path) -> Point2:
-    """An [x, y] pair."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ScenarioFormatError(f"field '{_name(path)}' must be an [x, y] pair")
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioFormatError(f"field '{_name(path)}' must hold numbers")
-    return _build(path, Point2, _number(value[0], path), _number(value[1], path))
 
 
 def _enum(obj, key: str, path, enum_cls, unknown: str):
@@ -605,55 +584,6 @@ def _build(path, ctor, *args, **kwargs):
         raise ScenarioInvariantError(f"field '{_name(path)}': {e}") from None
 
 
-def _pose(obj, path) -> Pose2:
-    x, y, heading = _floats(obj, path, "x", "y", "heading")
-    return Pose2(Point2(x, y), heading)
-
-
-def _laplace_point(obj, path) -> LaplacePoint:
-    mx, my, bx, by = _floats(obj, path, "mx", "my", "bx", "by")
-    if bx < B_MIN or by < B_MIN:
-        axis, b = ("bx", bx) if bx < B_MIN else ("by", by)
-        raise ScenarioInvariantError(f"field '{_name((path, axis))}': scale must be >= {B_MIN}, got {b}")
-    return LaplacePoint(Point2(mx, my), (bx, by))
-
-
-def _element(obj, path) -> MapElement:
-    kind = _enum(obj, "kind", path, MapElementKind, "unknown kind {!r}")
-    points = _field(obj, "points", list, path, _laplace_point)
-    line = _build((path, "points"), UncertainPolyline, points)
-    if kind is MapElementKind.BOUNDARY:  # the clearance filter measures to its mu segments
-        _build((path, "points"), lambda: line.mu)
-    return MapElement(line, kind)
-
-
-def _polygon(obj, path) -> Polygon:
-    outer = _field(obj, "outer", list, path, _point)
-    return _build(path, Polygon, outer, _field(obj, "holes", list, path, _list, _point))
-
-
-def _mode(obj, path) -> AgentMode:
-    confidence = _field(obj, "confidence", float, path)
-    return _build(path, AgentMode, _field(obj, "trajectory", list, path, _pose), confidence)
-
-
-def _agent(obj, path) -> AgentPrediction:
-    agent_id = _field(obj, "id", str, path)
-    dims = _floats(_field(obj, "dims", dict, path), (path, "dims"), "length", "width")
-    return _build(path, AgentPrediction, agent_id, dims, _field(obj, "modes", list, path, _mode))
-
-
-def _box(obj, path) -> OrientedBox:
-    cx, cy, heading, length, width = _floats(obj, path, "cx", "cy", "heading", "length", "width")
-    return _build(path, OrientedBox, Point2(cx, cy), heading, length, width)
-
-
-def _candidate(obj, path) -> CandidateTrajectory:
-    confidence = _field(obj, "confidence", float, path)
-    waypoints = _field(obj, "waypoints", list, path, _point)
-    return _build(path, CandidateTrajectory, waypoints, _field(obj, "headings", list, path, _number), confidence)
-
-
 def _check_version(data, source) -> None:
     if not isinstance(data, dict) or "version" not in data:
         raise ScenarioVersionError(f"{source}: missing schema 'version' field")
@@ -661,126 +591,146 @@ def _check_version(data, source) -> None:
         raise ScenarioVersionError(f"{source}: unsupported schema version {data['version']!r}, expected {SCHEMA_VERSION}")
 
 
+def _scan(value, path, form) -> None:
+    """Raise the error naming the first fault of value read as form, in item order. A form is float (a finite
+    number), _PAIR (a list of two), a dict (an object holding each key as its form) or (form, count) (a list
+    of count items, any number if None). A wrong type or a missing key is a format error; a number that is
+    not finite, or a list of the wrong length, is an invariant error."""
+    if form is float:
+        _number(value, path)
+    elif form is _PAIR:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ScenarioFormatError(f"field '{_name(path)}' must be an [x, y] pair")
+        if not _NUMBER_TYPES.issuperset(map(type, value)):
+            raise ScenarioFormatError(f"field '{_name(path)}' must hold numbers")
+        for v in value:
+            _number(v, path)
+    elif isinstance(form, dict):
+        for key, inner in form.items():
+            _scan(_field(value, key, float if inner is float else list, path), (path, key), inner)
+    else:
+        inner, count = form
+        if not isinstance(value, list):
+            raise ScenarioFormatError(f"field '{_name(path)}' must be a list")
+        for i, item in enumerate(value):
+            _scan(item, (path, i), inner)
+        if count not in (None, len(value)):
+            raise ScenarioInvariantError(f"field '{_name(path)}': must hold {count} items, got {len(value)}")
+
+
+def _located(lists, paths, form) -> list:
+    """(item, path, form) for each item of each list, lists[n] being the list at paths[n]."""
+    return [(item, (path, i), form) for items, path in zip(lists, paths) for i, item in enumerate(items)]
+
+
+def _table(rows, shape: tuple, located) -> np.ndarray:
+    """The numbers that rows() lists as a read-only float array (n, *shape), if they are ints and floats,
+    all finite; if not, each (item, path, form) of located() is scanned, to raise the error naming the fault."""
+    try:
+        table = row_array(leaves := rows(), *shape)
+        for _ in shape:
+            leaves = chain.from_iterable(leaves)
+        if _NUMBER_TYPES.issuperset(map(type, leaves)):
+            return table
+    except (LookupError, TypeError, ValueError, OverflowError):
+        pass  # the scan names the fault
+    for item, path, form in located():
+        _scan(item, path, form)
+    raise RuntimeError("a list of numbers was refused, but no item of it is at fault")
+
+
+def _check(ok: np.ndarray, located, keys: tuple, rule: str) -> None:
+    """Raise the invariant error naming the first value where ok is False; ok holds a row for each
+    item of located() and a column for each of keys."""
+    if not ok.all():
+        row, column = divmod(int(np.flatnonzero(~ok)[0]), len(keys))
+        item, path, _ = located()[row]
+        raise ScenarioInvariantError(f"field '{_name((path, keys[column]))}': {rule}, got {item[keys[column]]}")
+
+
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     """Validate and rebuild a scenario from its plain-data form (JSON types).
 
-    Each homogeneous list of numbers is read into one array (_read). Only a
-    scenario that this read refuses is read again item by item (_walk), which
-    raises the error naming its first fault, or builds it if it is valid."""
+    The fields are read once, in the order docs/scenario_format.md lists. A list of numbers that
+    repeats per item is one table across the items (_table), and the range checks run on the tables
+    (_check). Only a table that does not read is scanned item by item (_scan), to name its fault."""
     if not isinstance(data, dict):
         raise ScenarioFormatError(f"{source}: top level must be an object")
     _check_version(data, source)
-    try:
-        return _read(data)
-    except (LookupError, TypeError, ValueError, ArithmeticError):
-        return _walk(data)
-
-
-_NUMBER_TYPES = {int, float}  # exact types: true and false are not numbers
-_VERTEX = itemgetter("mx", "my", "bx", "by")
-_POSE = itemgetter("x", "y", "heading")
-_BOX = itemgetter("cx", "cy", "heading", "length", "width")
-
-
-def _numbers(rows: list, *shape: int) -> np.ndarray:
-    """rows, nested lists of ints and floats, as row_array reads them; raises
-    TypeError, ValueError or OverflowError when they are not that."""
-    arr, leaves = row_array(rows, *shape), rows
-    for _ in shape:
-        leaves = chain.from_iterable(leaves)
-    if not _NUMBER_TYPES.issuperset(map(type, leaves)):
-        raise TypeError("expected ints and floats")
-    return arr
-
-
-def _items(value) -> list:
-    if type(value) is not list:
-        raise TypeError("expected a list")
-    return value
-
-
-def _read(data: dict) -> Scenario:
-    """The scenario read list by list: each homogeneous list of numbers is
-    one array, checked as a whole as the constructors check its items.
-    Raises LookupError, TypeError, ValueError or ArithmeticError on any
-    fault, without naming it."""
-    ego, elements, agents = data["ego"], _items(data["map"]["elements"]), _items(data["agents"])
-    ego_dims = _floats(ego["dims"], None, "length", "width")
-    commands = [_items(data["candidates"][c.value]) for c in Command]
-    modes = [m for a in agents for m in a["modes"]]
-    cands = [c for items in commands for c in items]
-    confidences = _numbers([r["confidence"] for r in (*cands, *modes)])
-    table = _numbers([_VERTEX(p) for e in elements for p in e["points"]], 4)
-    counts = [len(e["points"]) for e in elements]
-    if (min(ego_dims) <= 0 or 0 in counts or not all(commands) or not (table[:, 2:] >= B_MIN).all()
-            or not ((0.0 <= confidences) & (confidences <= 1.0)).all()):
-        raise ValueError("a size, confidence or Laplace scale is out of range")
-    ends = list(accumulate(counts))
-    lines = [UncertainPolyline._of(table=table[start:end]) for start, end in zip([0, *ends], ends)]
-    kinds = [MapElementKind(e["kind"]) for e in elements]
-    for line, kind in zip(lines, kinds):
-        if kind is MapElementKind.BOUNDARY:
-            line.mu  # checks the polyline the clearance filter measures to
-    area = [
-        Polygon(_numbers(_items(p["outer"]), 2), [_numbers(_items(h), 2) for h in _items(p["holes"])])
-        for p in _items(data["map"]["drivable_area"])
-    ]
-    poses = pose_array(_numbers([list(map(_POSE, m["trajectory"])) for m in modes], T_F, 3).reshape(-1, 3))
-    mode_values = iter([AgentMode._of(poses=p, confidence=c)
-                        for p, c in zip(poses.reshape(-1, T_F, 3), confidences[len(cands):].tolist())])
-    xy, yaw = _numbers([c["waypoints"] for c in cands], T_F, 2), _numbers([c["headings"] for c in cands], T_F)
-    ends = list(accumulate(map(len, commands)))
-    return Scenario(
-        scenario_id=_field(data, "id", str, None),
-        seed=_field(data, "seed", int, None),
-        map=UncertainMap([MapElement(line, kind) for line, kind in zip(lines, kinds)], MultiPolygon(area)),
-        agents=[AgentPrediction(_field(a, "id", str, None), _floats(a["dims"], None, "length", "width"),
-                                [next(mode_values) for _ in a["modes"]]) for a in agents],
-        agent_boxes=_numbers([list(map(_BOX, seq)) for seq in _items(data["agent_gt"])], T_F, 5),
-        ego_pose=_pose(ego["pose"], None),
-        ego_dims=ego_dims,
-        command=Command(data["command"]),
-        candidates=CandidateSet._of(batches={
-            command: (xy[start:end], yaw[start:end], confidences[start:end])
-            for command, start, end in zip(Command, [0, *ends], ends)
-        }),
-        ego_poses=_numbers(list(map(_POSE, _items(data["ego_gt_future"]))), 3),
-        scenario_class=ScenarioKind(data["scenario_class"]).value,
-    )
-
-
-def _walk(data: dict) -> Scenario:
-    """The scenario read item by item, each field by its reader: the first
-    fault met, in file order, raises the error naming it."""
-    ego_path = (None, "ego")
+    scenario_id, seed = _field(data, "id", str, None), _field(data, "seed", int, None)
+    scenario_class = _enum(data, "scenario_class", None, ScenarioKind, "must be Turn or Straight, got {!r}").value
+    command = _enum(data, "command", None, Command, "unknown command {!r}")
     ego = _field(data, "ego", dict, None)
-    ego_pose = _pose(_field(ego, "pose", dict, ego_path), (ego_path, "pose"))
-    ego_dims = _floats(_field(ego, "dims", dict, ego_path), (ego_path, "dims"), "length", "width")
-    if ego_dims[0] <= 0 or ego_dims[1] <= 0:
+    x, y, heading = _floats(_field(ego, "pose", dict, _EGO), (_EGO, "pose"), *_POSE)
+    ego_dims = _floats(_field(ego, "dims", dict, _EGO), (_EGO, "dims"), *_DIMS)
+    if min(ego_dims) <= 0:
         raise ScenarioInvariantError(f"field 'ego.dims': dimensions must be positive, got {ego_dims}")
-    map_path = (None, "map")
-    map_data = _field(data, "map", dict, None)
-    elements = _field(map_data, "elements", list, map_path, _element)
-    polygons = _field(map_data, "drivable_area", list, map_path, _polygon)
-    drivable = _build((map_path, "drivable_area"), MultiPolygon, polygons)
-    candidates_path = (None, "candidates")
+    future = _field(data, "ego_gt_future", list, None)
+    ego_poses = _table(lambda: list(map(_POSE_ROW, future)), (3,),
+                       lambda: _located([future], [(None, "ego_gt_future")], _POSE))
+    uncertain_map = _uncertain_map(_field(data, "map", dict, None))
+    agents, agent_gt = _field(data, "agents", list, None), _field(data, "agent_gt", list, None)
+    agent_paths = [(_AGENTS, i) for i in range(len(agents))]
+    agent_fields = [(_field(agent, "id", str, path), _floats(_field(agent, "dims", dict, path), (path, "dims"), *_DIMS),
+                     _field(agent, "modes", list, path)) for agent, path in zip(agents, agent_paths)]
     candidates = _field(data, "candidates", dict, None)
-    lists = [_field(candidates, key, list, candidates_path, _candidate) for key in ("TurnLeft", "TurnRight", "GoStraight")]
-    return _build(
-        (None, "<scenario>"),
-        Scenario,
-        scenario_id=_field(data, "id", str, None),
-        seed=_field(data, "seed", int, None),
-        scenario_class=_enum(data, "scenario_class", None, ScenarioKind, "must be Turn or Straight, got {!r}").value,
-        command=_enum(data, "command", None, Command, "unknown command {!r}"),
-        ego_pose=ego_pose,
-        ego_dims=ego_dims,
-        ego_poses=_field(data, "ego_gt_future", list, None, _pose),
-        map=_build(map_path, UncertainMap, elements, drivable),
-        agents=_field(data, "agents", list, None, _agent),
-        agent_boxes=_field(data, "agent_gt", list, None, _list, _box),
-        candidates=_build(candidates_path, CandidateSet, *lists),
-    )
+    commands = [_field(candidates, c.value, list, _CANDIDATES) for c in Command]
+    for c, items in zip(Command, commands):
+        if not items:
+            raise ScenarioInvariantError(f"field 'candidates': command {c.name.lower()} needs at least one candidate")
+    mode_lists = [items for *_, items in agent_fields]
+    cands, modes = [c for items in commands for c in items], [m for items in mode_lists for m in items]
+    located_cands = lambda: _located(commands, [(_CANDIDATES, c.value) for c in Command], _CANDIDATE)
+    located_modes = lambda: _located(mode_lists, [(path, "modes") for path in agent_paths], _MODE)
+    located_both = lambda: located_cands() + located_modes()
+    confidences = _table(lambda: [r["confidence"] for r in (*cands, *modes)], (), located_both)
+    _check((0.0 <= confidences) & (confidences <= 1.0), located_both, ("confidence",), "must be in [0, 1]")
+    xy = _table(lambda: [c["waypoints"] for c in cands], (T_F, 2), located_cands)
+    yaw = _table(lambda: [c["headings"] for c in cands], (T_F,), located_cands)
+    poses = _table(lambda: [list(map(_POSE_ROW, m["trajectory"])) for m in modes], (T_F, 3), located_modes)
+    poses = pose_array(poses.reshape(-1, 3)).reshape(-1, T_F, 3)
+    boxes = _table(lambda: [list(map(_BOX_ROW, seq)) for seq in agent_gt], (T_F, 5),
+                   lambda: _located([agent_gt], [(None, "agent_gt")], (_BOX, T_F)))
+    located_boxes = lambda: _located(agent_gt, [((None, "agent_gt"), i) for i in range(len(agent_gt))], _BOX)
+    _check(boxes[..., 3:] > 0, located_boxes, _DIMS, "must be positive")
+    mode_values = iter([AgentMode._of(poses=p, confidence=c) for p, c in zip(poses, confidences[len(cands):].tolist())])
+    ends = list(accumulate(map(len, commands)))
+    batches = {c: (xy[start:end], yaw[start:end], confidences[start:end])
+               for c, start, end in zip(Command, [0, *ends], ends)}
+    agents = [_build(path, AgentPrediction, agent_id, dims, [next(mode_values) for _ in items])
+              for path, (agent_id, dims, items) in zip(agent_paths, agent_fields)]
+    return _build((None, "<scenario>"), Scenario, scenario_id=scenario_id, seed=seed, map=uncertain_map, agents=agents,
+                  agent_boxes=boxes, ego_pose=Pose2(Point2(x, y), heading), ego_dims=ego_dims, command=command,
+                  candidates=CandidateSet._of(batches=batches), ego_poses=ego_poses, scenario_class=scenario_class)
+
+
+def _uncertain_map(map_data: dict) -> UncertainMap:
+    """The map field: the points of all elements as one table, each drivable-area ring as one."""
+    elements = _field(map_data, "elements", list, _MAP)
+    paths = [((_MAP, "elements"), i) for i in range(len(elements))]
+    kinds = [_enum(element, "kind", path, MapElementKind, "unknown kind {!r}") for element, path in zip(elements, paths)]
+    point_lists = [_field(element, "points", list, path) for element, path in zip(elements, paths)]
+    point_paths = [(path, "points") for path in paths]
+    if not all(point_lists):
+        path = point_paths[point_lists.index([])]
+        raise ScenarioInvariantError(f"field '{_name(path)}': uncertain polyline needs at least one point")
+    located = lambda: _located(point_lists, point_paths, _VERTEX)
+    table = _table(lambda: [row for points in point_lists for row in map(_VERTEX_ROW, points)], (4,), located)
+    _check(table[:, 2:] >= B_MIN, located, tuple(_VERTEX)[2:], f"scale must be >= {B_MIN}")
+    ends = list(accumulate(map(len, point_lists)))
+    lines = [UncertainPolyline._of(table=table[start:end]) for start, end in zip([0, *ends], ends)]
+    for line, kind, path in zip(lines, kinds, point_paths):
+        if kind is MapElementKind.BOUNDARY:  # the clearance filter measures to its mu segments
+            _build(path, lambda: line.mu)
+    area_path, polygons = (_MAP, "drivable_area"), []
+    for i, polygon in enumerate(_field(map_data, "drivable_area", list, _MAP)):
+        path = (area_path, i)
+        rings = [_field(polygon, "outer", list, path), *_field(polygon, "holes", list, path)]
+        ring_paths = [(path, "outer"), *(((path, "holes"), h) for h in range(len(rings) - 1))]
+        tables = [_table(lambda: ring, (2,), lambda: [(ring, ring_path, (_PAIR, None))])
+                  for ring, ring_path in zip(rings, ring_paths)]
+        polygons.append(_build(path, Polygon, tables[0], tables[1:]))
+    return _build(_MAP, UncertainMap, list(map(MapElement, lines, kinds)), _build(area_path, MultiPolygon, polygons))
 
 
 def _decode(text: str, path: Path):

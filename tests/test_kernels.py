@@ -677,9 +677,9 @@ def test_sweep_work_grows_with_the_edges_not_their_pairs(monkeypatch):
     rings.append(_xy(_circle()))
     kernel, tested = geometry._segments_intersect, []
 
-    def counting_kernel(p1, p2, q1, q2, keep=True):
+    def counting_kernel(p1, p2, q1, q2):
         tested.append(np.broadcast(p1[..., 0], q1[..., 0]).size)
-        return kernel(p1, p2, q1, q2, keep)
+        return kernel(p1, p2, q1, q2)
 
     def swept_pairs(xy):
         swept = []

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from uncplan.geometry import normalize_heading
 from uncplan.metrics import dacr_frame, scenario_class_of
 from uncplan.scenario import (
     GeneratorParams,
-    Scenario,
     ScenarioFormatError,
     ScenarioInvariantError,
     ScenarioKind,
@@ -31,7 +32,7 @@ from uncplan.scenario import (
     scenario_to_dict,
     splitmix64,
 )
-from uncplan.scenario import _json_text, _read, _walk
+from uncplan.scenario import _json_text
 from uncplan.selection import T_F, Command
 
 
@@ -401,6 +402,28 @@ def test_candidate_invariant_errors_name_the_field_once(edit, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["agent_gt"][0][2].update(length=0), "field 'agent_gt[0][2].length': must be positive, got 0"),
+        (lambda d: d["agents"][0]["modes"][0].update(confidence=1.5),
+         "field 'agents[0].modes[0].confidence': must be in [0, 1], got 1.5"),
+        (lambda d: d["candidates"]["GoStraight"][1].update(confidence=-0.1),
+         "field 'candidates.GoStraight[1].confidence': must be in [0, 1], got -0.1"),
+        (lambda d: d["map"]["elements"][0]["points"][3].update(by=0.0005),
+         "field 'map.elements[0].points[3].by': scale must be >= 0.001, got 0.0005"),
+        (lambda d: d["ego"]["dims"].update(width=0), "field 'ego.dims': dimensions must be positive, got (4.2, 0.0)"),
+    ],
+    ids=["box-length", "mode-confidence", "candidate-confidence", "scale", "ego-width"],
+)
+def test_values_out_of_range_are_named_from_their_arrays(edit, message):
+    data = scenario_to_dict(generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1), 2))
+    edit(data)
+    with pytest.raises(ScenarioInvariantError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == message
+
+
 def _value_paths(node, prefix=()):
     """The key or index path of every value below node."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -479,31 +502,44 @@ def _faulted(base: dict, path: tuple, fault) -> dict:
     return faulted
 
 
-def _outcome(read, data):
+_SINGLE_FAULTS = Path(__file__).parent / "data" / "single_faults.json"
+
+
+def _outcome(data):
+    """None if data loads, else the error's class and the field its message names first."""
     try:
-        return read(data)
+        scenario_from_dict(data)
     except (ScenarioFormatError, ScenarioInvariantError) as e:
-        return type(e), str(e)
+        named = re.search(r"field '([^']*)'", str(e))
+        return ["format" if isinstance(e, ScenarioFormatError) else "invariant", named and named.group(1)]
+    return None
 
 
-def test_array_read_decides_every_single_fault_as_the_walk():
-    """Every value of a small scenario deleted or replaced by each fault: the
-    loader raises the walk's error class and message, or both accept with
-    equal values."""
+def test_every_single_fault_keeps_its_recorded_class_and_field():
+    """Every value of a small scenario deleted or replaced by each fault. The
+    fixture holds the outcome of each case, recorded before the loader was
+    one reader: accepted, or the error class (format or invariant) and the
+    field that the message named. The loader must accept the same cases and
+    raise the same class for the others, naming the recorded field or a
+    field inside it ('<scenario>' is the whole file)."""
     base = scenario_to_dict(
         generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1, n_candidates=1, n_element_points=2), 5)
     )
-    cases = accepted = 0
-    for path in _value_paths(base):
-        for fault in _FAULTS:
-            data = _faulted(base, path, fault)
-            if path == ("version",):
-                continue  # read before either reader runs
-            loaded, walked = _outcome(scenario_from_dict, data), _outcome(_walk, data)
-            assert loaded == walked, (path, fault)
-            cases += 1
-            accepted += isinstance(loaded, Scenario)
-    assert cases > 1500 and 0 < accepted < cases / 4
+    recorded = json.loads(_SINGLE_FAULTS.read_text())
+    assert [path for path, _ in recorded] == [list(p) for p in _value_paths(base) if p != ("version",)]
+    counts = Counter()
+    for path, outcomes in recorded:
+        for fault, expected in zip(_FAULTS, outcomes):
+            got = _outcome(_faulted(base, tuple(path), fault))
+            counts["accepted" if expected is None else expected[0]] += 1
+            if expected is None or got is None:
+                assert got == expected, (path, fault)
+                continue
+            kind, field = expected
+            assert got[0] == kind and got[1] is not None, (path, fault, got)
+            assert field == "<scenario>" or got[1] == field or got[1].startswith((field + ".", field + "[")), (
+                path, fault, got, field)
+    assert counts == {"format": 1621, "invariant": 422, "accepted": 13}
 
 
 def _arrays(s):
@@ -529,37 +565,71 @@ def _arrays(s):
     ids=["canonical", "wide-candidates", "dense-map"],
 )
 def test_arrays_read_at_load_are_the_tuple_constructors_arrays(params):
-    """On scenarios shaped like the benchmark's workloads, the array read
-    accepts every file, and its arrays match those the public constructors
-    build from Point2 and Pose2 tuples (the item walk) bit for bit."""
+    """On scenarios shaped like the benchmark's workloads, the loader reads
+    back from the file every array that the constructors built for the
+    generated scenario (agent modes from Pose2s, boxes from OrientedBoxes,
+    rings from Point2s), byte for byte, and every array is read-only."""
     for seed in range(6):
         kind = ScenarioKind.TURN if seed % 3 else ScenarioKind.STRAIGHT
-        data = json.loads(json.dumps(scenario_to_dict(generate_scenario(kind, params, seed))))
-        fast, walked = _arrays(_read(data)), _arrays(_walk(data))
-        assert fast.keys() == walked.keys()
-        for name, array in fast.items():
-            assert array.dtype == walked[name].dtype and array.shape == walked[name].shape, name
-            assert array.tobytes() == walked[name].tobytes(), name
-            assert not array.flags.writeable, name
+        s = generate_scenario(kind, params, seed)
+        built, loaded = _arrays(s), _arrays(scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s)))))
+        assert loaded.keys() == built.keys()
+        for name, array in loaded.items():
+            assert array.dtype == built[name].dtype and array.shape == built[name].shape, name
+            assert array.tobytes() == built[name].tobytes(), name
+            assert not array.flags.writeable and not built[name].flags.writeable, name
 
 
-def test_uneven_layouts_ints_and_headings_read_as_the_walk_reads_them():
+def _expected_arrays(data):
+    """The stored arrays a scenario dict loads to, computed here item by item with float() and normalize_heading."""
+
+    def poses(items):
+        return [[float(p["x"]), float(p["y"]), normalize_heading(float(p["heading"]))] for p in items]
+
+    out = {
+        "ego_poses": poses(data["ego_gt_future"]),
+        "agent_boxes": [[[float(b[k]) for k in ("cx", "cy", "heading", "length", "width")] for b in seq]
+                        for seq in data["agent_gt"]],
+    }
+    for command, items in data["candidates"].items():
+        out[f"{command}.xy"] = [[[float(v) for v in w] for w in c["waypoints"]] for c in items]
+        out[f"{command}.yaw"] = [[float(h) for h in c["headings"]] for c in items]
+        out[f"{command}.confidence"] = [float(c["confidence"]) for c in items]
+    for i, element in enumerate(data["map"]["elements"]):
+        out[f"element{i}.table"] = [[float(p[k]) for k in ("mx", "my", "bx", "by")] for p in element["points"]]
+    for i, polygon in enumerate(data["map"]["drivable_area"]):
+        for k, ring in enumerate([polygon["outer"], *polygon["holes"]]):
+            out[f"polygon{i}.ring{k}"] = [[float(x), float(y)] for x, y in ring]
+    for i, agent in enumerate(data["agents"]):
+        out.update({f"agent{i}.mode{k}": poses(m["trajectory"]) for k, m in enumerate(agent["modes"])})
+    return {name: np.array(rows, dtype=float) for name, rows in out.items()}
+
+
+def test_uneven_layouts_ints_and_headings_load_as_computed_here():
     data = scenario_to_dict(generate_scenario(ScenarioKind.TURN, GeneratorParams(n_agents=2), 3))
     data["ego_gt_future"][0]["x"] = 2**53 + 1  # rounds to a float
     data["agents"][0]["modes"][0]["trajectory"][1]["heading"] = 7.0  # normalized into (-pi, pi]
     data["candidates"]["TurnLeft"][0]["waypoints"][2] = [3, -(2**60 + 3)]
     data["map"]["elements"][0]["points"][0]["mx"] = 12
+    data["map"]["elements"][0]["points"][1]["bx"] = 0.001  # the smallest scale allowed
     # commands with different candidate counts, elements of different lengths, holes and a second polygon
     del data["candidates"]["GoStraight"][1:3]
     del data["map"]["elements"][1]["points"][5:9]
     data["map"]["drivable_area"].append({"outer": [[500, 500], [540, 500], [540, 540], [500, 540], [500, 500]],
                                          "holes": [[[510, 510], [510, 520], [520, 520], [520, 510], [510, 510]],
                                                    [[525, 525], [525, 530], [530, 530], [530, 525], [525, 525]]]})
-    fast, walked = _arrays(_read(data)), _arrays(_walk(data))
-    assert fast.keys() == walked.keys()
-    assert all(fast[name].tobytes() == walked[name].tobytes() for name in fast)
-    assert fast["agent0.mode0"][1, 2] == 7.0 - math.tau
-    assert [len(b[0]) for b in _read(data).candidates.batches.values()] == [5, 5, 3]
+    s = scenario_from_dict(data)
+    loaded, expected = _arrays(s), _expected_arrays(data)
+    assert expected.keys() <= loaded.keys()
+    for name, array in expected.items():
+        assert loaded[name].shape == array.shape and loaded[name].tobytes() == array.tobytes(), name
+        assert not loaded[name].flags.writeable, name
+    assert loaded["ego_poses"][0, 0] == 2.0**53
+    assert loaded["agent0.mode0"][1, 2] == 7.0 - math.tau
+    assert loaded["TurnLeft.xy"][0, 2].tolist() == [3.0, -(2.0**60)]
+    assert [len(b[0]) for b in s.candidates.batches.values()] == [5, 5, 3]
+    assert [len(e.polyline.table) for e in s.map.elements][:2] == [20, 16]
+    assert [len(p.rings) for p in s.map.drivable_area.polygons] == [1, 3]
 
 
 @pytest.mark.parametrize("field", ["ego.dims.length", "map.elements[0].points[1].mx", "agent_gt[0][2].cx"])
