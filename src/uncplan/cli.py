@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .metrics import MetricsRow, ScenarioMetrics, aggregate, dacr_flags, evaluate_trajectory
+from .metrics import MetricsRow, ScenarioMetrics, aggregate, evaluate_trajectory
 from .oracles import oracle_dacr_flags, oracle_select
 from .scenario import (
     GeneratorParams,
@@ -67,8 +67,8 @@ def preset_selection(preset: str, base: SelectionConfig) -> tuple[SelectionConfi
     return cfg, limit
 
 
-def _verify_scenario(s: Scenario, cfg: SelectionConfig, report, candidates) -> None:
-    """Differential checks of selection and containment against the oracles."""
+def _verify_scenario(s: Scenario, cfg: SelectionConfig, report, candidates, dacr_steps: tuple[bool, ...]) -> None:
+    """Differential checks of selection, and of the chosen trajectory's DACR flags, against the oracles."""
     oracle_idx = oracle_select(
         candidates,
         s.command,
@@ -82,12 +82,10 @@ def _verify_scenario(s: Scenario, cfg: SelectionConfig, report, candidates) -> N
             f"scenario {s.scenario_id}: selection chose index {report.chosen_index}, "
             f"oracle says {oracle_idx}"
         )
-    da = s.map.drivable_area
-    primary = dacr_flags(report.chosen, s.ego_dims, da)
-    reference = oracle_dacr_flags(report.chosen, s.ego_dims, da)
-    if primary != reference:
+    reference = oracle_dacr_flags(report.chosen, s.ego_dims, s.map.drivable_area)
+    if dacr_steps != reference:
         raise OracleMismatch(
-            f"scenario {s.scenario_id}: drivable-area conflict flags {primary} "
+            f"scenario {s.scenario_id}: drivable-area conflict flags {dacr_steps} "
             f"disagree with oracle {reference}"
         )
 
@@ -120,12 +118,13 @@ def evaluate_suite(
             scored: dict[int, ScenarioMetrics] = {}  # by chosen index: the metrics read only the trajectory
             for (cfg, limit), results in zip(runs, per_preset):
                 report = values.select(cfg, limit)
-                if verify:
-                    _verify_scenario(s, cfg, report, s.candidates if limit is None else s.candidates.head(limit))
                 if report.chosen_index not in scored:
                     scored[report.chosen_index] = evaluate_trajectory(
                         report.chosen, s.ego_dims, gt, s.scenario_id, s.scenario_class, convention
                     )
+                if verify:
+                    candidates = s.candidates if limit is None else s.candidates.head(limit)
+                    _verify_scenario(s, cfg, report, candidates, scored[report.chosen_index].dacr_steps)
                 results.append(scored[report.chosen_index])
         except (ValueError, OSError) as e:
             raise _scoped(e, entry["id"]) from None

@@ -315,11 +315,10 @@ def _first_crossing(a0, a1, b0=None, b1=None, keep=None) -> tuple[int, int] | No
 
 
 def _ring_signed_area(ring: np.ndarray) -> float:
-    xs, ys = ring.T.tolist()
-    acc = 0.0
-    for k in range(len(xs) - 1):
-        acc += xs[k] * ys[k + 1] - xs[k + 1] * ys[k]
-    return 0.5 * acc
+    """Shoelace area, the terms added in vertex order as a loop from 0.0 adds
+    them (accumulate, not sum's pairwise order; + 0.0 turns an all -0.0 sum to +0.0)."""
+    x, y = ring[:, 0], ring[:, 1]
+    return 0.5 * (float(np.add.accumulate(x[:-1] * y[1:] - x[1:] * y[:-1])[-1]) + 0.0)
 
 
 def _validate_ring(ring: np.ndarray, want_ccw: bool, label: str) -> tuple[np.ndarray, np.ndarray]:

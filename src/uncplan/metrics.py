@@ -11,7 +11,7 @@ steps up to the horizon and flags a collision anywhere before it, while
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Sequence
 
@@ -74,6 +74,7 @@ class ScenarioMetrics:
     de: tuple[float, float, float]
     cr: tuple[bool, bool, bool]
     dacr: tuple[float, float, float]
+    dacr_steps: tuple[bool, ...] = field(default=(), compare=False, repr=False)  # the flags dacr counts, for --verify
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def evaluate_trajectory(
     cr = tuple(_collision_at(steps, h, convention) for h in HORIZON_STEPS)
     flags = dacr_flags(traj, ego_dims, gt.drivable_area)
     dacr = tuple(sum(flags[:h]) / h for h in HORIZON_STEPS)
-    return ScenarioMetrics(scenario_id, scenario_class, de, cr, dacr)
+    return ScenarioMetrics(scenario_id, scenario_class, de, cr, dacr, flags)
 
 
 def scenario_class_of(ego_headings: Sequence[float]) -> str:

@@ -1,10 +1,10 @@
 """Slow, independent reference implementations for differential checking.
 
 These share only domain types with the production code: containment goes
-through an on-edge test and 4-direction ray casting in extended precision
-instead of one crossing count, the Laplace fit is a grid refinement of the
-NLL objective instead of closed forms, and selection is a literal
-transcription of the
+through an on-edge test and 4-direction ray casting in long double over every
+(point, edge) pair, with no sweep or float64 shortcut, dividing only where an
+edge straddles a ray; the Laplace fit is a grid refinement of the NLL objective
+instead of closed forms; and selection is a literal transcription of the
 zero-then-argmax rule over precomputed flags. They ship in the library so
 `eval --verify` can cross-check any scenario file in the field.
 """
@@ -36,23 +36,24 @@ def _point_in_da_votes(px: np.ndarray, py: np.ndarray, da: MultiPolygon) -> np.n
     """Per point of the long double arrays px, py (N,): how many of the 4 ray
     directions (+x, -x, +y, -y) find it inside a polygon of the area by
     even-odd parity over that polygon's rings. A point on an edge is inside,
-    by all 4, whatever the rays say: that is decided first."""
-    px, py = px[:, None], py[:, None]
-    on_edge = np.zeros(px.shape[0], dtype=bool)
-    inside = np.zeros((4, px.shape[0]), dtype=bool)
+    by all 4, whatever the rays say: that is decided first. All (point, edge)
+    pairs are tested; a pair divides only where its edge straddles the ray."""
+    on_edge = np.zeros(len(px), dtype=bool)
+    inside = np.zeros((4, len(px)), dtype=bool)
     for poly in da.polygons:
         ring_edges = [(r[:-1].astype(_LD), r[1:].astype(_LD)) for r in poly.rings]
         (x1, y1), (x2, y2) = (np.concatenate([e[k] for e in ring_edges]).T for k in (0, 1))
-        in_box = (np.minimum(x1, x2) <= px) & (px <= np.maximum(x1, x2))
-        in_box &= (np.minimum(y1, y2) <= py) & (py <= np.maximum(y1, y2))
-        on_edge |= (in_box & ((x2 - x1) * (py - y1) == (y2 - y1) * (px - x1))).any(axis=1)
-        with np.errstate(all="ignore"):  # crossings are only read where the edge straddles the ray
-            x_at = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            y_at = y1 + (px - x1) * (y2 - y1) / (x2 - x1)
-        across_y, across_x = (y1 > py) != (y2 > py), (x1 > px) != (x2 > px)
-        for k, crossed in enumerate((across_y & (px < x_at), across_y & (px > x_at),
-                                     across_x & (py < y_at), across_x & (py > y_at))):
-            inside[k] |= np.count_nonzero(crossed, axis=1) % 2 == 1
+        in_box = (np.minimum(x1, x2) <= px[:, None]) & (px[:, None] <= np.maximum(x1, x2))
+        in_box &= (np.minimum(y1, y2) <= py[:, None]) & (py[:, None] <= np.maximum(y1, y2))
+        p, e = np.nonzero(in_box)
+        on_edge[p[(x2[e] - x1[e]) * (py[p] - y1[e]) == (y2[e] - y1[e]) * (px[p] - x1[e])]] = True
+        # rays along x (votes 0, 1), then the same with x and y swapped (votes 2, 3)
+        for k, (a1, b1, a2, b2, pa, pb) in ((0, (x1, y1, x2, y2, px, py)), (2, (y1, x1, y2, x2, py, px))):
+            p, e = np.nonzero((b1 > pb[:, None]) != (b2 > pb[:, None]))
+            with np.errstate(all="ignore"):
+                a_at = a1[e] + (pb[p] - b1[e]) * (a2[e] - a1[e]) / (b2[e] - b1[e])
+            for side, crossed in enumerate((pa[p] < a_at, pa[p] > a_at)):
+                inside[k + side] |= np.bincount(p[crossed], minlength=len(px)) % 2 == 1
     return np.where(on_edge, 4, inside.sum(axis=0))
 
 

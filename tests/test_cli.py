@@ -16,7 +16,7 @@ from uncplan.cli import (
     main,
     preset_selection,
 )
-from uncplan.metrics import evaluate_trajectory
+from uncplan.metrics import dacr_flags, evaluate_trajectory
 from uncplan.scenario import GeneratorParams, ScenarioKind, generate_scenario, load_scenario, scenario_to_dict
 from uncplan.selection import SelectionConfig, ucas_select
 
@@ -404,6 +404,37 @@ def test_oracle_mismatch_exit_code(small_suite, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "oracle_select", wrong_oracle)
     assert run(["eval", "--suite", small_suite, "--verify", "--out", tmp_path / "x"]) == EXIT_ORACLE
+
+
+def test_verify_computes_production_dacr_flags_once_per_scored_trajectory(small_suite, tmp_path, monkeypatch):
+    from uncplan.geometry import MultiPolygon
+
+    calls = []
+    contains = MultiPolygon.contains
+
+    def counting_contains(da, points):  # production DACR's containment: dacr_flags is its only caller
+        calls.append(len(points))
+        return contains(da, points)
+
+    monkeypatch.setattr(MultiPolygon, "contains", counting_contains)
+    assert run(["eval", "--suite", small_suite, "--verify", "--out", tmp_path / "x"]) == EXIT_OK
+    assert calls == [24] * 8  # one preset: one scored trajectory of 6 steps x 4 corners per scenario
+
+
+def test_verify_catches_one_flipped_production_dacr_step(small_suite, tmp_path, monkeypatch, capsys):
+    import uncplan.metrics as metrics_mod
+
+    def flipped_flags(traj, ego_dims, da):
+        flags = list(dacr_flags(traj, ego_dims, da))
+        flags[3] = not flags[3]
+        return tuple(flags)
+
+    monkeypatch.setattr(metrics_mod, "dacr_flags", flipped_flags)
+    assert run(["eval", "--suite", small_suite, "--out", tmp_path / "plain"]) == EXIT_OK
+    assert run(["eval", "--suite", small_suite, "--verify", "--out", tmp_path / "x"]) == EXIT_ORACLE
+    err = capsys.readouterr().err
+    assert err.startswith("oracle mismatch: scenario ")
+    assert "drivable-area conflict flags" in err and "disagree with oracle" in err
 
 
 def test_ablate_five_rows_ordered(small_suite, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uncplan.geometry import (
+    _ring_signed_area,
     MultiPolygon,
     OrientedBox,
     Point2,
@@ -19,6 +20,7 @@ from uncplan.geometry import (
     polyline_array,
     vehicle_corners,
 )
+from uncplan.scenario import GeneratorParams, ScenarioKind, generate_scenario, scenario_seed
 
 UNIT_SQUARE = MultiPolygon(
     (
@@ -346,3 +348,49 @@ def test_boxes_overlap_against_sampling_oracle():
         assert overlap(a, b) == oracle
         compared += 1
     assert compared > 900
+
+
+# -- ring area --------------------------------------------------------------------
+
+
+def loop_signed_area(ring):
+    """Shoelace terms added one by one in vertex order, from 0.0."""
+    xs, ys = ring.T.tolist()
+    acc = 0.0
+    for k in range(len(xs) - 1):
+        acc += xs[k] * ys[k + 1] - xs[k + 1] * ys[k]
+    return 0.5 * acc
+
+
+def assert_same_bits(got, want):
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+def test_ring_area_equals_the_loop_on_the_seed_73_suite_rings():
+    params = GeneratorParams(noise_scale=0.5)
+    rings = []
+    for i in range(400):
+        kind = ScenarioKind.TURN if i < 260 else ScenarioKind.STRAIGHT  # --mix 0.65
+        rings += [r for poly in generate_scenario(kind, params, scenario_seed(73, i)).map.drivable_area.polygons
+                  for r in poly.rings]
+    assert len(rings) == 400
+    for ring in rings:
+        assert_same_bits(_ring_signed_area(ring), loop_signed_area(ring))
+
+
+def test_ring_area_equals_the_loop_on_random_and_large_rings():
+    rng = np.random.Generator(np.random.PCG64(5))
+    pairwise_differs = 0
+    for trial in range(300):
+        n = int(rng.integers(3, 200))
+        offset = 0.0 if trial < 100 else float(rng.choice([1e6, -1e9, 3e12, 1e15]))
+        ring = rng.normal(0.0, float(rng.choice([1e-3, 1.0, 1e4])), size=(n, 2)) + offset
+        ring = np.concatenate([ring, ring[:1]])
+        want = loop_signed_area(ring)
+        assert_same_bits(_ring_signed_area(ring), want)
+        terms = ring[:-1, 0] * ring[1:, 1] - ring[1:, 0] * ring[:-1, 1]
+        pairwise_differs += 0.5 * float(np.sum(terms)) != want
+    assert pairwise_differs > 0  # the order of the additions shows in these bits
+    zeros = np.array([[0.0, 1.0], [0.0, -1.0], [-0.0, -1.0], [-0.0, 1.0], [0.0, 1.0]])  # every term is -0.0
+    assert np.signbit(zeros[:-1, 0] * zeros[1:, 1] - zeros[1:, 0] * zeros[:-1, 1]).all()
+    assert_same_bits(_ring_signed_area(zeros), loop_signed_area(zeros))

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from uncplan.geometry import MultiPolygon, Point2, Polygon
 from uncplan.map_model import MapElement, MapElementKind, UncertainMap
 from uncplan.metrics import dacr_flags
 from uncplan.oracles import (
+    _oracle_corners,
     _point_in_da_votes,
     oracle_dacr_flags,
     oracle_laplace_fit,
@@ -109,6 +114,139 @@ def test_dacr_matches_oracle_across_holes_and_an_island():
     in_hole = CandidateTrajectory(tuple(Point2(9.0 + 0.4 * t, -4.15) for t in range(T_F)), (0.0,) * T_F, 0.5)
     assert dacr_flags(on_island, EGO_DIMS, da) == oracle_dacr_flags(on_island, EGO_DIMS, da) == (False,) * T_F
     assert dacr_flags(in_hole, EGO_DIMS, da) == oracle_dacr_flags(in_hole, EGO_DIMS, da) == (True,) * T_F
+
+
+# -- the pruned containment oracle against its all-pairs form --------------------
+
+
+def allpairs_point_in_da_votes(px, py, da):
+    """The oracle's votes with every crossing and cross product evaluated on
+    every (point, edge) pair, read where the pair's test passes."""
+    px, py = px[:, None], py[:, None]
+    on_edge = np.zeros(px.shape[0], dtype=bool)
+    inside = np.zeros((4, px.shape[0]), dtype=bool)
+    for poly in da.polygons:
+        ring_edges = [(r[:-1].astype(np.longdouble), r[1:].astype(np.longdouble)) for r in poly.rings]
+        (x1, y1), (x2, y2) = (np.concatenate([e[k] for e in ring_edges]).T for k in (0, 1))
+        in_box = (np.minimum(x1, x2) <= px) & (px <= np.maximum(x1, x2))
+        in_box &= (np.minimum(y1, y2) <= py) & (py <= np.maximum(y1, y2))
+        on_edge |= (in_box & ((x2 - x1) * (py - y1) == (y2 - y1) * (px - x1))).any(axis=1)
+        with np.errstate(all="ignore"):
+            x_at = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+            y_at = y1 + (px - x1) * (y2 - y1) / (x2 - x1)
+        across_y, across_x = (y1 > py) != (y2 > py), (x1 > px) != (x2 > px)
+        for k, crossed in enumerate((across_y & (px < x_at), across_y & (px > x_at),
+                                     across_x & (py < y_at), across_x & (py > y_at))):
+            inside[k] |= np.count_nonzero(crossed, axis=1) % 2 == 1
+    return np.where(on_edge, 4, inside.sum(axis=0))
+
+
+def assert_votes_match_allpairs(xy, da):
+    px, py = np.asarray(xy, dtype=np.longdouble).T
+    got, want = _point_in_da_votes(px, py, da), allpairs_point_in_da_votes(px, py, da)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    return got
+
+
+def star_ring(cx, cy, radii, phases, cw, grid):
+    """Closed star-shaped ring around (cx, cy): vertex k at angle 2 pi (k + phase_k) / n."""
+    n = len(radii)
+    pts = [(cx + r * math.cos(math.tau * (k + f) / n), cy + r * math.sin(math.tau * (k + f) / n))
+           for k, (r, f) in enumerate(zip(radii, phases))]
+    if grid:
+        pts = [(float(round(x)), float(round(y))) for x, y in pts]
+    pts = pts[::-1] if cw else pts
+    return np.array(pts + pts[:1])
+
+
+@st.composite
+def star_layouts(draw, grid):
+    """1-3 disjoint star-shaped polygons in a row, each with 0-2 star-shaped
+    holes; with grid, every vertex is rounded to integers (scaled up so the
+    rounding keeps most layouts valid)."""
+    scale = 2.0 if grid else 1.0
+    polygons = []
+    for p in range(draw(st.integers(1, 3))):
+        cx, cy = 25.0 * scale * p, draw(st.floats(-3.0, 3.0))
+        n = draw(st.integers(10, 16))
+        radii = draw(st.lists(st.floats(6.0 * scale, 10.0 * scale), min_size=n, max_size=n))
+        phases = draw(st.lists(st.floats(-0.15, 0.15), min_size=n, max_size=n))
+        outer = star_ring(cx, cy, radii, phases, cw=False, grid=grid)
+        holes = []
+        for side in draw(st.sampled_from([(), (-1,), (1,), (-1, 1)])):
+            m = draw(st.integers(3, 6))
+            radii = draw(st.lists(st.floats(0.5 * scale, 1.2 * scale), min_size=m, max_size=m))
+            phases = draw(st.lists(st.floats(-0.15, 0.15), min_size=m, max_size=m))
+            holes.append(star_ring(cx + 2.5 * scale * side, cy, radii, phases, cw=True, grid=grid))
+        polygons.append((outer, holes))
+    try:
+        return MultiPolygon(tuple(Polygon(outer, holes) for outer, holes in polygons))
+    except ValueError:  # rounding to the grid made a ring or a hole layout invalid
+        assume(False)
+
+
+def ring_points(da):
+    """Every vertex of every ring, and points at 1/4, 1/2 and 3/4 along every edge."""
+    edges = np.concatenate([r[:-1] for poly in da.polygons for r in poly.rings]), \
+        np.concatenate([r[1:] for poly in da.polygons for r in poly.rings])
+    a, b = edges
+    return np.concatenate([a] + [a + t * (b - a) for t in (0.25, 0.5, 0.75)])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(star_layouts(grid=False), st.lists(st.tuples(st.floats(-15.0, 65.0), st.floats(-15.0, 15.0)), max_size=60))
+def test_pruned_votes_match_allpairs_on_layouts_with_holes(da, extra):
+    xy = np.concatenate([ring_points(da), np.array(extra, dtype=float).reshape(-1, 2)])
+    votes = assert_votes_match_allpairs(xy, da)
+    assert (votes == 4).any()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(star_layouts(grid=True))
+def test_pruned_votes_match_allpairs_on_integer_grid_points(da):
+    # integer vertices: the rays of grid points run along edges and through vertices
+    edges = np.concatenate([r for poly in da.polygons for r in poly.rings])
+    lo, hi = edges.min(axis=0) - 1, edges.max(axis=0) + 1
+    gx, gy = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    votes = assert_votes_match_allpairs(np.concatenate([grid, ring_points(da)]), da)
+    assert set(votes.tolist()) >= {0, 4}
+
+
+def test_pruned_votes_match_allpairs_on_hand_layout():
+    # axis-parallel edges on the grid lines, a slanted hole and an island in a hole
+    def rect(x0, x1, y0, y1, cw=False):
+        ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        ring = ring[::-1] if cw else ring
+        return np.array(ring + ring[:1], dtype=float)
+
+    triangle = np.array([(22, -4), (25, 3), (28, -4), (22, -4)], dtype=float)  # clockwise
+    da = MultiPolygon((
+        Polygon(rect(-4, 40, -9, 9), (rect(4, 16, -5, 5, cw=True), triangle)),
+        Polygon(rect(6, 14, -3, 3)),  # island inside the first hole
+        Polygon(rect(44, 50, -9, 0)),
+    ))
+    gx, gy = np.meshgrid(np.arange(-6.0, 53.0, 0.5), np.arange(-11.0, 12.0, 0.5))
+    xy = np.concatenate([np.column_stack([gx.ravel(), gy.ravel()]), ring_points(da)])
+    votes = assert_votes_match_allpairs(xy, da)
+    assert set(votes.tolist()) >= {0, 4}
+
+
+@pytest.mark.parametrize("n_points", [20, 80])
+def test_pruned_votes_match_allpairs_on_every_candidate_corner(n_points):
+    params = GeneratorParams(n_element_points=n_points)
+    for seed in range(6):
+        kind = ScenarioKind.TURN if seed % 2 else ScenarioKind.STRAIGHT
+        s = generate_scenario(kind, params, seed)
+        corners = []
+        for command in Command:
+            for cand in s.candidates.for_command(command):
+                cx, cy = _oracle_corners(cand, *s.ego_dims)
+                corners.append(np.column_stack([cx.ravel(), cy.ravel()]))
+        px, py = np.concatenate(corners).T  # long double, as oracle_dacr_flags passes them
+        da = s.map.drivable_area
+        assert _point_in_da_votes(px, py, da).tolist() == allpairs_point_in_da_votes(px, py, da).tolist()
 
 
 # -- Laplace fit oracle -------------------------------------------------------
