@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .metrics import MetricsRow, ScenarioMetrics, aggregate, evaluate_trajectory
+from .metrics import MetricsRow, ScenarioMetrics, aggregate, evaluate_trajectories
 from .oracles import oracle_dacr_flags, oracle_select
 from .scenario import (
     GeneratorParams,
@@ -43,6 +43,9 @@ _PRESET_FILTERS = {
     "ucas": (True, True, True, None),
 }
 PRESETS = tuple(_PRESET_FILTERS)
+# Scenarios whose filters and metrics run as one kernel call each. The benchmark's suite parts hold
+# 6-25 scenarios, so each is one chunk; a constant, since no result depends on it.
+CHUNK_SIZE = 32
 
 
 class ConfigError(Exception):
@@ -97,37 +100,67 @@ def _scoped(error: Exception, scenario_id: str) -> Exception:
     return cls(f"scenario {scenario_id}: {error}")
 
 
+def _evaluate_chunk(chunk, runs, base: SelectionConfig, convention: str, verify: bool) -> list[list[ScenarioMetrics]]:
+    """Per run, the metrics of each scenario of chunk, (manifest index, (entry, path)) pairs in id order.
+    The agent and clearance filters each run once over the chunk, and CR and DACR once over its
+    distinct (scenario, chosen index) pairs."""
+    scenarios = []
+    for i, (entry, path) in chunk:
+        s = load_scenario(path)
+        if s.scenario_id != entry["id"]:
+            message = f"{entry['id']!r} is not the file's id {s.scenario_id!r}"
+            raise ScenarioInvariantError(f"field 'scenarios[{i}].id': {message}")
+        scenarios.append(s)
+    values = FilterValues.chunk([(s.candidates, s.command, s.map, s.agents, s.ego_dims) for s in scenarios], base)
+    reports = [[v.select(cfg, limit) for v in values] for cfg, limit in runs]
+    chosen = {}  # (scenario, chosen index) -> trajectory: the metrics read only the trajectory
+    for per_scenario in reports:
+        for n, report in enumerate(per_scenario):
+            chosen.setdefault((n, report.chosen_index), report.chosen)
+    truths = [s.ground_truth() for s in scenarios]
+    items = [(traj, scenarios[n].ego_dims, truths[n], scenarios[n].scenario_id, scenarios[n].scenario_class)
+             for (n, _), traj in chosen.items()]
+    scored = dict(zip(chosen, evaluate_trajectories(items, convention)))
+    if verify:
+        for n, s in enumerate(scenarios):
+            for (cfg, limit), per_scenario in zip(runs, reports):
+                candidates = s.candidates if limit is None else s.candidates.head(limit)
+                report = per_scenario[n]
+                _verify_scenario(s, cfg, report, candidates, scored[n, report.chosen_index].dacr_steps)
+    return [[scored[n, report.chosen_index] for n, report in enumerate(per_scenario)] for per_scenario in reports]
+
+
+def _evaluate_alone(item, runs, base: SelectionConfig, convention: str, verify: bool) -> list[list[ScenarioMetrics]]:
+    """_evaluate_chunk of one scenario, its errors naming it."""
+    try:
+        return _evaluate_chunk([item], runs, base, convention, verify)
+    except (ValueError, OSError) as e:
+        raise _scoped(e, item[1][0]["id"]) from None
+
+
 def evaluate_suite(
     suite: Path, presets: Sequence[str], base: SelectionConfig, convention: str, verify: bool = False
 ) -> tuple[dict, list[tuple[list[MetricsRow], list[ScenarioMetrics]]]]:
     """Select and score every scenario of a suite under each preset, loading
-    each scenario once, in id order. Each filter runs at most once per
-    scenario, and each distinct chosen trajectory is scored once. Returns the
-    manifest and, per preset, the aggregate rows and the per-scenario metrics."""
+    each scenario once, in id order, CHUNK_SIZE scenarios at a time. Each
+    filter runs at most once per chunk, and each distinct chosen trajectory is
+    scored once. A chunk that fails is run again one scenario at a time, so the
+    lowest id that fails, and the first fault it meets, decide the error.
+    Returns the manifest and, per preset, the aggregate rows and the
+    per-scenario metrics."""
     manifest, paths = load_suite(suite)
     runs = [preset_selection(preset, base) for preset in presets]
+    items = sorted(enumerate(zip(manifest["scenarios"], paths)), key=lambda e: e[1][0]["id"])
     per_preset: list[list[ScenarioMetrics]] = [[] for _ in runs]
-    for i, (entry, path) in sorted(enumerate(zip(manifest["scenarios"], paths)), key=lambda e: e[1][0]["id"]):
+    for start in range(0, len(items), CHUNK_SIZE):
+        chunk = items[start:start + CHUNK_SIZE]
         try:
-            s = load_scenario(path)
-            if s.scenario_id != entry["id"]:
-                message = f"{entry['id']!r} is not the file's id {s.scenario_id!r}"
-                raise ScenarioInvariantError(f"field 'scenarios[{i}].id': {message}")
-            gt = s.ground_truth()
-            values = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, base)
-            scored: dict[int, ScenarioMetrics] = {}  # by chosen index: the metrics read only the trajectory
-            for (cfg, limit), results in zip(runs, per_preset):
-                report = values.select(cfg, limit)
-                if report.chosen_index not in scored:
-                    scored[report.chosen_index] = evaluate_trajectory(
-                        report.chosen, s.ego_dims, gt, s.scenario_id, s.scenario_class, convention
-                    )
-                if verify:
-                    candidates = s.candidates if limit is None else s.candidates.head(limit)
-                    _verify_scenario(s, cfg, report, candidates, scored[report.chosen_index].dacr_steps)
-                results.append(scored[report.chosen_index])
-        except (ValueError, OSError) as e:
-            raise _scoped(e, entry["id"]) from None
+            parts = [_evaluate_chunk(chunk, runs, base, convention, verify)]
+        except Exception:  # whichever fault, the lowest failing id and its first fault decide the error
+            parts = [_evaluate_alone(item, runs, base, convention, verify) for item in chunk]
+        for part in parts:
+            for results, metrics in zip(per_preset, part):
+                results.extend(metrics)
     return manifest, [(aggregate(results, stratify=True), results) for results in per_preset]
 
 

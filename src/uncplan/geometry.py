@@ -15,6 +15,13 @@ A broad phase hands each pairwise kernel only the pairs that can hit (boxes
 that meet, a point in a segment's box grown by the clearance, a point in an
 edge's y-range, meeting bounding circles), and those pairs are decided as
 without it, so no decision changes.
+
+The clearance, containment and box kernels also take group labels, one per
+item on each side, and pair only items of the same group. A caller lays the
+scenarios of a chunk end to end, labels each item with its scenario, and
+gets every scenario's values from one call, each as a call on that scenario
+alone would give them. Labels that are all 0 (or none) are one group, swept
+and paired as without labels.
 """
 
 from __future__ import annotations
@@ -102,7 +109,12 @@ def row_array(values, *shape: int, row=None) -> np.ndarray:
 def pose_array(poses) -> np.ndarray:
     """Pose2s, or rows (x, y, heading), as a read-only (n, 3) array of rows
     with headings normalized as Pose2 normalizes them."""
-    rows = row_array(poses, 3, row=attrgetter("position.x", "position.y", "heading"))
+    return normalized_poses(row_array(poses, 3, row=attrgetter("position.x", "position.y", "heading")))
+
+
+def normalized_poses(rows: np.ndarray) -> np.ndarray:
+    """rows, a read-only (n, 3) array of finite (x, y, heading) rows, with
+    headings normalized as Pose2 normalizes them (rows itself when they are)."""
     headings = _normalized(raw := rows[:, 2])
     if headings is not raw:
         rows = np.array(rows)
@@ -173,7 +185,18 @@ class Polygon(ArrayValue):
     _views = {"outer": lambda p: point_tuple(p.rings[0]), "holes": lambda p: tuple(map(point_tuple, p.rings[1:]))}
 
     def __init__(self, outer, holes=()) -> None:
-        rings = tuple(row_array(ring, 2, row=POINT) for ring in (outer, *holes))
+        self._settle(tuple(row_array(ring, 2, row=POINT) for ring in (outer, *holes)))
+
+    @classmethod
+    def _loaded(cls, rings: Sequence[np.ndarray]) -> "Polygon":
+        """The Polygon of rings, outer ring first, each a read-only (n, 2) array
+        of finite numbers as the loader reads it: not copied or checked again."""
+        self = object.__new__(cls)
+        self._settle(tuple(rings))
+        return self
+
+    def _settle(self, rings: tuple[np.ndarray, ...]) -> None:
+        """Check the ring layout and store rings and their edges."""
         rim = _validate_ring(rings[0], want_ccw=True, label="outer")
         edges = [rim]
         # the layout under which even-odd parity over all rings is the polygon's area
@@ -210,7 +233,15 @@ class MultiPolygon:
         even-odd parity over the edges of all rings, with every boundary point
         inside. Parity gives the union because the polygons are disjoint and
         their holes lie strictly inside their outer rings."""
-        return _ring_hits(points, *self.edges)
+        return areas_contain(points, (self,), np.zeros(len(points), dtype=np.intp))
+
+
+def areas_contain(points: np.ndarray, areas: Sequence[MultiPolygon], groups: np.ndarray) -> np.ndarray:
+    """Per point n of points (N, 2): whether areas[groups[n]] contains it, as
+    MultiPolygon.contains decides, from one containment call over the edges of
+    every area."""
+    labels = np.repeat(np.arange(len(areas)), [len(area.edges[0]) for area in areas])
+    return _ring_hits(points, *_concat([area.edges for area in areas]), (groups, labels))
 
 
 @dataclass(frozen=True)
@@ -272,10 +303,29 @@ def _segments_intersect(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.n
     return hit
 
 
-def _swept_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _one_group(groups) -> bool:
+    """Whether groups, the label arrays a grouped kernel takes, or None, put
+    every item in one group (label 0), so that no pair needs keeping apart."""
+    return groups is None or not (groups[0].any() or groups[1].any())
+
+
+def _swept_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, groups=None):
     """Every (i, j) with lo[j] <= keys[i] <= hi[j], as index arrays of at most
     _PAIR_BLOCK pairs at a time: the keys are sorted once, and interval j
-    takes the run of sorted keys between two searchsorted bounds."""
+    takes the run of sorted keys between two searchsorted bounds.
+
+    With groups, a pair of arrays of non-negative integer labels, one for the
+    keys and one for the intervals, only pairs of one label are taken. Each
+    value is replaced by its rank among all the values, which keeps every
+    order and every tie, plus its label times the number of values, so each
+    group's values lie above every lower group's: a group's pairs are exactly
+    those a sweep of that group alone takes, at any coordinates. One group
+    is swept on the values as they are."""
+    if not _one_group(groups):
+        values = np.concatenate((keys, lo, hi))
+        rank = np.unique(values, return_inverse=True)[1].reshape(-1)
+        rank += np.concatenate((groups[0], groups[1], groups[1])) * len(values)
+        keys, lo, hi = np.split(rank, (len(keys), len(keys) + len(lo)))
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
     last = np.searchsorted(ranked, hi, side="right")
@@ -387,6 +437,14 @@ def _checked_dims(length, width) -> tuple[np.ndarray, np.ndarray]:
     return lengths, widths
 
 
+def row_dims(dims: Sequence[tuple[float, float]], counts: Sequence[int] | None = None):
+    """Box lengths and widths, (K, 1) arrays, of rows that take dims[i]
+    counts[i] times (once without counts)."""
+    table = np.array(dims, dtype=float)
+    table = table if counts is None else np.repeat(table, counts, axis=0)
+    return table[:, :1], table[:, 1:]
+
+
 def box_corners(centers: np.ndarray, headings: np.ndarray, length, width) -> np.ndarray:
     """Corners (..., 4, 2) of boxes centred at centers (..., 2) with headings
     (...), counterclockwise from front-left: vehicle_corners, batched and
@@ -420,18 +478,32 @@ def boxes_overlap_batch(corners_a, axes_a, corners_b, axes_b) -> np.ndarray:
     return ~separated.any(axis=-1)
 
 
-def aligned_box_hits(xy, headings, corners, dims, poses, lengths, widths) -> np.ndarray:
+def _group_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (k, p) with left[k] == right[p], in row-major order."""
+    return np.nonzero(left[:, None] == right)
+
+
+def aligned_box_hits(xy, headings, corners, dims, poses, lengths, widths, groups=None) -> np.ndarray:
     """(K, P, T) boxes_overlap_batch of boxes (k, t), centred at xy (K, T, 2)
-    with headings (K, T), corners (K, T, 4, 2) and dims, and boxes (p, t) at
-    poses (P, T, 3) with lengths and widths broadcasting to (P, T). Only pairs
-    whose bounding circles meet within _BROAD_EPS are tested."""
+    with headings (K, T), corners (K, T, 4, 2) and lengths and widths dims (a
+    pair of floats or of (K, 1) arrays), and boxes (p, t) at poses (P, T, 3)
+    with lengths and widths broadcasting to (P, T). groups, integer labels of
+    the K and the P rows (one group when None), pairs only rows of one group:
+    a pair of two groups reads False untested. Only pairs whose bounding
+    circles meet within _BROAD_EPS are tested."""
     lengths, widths = _checked_dims(lengths, widths)
     centres, turns = poses[..., :2], poses[..., 2]
-    gap = np.hypot(xy[:, None, :, 0] - centres[..., 0], xy[:, None, :, 1] - centres[..., 1])
-    reach = 0.5 * math.hypot(*dims) + 0.5 * np.hypot(lengths, widths)
+    ego, half = 0.5 * np.hypot(*dims), 0.5 * np.hypot(lengths, widths)  # the bounding circles' radii
     slack = _BROAD_EPS * (1.0 + max(np.abs(xy).max(), np.abs(centres).max()))
-    hits = gap <= reach * (1.0 + _BROAD_EPS) + slack  # the kept pairs, each then replaced by its test
-    k, p, t = np.nonzero(hits)
+    if _one_group(groups):  # every pair, as one (K, P, T) array
+        gap = np.hypot(xy[:, None, :, 0] - centres[..., 0], xy[:, None, :, 1] - centres[..., 1])
+        hits = gap <= (np.asarray(ego)[..., None] + half) * (1.0 + _BROAD_EPS) + slack
+    else:  # the pairs of one group only
+        k, p = _group_pairs(*groups)
+        gap, reach = xy[k] - centres[p], np.broadcast_to(ego, (len(xy), 1))[k] + np.broadcast_to(half, turns.shape)[p]
+        hits = np.zeros((len(xy),) + turns.shape, dtype=bool)
+        hits[k, p] = np.hypot(gap[..., 0], gap[..., 1]) <= reach * (1.0 + _BROAD_EPS) + slack
+    k, p, t = np.nonzero(hits)  # the kept pairs, each then replaced by its test
     if k.size:
         size = (np.broadcast_to(v, turns.shape)[p, t] for v in (lengths, widths))
         other = box_corners(centres[p, t], turns[p, t], *size)
@@ -449,16 +521,17 @@ def vehicle_corners(pose: Pose2, length: float, width: float) -> list[Point2]:
 # containment
 
 
-def _ring_hits(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per point of points (N, 2), against the edges a[j]-b[j] (E, 2): whether
-    it lies on an edge, or the ray from it along +x crosses an odd number of
-    edges. A point outside an edge's closed y-range is neither on it nor
-    crossed by it, so only the pairs inside are tested."""
+def _ring_hits(points: np.ndarray, a: np.ndarray, b: np.ndarray, groups=None) -> np.ndarray:
+    """Per point of points (N, 2), against the edges a[j]-b[j] (E, 2) of its
+    group (groups: labels of the points and of the edges, as _swept_pairs
+    takes them): whether it lies on an edge, or the ray from it along +x
+    crosses an odd number of edges. A point outside an edge's closed y-range
+    is neither on it nor crossed by it, so only the pairs inside are tested."""
     n = len(points)
     on, crossings = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.intp)
     # x_at is only read where the edge straddles the ray (by != ay); overflow gives inf as in Python
     with np.errstate(all="ignore"):
-        for i, j in _swept_pairs(points[:, 1], np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])):
+        for i, j in _swept_pairs(points[:, 1], np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1]), groups):
             p, e0, e1 = points[i], a[j], b[j]
             (px, py), (ax, ay), (bx, by) = p.T, e0.T, e1.T
             on[i[(_cross(ax, ay, bx, by, px, py) == 0.0) & _in_bbox(e0, e1, p)]] = True
@@ -494,16 +567,18 @@ def hypot_near(dx: np.ndarray, dy: np.ndarray, limit: float) -> np.ndarray:
     return d
 
 
-def near_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray, limit: float) -> np.ndarray:
+def near_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray, limit: float, groups=None) -> np.ndarray:
     """Per point of points (N, 2): whether it lies strictly closer than limit
-    to any closed segment a[j]-b[j] (S, 2), or on one. Only the pairs whose
-    point lies in the segment's box grown by limit and _BROAD_EPS reach the
+    to any closed segment a[j]-b[j] (S, 2) of its group (groups: labels of
+    the points and of the segments, as _swept_pairs takes them), or on one.
+    Only the pairs whose point lies in the segment's box grown by limit and
+    _BROAD_EPS, scaled by the largest coordinate of the call, reach the
     distance kernel."""
     scale = max(np.abs(points).max(initial=0.0), np.abs(a).max(), np.abs(b).max())
     pad = limit * (1.0 + _BROAD_EPS) + _BROAD_EPS * (1.0 + scale)
     lo, hi = np.minimum(a, b) - pad, np.maximum(a, b) + pad
     near = np.zeros(len(points), dtype=bool)
-    for i, j in _swept_pairs(points[:, 1], lo[:, 1], hi[:, 1]):
+    for i, j in _swept_pairs(points[:, 1], lo[:, 1], hi[:, 1], groups):
         x = points[i, 0]
         take = (lo[j, 0] <= x) & (x <= hi[j, 0])
         i, j = i[take], j[take]

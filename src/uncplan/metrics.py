@@ -6,6 +6,10 @@ Two metric conventions exist side by side because published numbers use both
 and they are not comparable: "cumulative" averages displacement over all
 steps up to the horizon and flags a collision anywhere before it, while
 "instantaneous" looks at the horizon step alone (endpoint displacement).
+
+CR and DACR of several trajectories come from one box call and one
+containment call over all of them (evaluate_trajectories), each trajectory
+paired only with its own ground truth; one trajectory is a call on one.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ from .geometry import (
     ArrayValue,
     MultiPolygon,
     aligned_box_hits,
+    areas_contain,
     box_corners,
     frozen,
     row_array,
+    row_dims,
 )
 from .selection import T_F, CandidateTrajectory
 
@@ -132,15 +138,34 @@ def displacement_error(
     return dists[-1]
 
 
-def _collision_steps(traj: CandidateTrajectory, ego_dims: tuple[float, float], gt: GroundTruth) -> list[bool]:
-    """Per step: whether the ego box overlaps any agent's true box, from one
-    call over the (agents, T) time-aligned box pairs."""
-    boxes = gt.agent_boxes
+def _frames(trajs: Sequence[CandidateTrajectory], dims: Sequence[tuple[float, float]]):
+    """Centres (R, T, 2), headings (R, T), ego lengths and widths (R, 1) and footprint corners (R, T, 4, 2)."""
+    xy, yaw, sizes = np.stack([t.xy for t in trajs]), np.stack([t.yaw for t in trajs]), row_dims(dims)
+    return xy, yaw, sizes, box_corners(xy, yaw, *sizes)
+
+
+def _collision_rows(frames, truths: Sequence[GroundTruth], groups: np.ndarray) -> np.ndarray:
+    """Per trajectory r and step (R, T): whether its ego box overlaps a true
+    agent box of truths[groups[r]], from one call over the time-aligned box pairs."""
+    xy, yaw, sizes, corners = frames
+    boxes = np.concatenate([gt.agent_boxes for gt in truths])
     if not len(boxes):
-        return [False] * T_F
-    xy, yaw = traj.xy[None], traj.yaw[None]
-    hit = aligned_box_hits(xy, yaw, box_corners(xy, yaw, *ego_dims), ego_dims, boxes[..., :3], boxes[..., 3], boxes[..., 4])
-    return hit[0].any(axis=0).tolist()
+        return np.zeros(yaw.shape, dtype=bool)
+    labels = np.repeat(np.arange(len(truths)), [len(gt.agent_boxes) for gt in truths])  # each truth's on its agents
+    return aligned_box_hits(xy, yaw, corners, sizes, boxes[..., :3], boxes[..., 3], boxes[..., 4],
+                            (groups, labels)).any(axis=1)
+
+
+def _conflict_rows(corners: np.ndarray, areas: Sequence[MultiPolygon], groups: np.ndarray) -> np.ndarray:
+    """Per trajectory r and step (R, T): whether a footprint corner leaves
+    areas[groups[r]], the boundary counting as inside."""
+    inside = areas_contain(corners.reshape(-1, 2), areas, np.repeat(groups, corners[0].size // 2))
+    return ~inside.reshape(corners.shape[:-1]).all(axis=-1)
+
+
+def _collision_steps(traj: CandidateTrajectory, ego_dims: tuple[float, float], gt: GroundTruth) -> list[bool]:
+    """Per step: whether the ego box overlaps any agent's true box."""
+    return _collision_rows(_frames([traj], [ego_dims]), [gt], np.zeros(1, dtype=np.intp))[0].tolist()
 
 
 def _collision_at(steps: list[bool], horizon_steps: int, convention: str) -> bool:
@@ -167,9 +192,7 @@ def dacr_flags(
 ) -> tuple[bool, ...]:
     """Per-step conflict flags: True when any footprint corner leaves the
     drivable area (boundary itself still counts as inside)."""
-    corners = box_corners(traj.xy, traj.yaw, ego_dims[0], ego_dims[1])
-    inside = da.contains(corners.reshape(-1, 2)).reshape(corners.shape[:-1])
-    return tuple((~inside.all(axis=-1)).tolist())
+    return tuple(_conflict_rows(_frames([traj], [ego_dims])[3], [da], np.zeros(1, dtype=np.intp))[0].tolist())
 
 
 def dacr_frame(
@@ -193,12 +216,29 @@ def evaluate_trajectory(
     convention: str = "cumulative",
 ) -> ScenarioMetrics:
     """All three metrics for one trajectory at the standard horizons."""
-    de = tuple(displacement_error(traj, gt, h, convention) for h in HORIZON_STEPS)
-    steps = _collision_steps(traj, ego_dims, gt)
-    cr = tuple(_collision_at(steps, h, convention) for h in HORIZON_STEPS)
-    flags = dacr_flags(traj, ego_dims, gt.drivable_area)
-    dacr = tuple(sum(flags[:h]) / h for h in HORIZON_STEPS)
-    return ScenarioMetrics(scenario_id, scenario_class, de, cr, dacr, flags)
+    return evaluate_trajectories([(traj, ego_dims, gt, scenario_id, scenario_class)], convention)[0]
+
+
+def evaluate_trajectories(items: Sequence[tuple], convention: str = "cumulative") -> list[ScenarioMetrics]:
+    """evaluate_trajectory of each item, (trajectory, ego_dims, ground truth,
+    scenario id, scenario class), with the CR and DACR flags of all items from
+    one box call and one containment call. Items that hold the same
+    GroundTruth object share its boxes and edges."""
+    _check_convention(convention)
+    trajs, dims, gts, ids, classes = zip(*items)
+    slots: dict[int, int] = {}
+    groups = np.array([slots.setdefault(id(gt), len(slots)) for gt in gts])
+    truths = list({id(gt): gt for gt in gts}.values())
+    frames = _frames(trajs, dims)
+    collisions = _collision_rows(frames, truths, groups).tolist()
+    conflicts = _conflict_rows(frames[3], [gt.drivable_area for gt in truths], groups).tolist()
+    out = []
+    for traj, gt, scenario_id, scenario_class, steps, flags in zip(trajs, gts, ids, classes, collisions, conflicts):
+        de = tuple(displacement_error(traj, gt, h, convention) for h in HORIZON_STEPS)
+        cr = tuple(_collision_at(steps, h, convention) for h in HORIZON_STEPS)
+        dacr = tuple(sum(flags[:h]) / h for h in HORIZON_STEPS)
+        out.append(ScenarioMetrics(scenario_id, scenario_class, de, cr, dacr, tuple(flags)))
+    return out
 
 
 def scenario_class_of(ego_headings: Sequence[float]) -> str:

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import ArrayValue, MultiPolygon, OrientedBox, Point2, Polygon, Pose2, frozen, pose_array, row_array
+from .geometry import (ArrayValue, MultiPolygon, OrientedBox, Point2, Polygon, Pose2, frozen, normalized_poses,
+                       pose_array, row_array)
 from .map_model import MapElement, MapElementKind, UncertainMap, perturb_map
 from .metrics import GroundTruth, box_array, scenario_class_of
 from .selection import DT, T_F, CandidateSet, Command
@@ -168,7 +169,20 @@ class Scenario(ArrayValue):
     scenario_class: str  # "Turn" | "Straight"
 
     def __post_init__(self) -> None:
-        agents, agent_gt, future = tuple(self.agents), self.agent_boxes, pose_array(self.ego_poses)
+        self._settle(pose_array(self.ego_poses), box_array)
+
+    @classmethod
+    def _loaded(cls, **fields) -> "Scenario":
+        """The Scenario of fields as the loader reads them: agent_boxes an (A, T_F, 5)
+        and ego_poses an (n, 3) read-only array, their numbers already checked, so
+        not copied or checked again."""
+        self = cls._of(**fields)
+        self._settle(normalized_poses(self.ego_poses), lambda boxes: boxes)
+        return self
+
+    def _settle(self, future: np.ndarray, boxes) -> None:
+        """Check the fields, future being the ego_poses array, and store them, agent_boxes as boxes(agent_boxes)."""
+        agents, agent_gt = tuple(self.agents), self.agent_boxes
         if len(future) != T_F:
             raise ValueError(f"ego ground truth needs {T_F} poses, got {len(future)}")
         if len(agent_gt) != len(agents):
@@ -183,7 +197,7 @@ class Scenario(ArrayValue):
                 f"(15 degree rule says {expected!r})"
             )
         ego_dims = (float(self.ego_dims[0]), float(self.ego_dims[1]))
-        self.__dict__.update(agents=agents, agent_boxes=box_array(agent_gt), ego_poses=future, ego_dims=ego_dims)
+        self.__dict__.update(agents=agents, agent_boxes=boxes(agent_gt), ego_poses=future, ego_dims=ego_dims)
 
     def ground_truth(self) -> GroundTruth:
         return GroundTruth._of(ego_xy=self.ego_poses[:, :2], ego_yaw=self.ego_poses[:, 2],
@@ -688,7 +702,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     xy = _table(lambda: [c["waypoints"] for c in cands], (T_F, 2), located_cands)
     yaw = _table(lambda: [c["headings"] for c in cands], (T_F,), located_cands)
     poses = _table(lambda: [list(map(_POSE_ROW, m["trajectory"])) for m in modes], (T_F, 3), located_modes)
-    poses = pose_array(poses.reshape(-1, 3)).reshape(-1, T_F, 3)
+    poses = normalized_poses(poses.reshape(-1, 3)).reshape(-1, T_F, 3)
     boxes = _table(lambda: [list(map(_BOX_ROW, seq)) for seq in agent_gt], (T_F, 5),
                    lambda: _located([agent_gt], [(None, "agent_gt")], (_BOX, T_F)))
     located_boxes = lambda: _located(agent_gt, [((None, "agent_gt"), i) for i in range(len(agent_gt))], _BOX)
@@ -699,9 +713,10 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
                for c, start, end in zip(Command, [0, *ends], ends)}
     agents = [_build(path, AgentPrediction, agent_id, dims, [next(mode_values) for _ in items])
               for path, (agent_id, dims, items) in zip(agent_paths, agent_fields)]
-    return _build((None, "<scenario>"), Scenario, scenario_id=scenario_id, seed=seed, map=uncertain_map, agents=agents,
-                  agent_boxes=boxes, ego_pose=Pose2(Point2(x, y), heading), ego_dims=ego_dims, command=command,
-                  candidates=CandidateSet._of(batches=batches), ego_poses=ego_poses, scenario_class=scenario_class)
+    return _build((None, "<scenario>"), Scenario._loaded, scenario_id=scenario_id, seed=seed, map=uncertain_map,
+                  agents=agents, agent_boxes=boxes, ego_pose=Pose2(Point2(x, y), heading), ego_dims=ego_dims,
+                  command=command, candidates=CandidateSet._of(batches=batches), ego_poses=ego_poses,
+                  scenario_class=scenario_class)
 
 
 def _uncertain_map(map_data: dict) -> UncertainMap:
@@ -729,7 +744,7 @@ def _uncertain_map(map_data: dict) -> UncertainMap:
         ring_paths = [(path, "outer"), *(((path, "holes"), h) for h in range(len(rings) - 1))]
         tables = [_table(lambda: ring, (2,), lambda: [(ring, ring_path, (_PAIR, None))])
                   for ring, ring_path in zip(rings, ring_paths)]
-        polygons.append(_build(path, Polygon, tables[0], tables[1:]))
+        polygons.append(_build(path, Polygon._loaded, tables))
     return _build(_MAP, UncertainMap, list(map(MapElement, lines, kinds)), _build(area_path, MultiPolygon, polygons))
 
 

@@ -16,7 +16,7 @@ from uncplan.cli import (
     main,
     preset_selection,
 )
-from uncplan.metrics import dacr_flags, evaluate_trajectory
+from uncplan.metrics import evaluate_trajectories
 from uncplan.scenario import GeneratorParams, ScenarioKind, generate_scenario, load_scenario, scenario_to_dict
 from uncplan.selection import SelectionConfig, ucas_select
 
@@ -407,29 +407,32 @@ def test_oracle_mismatch_exit_code(small_suite, tmp_path, monkeypatch):
 
 
 def test_verify_computes_production_dacr_flags_once_per_scored_trajectory(small_suite, tmp_path, monkeypatch):
-    from uncplan.geometry import MultiPolygon
+    import uncplan.metrics as metrics_mod
 
     calls = []
-    contains = MultiPolygon.contains
+    areas_contain = metrics_mod.areas_contain
 
-    def counting_contains(da, points):  # production DACR's containment: dacr_flags is its only caller
+    def counting_contains(points, *rest):  # production DACR's containment, one call per chunk of scenarios
         calls.append(len(points))
-        return contains(da, points)
+        return areas_contain(points, *rest)
 
-    monkeypatch.setattr(MultiPolygon, "contains", counting_contains)
+    monkeypatch.setattr(metrics_mod, "areas_contain", counting_contains)
     assert run(["eval", "--suite", small_suite, "--verify", "--out", tmp_path / "x"]) == EXIT_OK
-    assert calls == [24] * 8  # one preset: one scored trajectory of 6 steps x 4 corners per scenario
+    # one chunk of 8 scenarios, one preset: one scored trajectory of 6 steps x 4 corners per scenario
+    assert calls == [8 * 24]
 
 
 def test_verify_catches_one_flipped_production_dacr_step(small_suite, tmp_path, monkeypatch, capsys):
     import uncplan.metrics as metrics_mod
 
-    def flipped_flags(traj, ego_dims, da):
-        flags = list(dacr_flags(traj, ego_dims, da))
-        flags[3] = not flags[3]
-        return tuple(flags)
+    conflict_rows = metrics_mod._conflict_rows
 
-    monkeypatch.setattr(metrics_mod, "dacr_flags", flipped_flags)
+    def flipped_flags(*args):
+        flags = conflict_rows(*args)
+        flags[:, 3] = ~flags[:, 3]
+        return flags
+
+    monkeypatch.setattr(metrics_mod, "_conflict_rows", flipped_flags)
     assert run(["eval", "--suite", small_suite, "--out", tmp_path / "plain"]) == EXIT_OK
     assert run(["eval", "--suite", small_suite, "--verify", "--out", tmp_path / "x"]) == EXIT_ORACLE
     err = capsys.readouterr().err
@@ -477,16 +480,19 @@ def test_ablate_runs_each_filter_once_and_scores_each_distinct_choice_once(small
 
     for name in ("_risks", "_agent_flags", "_clearance_flags"):
         monkeypatch.setattr(selection_mod, name, counting(name, getattr(selection_mod, name)))
-    scored = []
+    scored, batches = [], []
 
-    def counting_evaluate(traj, ego_dims, gt, scenario_id, scenario_class, convention):
-        scored.append((scenario_id, traj.xy.tobytes()))
-        return evaluate_trajectory(traj, ego_dims, gt, scenario_id, scenario_class, convention)
+    def counting_evaluate(items, convention):
+        batches.append(len(items))
+        scored.extend((scenario_id, traj.xy.tobytes()) for traj, _, _, scenario_id, _ in items)
+        return evaluate_trajectories(items, convention)
 
-    monkeypatch.setattr(cli_mod, "evaluate_trajectory", counting_evaluate)
+    monkeypatch.setattr(cli_mod, "evaluate_trajectories", counting_evaluate)
     assert run(["ablate", "--suite", small_suite, "--out", tmp_path / "abl"]) == EXIT_OK
     n = 8
-    assert calls == {"_risks": n, "_agent_flags": n, "_clearance_flags": n}  # ucas reads every filter
+    # ucas reads every filter: risk per scenario, the box and clearance kernels once for the chunk of 8
+    assert calls == {"_risks": n, "_agent_flags": 1, "_clearance_flags": 1}
+    assert batches == [len(scored)]  # the chunk's distinct choices, scored in one call
 
     # each preset selected on its own: the chosen indices per scenario
     runs = [preset_selection(preset, SelectionConfig()) for preset in PRESETS]
@@ -555,3 +561,112 @@ def test_ablate_noiseless_multicandidate_rows_identical(tmp_path):
     ]
     values = {tuple(l.split(",")[1:]) for l in lines}
     assert len(values) == 1
+
+
+# -- chunks of scenarios ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def long_suite(tmp_path_factory):
+    """40 scenarios: more than one chunk."""
+    out = tmp_path_factory.mktemp("long")
+    assert run(["generate", "--count", 40, "--mix", "0.65", "--seed", 73, "--out", out]) == EXIT_OK
+    return out / "manifest.json"
+
+
+def _reports(prefix, suffixes):
+    return [Path(str(prefix) + suffix).read_bytes() for suffix in suffixes]
+
+
+def test_reports_do_not_depend_on_the_chunk_size(long_suite, tmp_path, monkeypatch):
+    """eval under every preset, eval --verify and ablate write the same bytes
+    whether the 40 scenarios run one at a time, 7 at a time or in chunks of CHUNK_SIZE."""
+    import uncplan.cli as cli_mod
+
+    commands = [["eval", "--preset", preset] for preset in PRESETS] + [["eval", "--verify"], ["ablate"]]
+    outputs = {}
+    for size in (cli_mod.CHUNK_SIZE, 1, 7):
+        monkeypatch.setattr(cli_mod, "CHUNK_SIZE", size)
+        for n, command in enumerate(commands):
+            prefix = tmp_path / f"{size}-{n}"
+            assert run([*command, "--suite", long_suite, "--out", prefix]) == EXIT_OK
+            suffixes = (".csv", ".txt") if command == ["ablate"] else (".csv", ".scenarios.csv", ".txt")
+            outputs.setdefault(n, []).append(_reports(prefix, suffixes))
+    assert cli_mod.CHUNK_SIZE < 40
+    for n, runs in outputs.items():
+        assert runs[1:] == runs[:1] * 2, commands[n]
+
+
+def _broken_json(text):
+    return "{ broken json"
+
+
+def _suite_with_faults(suite, tmp_path, name, edits):
+    """A copy of suite with edits[r] applied to the file of the scenario of the r-th lowest id; returns
+    the manifest path and the ids in order."""
+    import shutil
+
+    suite_dir = tmp_path / name
+    shutil.copytree(suite.parent, suite_dir)
+    entries = sorted(json.loads((suite_dir / "manifest.json").read_text())["scenarios"], key=lambda e: e["id"])
+    for entry, edit in zip(entries, edits):
+        if edit is not None:
+            victim = suite_dir / entry["path"]
+            victim.write_text(edit(victim.read_text()))
+    return suite_dir / "manifest.json", [e["id"] for e in entries]
+
+
+def _nested_too_deep(text):
+    return "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", [["eval"], ["eval", "--verify"], ["ablate"]], ids=["eval", "verify", "ablate"])
+@pytest.mark.parametrize("faults", [(_no_boundaries, _broken_json), (_broken_json, _no_boundaries),
+                                    (_no_boundaries, _nested_too_deep)],
+                         ids=["selection-first", "load-first", "selection-then-recursion"])
+def test_lowest_failing_id_and_its_first_fault_decide_the_error(small_suite, tmp_path, capsys, command, faults):
+    """A scenario with no Boundary element and a malformed one in the same
+    chunk, after a clean one, in either order, or the first before one whose
+    JSON nests too deep for the decoder (a RecursionError, no ValueError): the
+    lower id names the error and picks the exit code, and for it the first
+    fault met (the uncertainty filter under ucas, the boundary filter under
+    ablate, where cas reads it first)."""
+    manifest, ids = _suite_with_faults(small_suite, tmp_path, "faults", [None, *faults])
+    code = run([*command, "--suite", manifest, "--out", tmp_path / "x"])
+    err = capsys.readouterr().err
+    if faults[0] is _no_boundaries:
+        kind = "boundary" if command == ["ablate"] else "uncertainty"
+        assert code == EXIT_INVARIANT
+        assert err == f"invariant violation: scenario {ids[1]}: {kind} filter needs at least one boundary element\n"
+    else:
+        assert code == EXIT_PARSE
+        assert err.startswith(f"parse error: scenario {ids[1]}: ") and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("mismatch_first", [True, False], ids=["mismatch-first", "load-first"])
+def test_an_oracle_mismatch_before_a_load_fault_decides_the_error(small_suite, tmp_path, capsys, monkeypatch,
+                                                                   mismatch_first):
+    """Production containment flips the first point of every call, a corner of
+    the chosen trajectory of the lowest id it sees, so --verify finds a DACR
+    flag that disagrees with the oracle; a malformed scenario comes after it, or
+    before it, in the same chunk."""
+    import uncplan.geometry as geometry
+
+    ring_hits = geometry._ring_hits
+
+    def flipped(points, *rest):
+        hits = ring_hits(points, *rest)
+        hits[0] = not hits[0]
+        return hits
+
+    faults = [None, _broken_json] if mismatch_first else [_broken_json, None]
+    manifest, ids = _suite_with_faults(small_suite, tmp_path, "mismatch", faults)
+    monkeypatch.setattr(geometry, "_ring_hits", flipped)
+    code = run(["eval", "--verify", "--suite", manifest, "--out", tmp_path / "x"])
+    err = capsys.readouterr().err
+    if mismatch_first:
+        assert code == EXIT_ORACLE
+        assert err.startswith(f"oracle mismatch: scenario {ids[0]}: drivable-area conflict flags ")
+    else:
+        assert code == EXIT_PARSE
+        assert err.startswith(f"parse error: scenario {ids[0]}: ")

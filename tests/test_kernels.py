@@ -9,6 +9,7 @@ arithmetic, so every comparison is exact.
 import itertools
 import math
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -1001,3 +1002,148 @@ def test_agent_boxes_shrunk_to_nothing_or_unbounded_raise_when_far(margin):
     far = AgentPrediction("a", (4.5, 2.0), (AgentMode(np.array(((500.0, 500.0, 0.0),) * T_F), 0.9),))
     with pytest.raises(ValueError, match="dimensions must be positive and finite"):
         agent_collision_check(traj, EGO_DIMS, [far], margin)
+
+
+# -- grouped kernels --------------------------------------------------------------
+# A chunk lays the items of several scenarios end to end and labels each item with
+# its scenario. Here every group holds the same layout, as scenarios share the ego
+# frame, moved by the group's own offset (0 or up to 1e15 m), and the items of the
+# groups are interleaved. A grouped call must give each group what a call on that
+# group alone gives, bit for bit, and no pair of two groups may reach a kernel.
+
+offset = st.one_of(st.just(0.0), st.floats(-1e15, 1e15, allow_nan=False), st.sampled_from([1e15, -1e15, 2.0 ** 50]))
+
+
+def interleaved(data, n, groups):
+    """Labels of n items in each of groups groups, shuffled, and each item's
+    rank within its group: the item of the layout it copies."""
+    labels = np.array(data.draw(st.permutations(np.repeat(np.arange(groups), n).tolist())), dtype=np.intp)
+    return labels, np.argsort(np.argsort(labels, kind="stable"), kind="stable") % n
+
+
+def per_group(labels, alone):
+    """alone(g), the result of a call on group g alone, placed at the rows of each group g."""
+    out = np.zeros(len(labels), dtype=bool)
+    for g in np.unique(labels):
+        out[labels == g] = alone(g)
+    return out
+
+
+class PairCheck:
+    """_swept_pairs that records every pair it yields and the groups they join."""
+
+    def __init__(self, sweep):
+        self.sweep, self.pairs, self.cross = sweep, set(), 0
+
+    def __call__(self, keys, lo, hi, groups=None):
+        for i, j in self.sweep(keys, lo, hi, groups):
+            if groups is not None:
+                self.cross += int((groups[0][i] != groups[1][j]).sum())
+            self.pairs.update(zip(i.tolist(), j.tolist()))
+            yield i, j
+
+
+@KERNEL_SETTINGS
+@given(st.data(), st.lists(st.tuples(coord, coord), min_size=1, max_size=12),
+       st.lists(st.tuples(coord, coord), min_size=2, max_size=8), st.floats(0.0, 30.0), st.sampled_from([None, 3]))
+def test_grouped_kernels_equal_per_group_calls(data, points, vertices, limit, block):
+    """Grouped sweep pairs are the union of the per-group sweeps; grouped
+    near_segments and containment equal per-group calls; no pair of two groups
+    reaches the distance or containment arithmetic. The same on integer
+    layouts, where rays run along edges and through vertices."""
+    for rounded in (False, True):
+        xy, line = np.array(points), np.array(vertices)
+        if rounded:
+            xy, line = np.round(xy), np.round(line)
+        keep = np.hypot(*(line[1:] - line[:-1]).T) > 1e-6  # as polylines have: no zero-length segment
+        a0, b0 = line[:-1][keep], line[1:][keep]
+        if not len(a0):
+            continue
+        offsets = np.array(data.draw(st.lists(st.tuples(offset, offset), min_size=1, max_size=4)))
+        g = len(offsets)
+        (point_labels, rank_p), (segment_labels, rank_s) = interleaved(data, len(xy), g), interleaved(data, len(a0), g)
+        pts = xy[rank_p] + offsets[point_labels]
+        a, b = a0[rank_s] + offsets[segment_labels], b0[rank_s] + offsets[segment_labels]
+        labels = (point_labels, segment_labels)
+        with unittest.mock.patch.object(geometry, "_PAIR_BLOCK", block or geometry._PAIR_BLOCK):
+            lo, hi = np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
+            swept = {(int(i), int(j)) for ii, jj in geometry._swept_pairs(pts[:, 1], lo, hi, labels)
+                     for i, j in zip(ii, jj)}
+            union = set()
+            for group in range(g):
+                p_rows, s_rows = np.flatnonzero(point_labels == group), np.flatnonzero(segment_labels == group)
+                for ii, jj in geometry._swept_pairs(pts[p_rows, 1], lo[s_rows], hi[s_rows]):
+                    union.update(zip(p_rows[ii].tolist(), s_rows[jj].tolist()))
+            assert swept == union
+            check = PairCheck(geometry._swept_pairs)
+            with unittest.mock.patch.object(geometry, "_swept_pairs", check):
+                near = near_segments(pts, a, b, limit, labels)
+                hits = geometry._ring_hits(pts, a, b, labels)
+            assert check.cross == 0
+            for got, kernel in ((near, lambda p, s, t: near_segments(p, s, t, limit)), (hits, geometry._ring_hits)):
+                alone = per_group(point_labels, lambda grp: kernel(pts[point_labels == grp], a[segment_labels == grp],
+                                                                   b[segment_labels == grp]))
+                assert got.tolist() == alone.tolist()
+
+
+@KERNEL_SETTINGS
+@given(st.data(), trajectories(), agents(), st.floats(0.0, 1.5), st.booleans())
+def test_grouped_box_hits_equal_per_group_calls(data, cands, agent_list, margin, all_modes):
+    if not agent_list:
+        return
+    xy0, yaw0 = np.stack([c.xy for c in cands]), np.stack([c.yaw for c in cands])
+    poses0, lengths0, widths0 = checked_modes(agent_list, margin, all_modes)
+    offsets = np.array(data.draw(st.lists(st.tuples(offset, offset), min_size=1, max_size=4)))
+    g = len(offsets)
+    (row_labels, rank_r), (pose_labels, rank_p) = interleaved(data, len(xy0), g), interleaved(data, len(poses0), g)
+    xy, yaw = xy0[rank_r] + offsets[row_labels][:, None], yaw0[rank_r]
+    poses = poses0[rank_p].copy()
+    poses[..., :2] += offsets[pose_labels][:, None]
+    lengths, widths = lengths0[rank_p], widths0[rank_p]
+    corners = box_corners(xy, yaw, *EGO_DIMS)
+    labels = (row_labels, pose_labels)
+    k, p = geometry._group_pairs(*labels)  # the pairs the bounding circles, then the separating axes, test
+    assert (row_labels[k] == pose_labels[p]).all()
+    assert sorted(zip(k.tolist(), p.tolist())) == [(i, j) for i in range(len(xy)) for j in range(len(poses))
+                                                   if row_labels[i] == pose_labels[j]]
+    got = geometry.aligned_box_hits(xy, yaw, corners, EGO_DIMS, poses, lengths, widths, labels)
+    for grp in range(g):
+        rows, other = row_labels == grp, pose_labels == grp
+        alone = geometry.aligned_box_hits(xy[rows], yaw[rows], corners[rows], EGO_DIMS, poses[other], lengths[other],
+                                          widths[other])
+        assert got[rows][:, other].tolist() == alone.tolist()
+        assert not got[rows][:, ~other].any()
+    # every row in group 0, the poses in all groups: the other groups' poses still stay apart
+    first = pose_labels == 0
+    lone = geometry.aligned_box_hits(xy, yaw, corners, EGO_DIMS, poses, lengths, widths,
+                                     (np.zeros(len(xy), dtype=np.intp), pose_labels))
+    assert lone[:, first].tolist() == geometry.aligned_box_hits(xy, yaw, corners, EGO_DIMS, poses[first],
+                                                                lengths[first], widths[first]).tolist()
+    assert not lone[:, ~first].any()
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e15])
+def test_groups_with_identical_geometry_stay_apart(shift):
+    """Eight copies of one corridor scenario's corners and boundary segments,
+    all at the same coordinates: each copy's clearance and containment come
+    out as the scenario's own, and no pair of two copies is swept."""
+    s = generate_scenario(ScenarioKind.TURN, GeneratorParams(), 5)
+    fv = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, SelectionConfig())
+    corners = fv._corners.reshape(-1, 2) + shift
+    a, b = (v + shift for v in boundary_segments(s))
+    edges = tuple(v + shift for v in s.map.drivable_area.edges)
+    copies = 8
+    point_labels = np.repeat(np.arange(copies), len(corners))
+    check = PairCheck(geometry._swept_pairs)
+    with unittest.mock.patch.object(geometry, "_swept_pairs", check):
+        near = near_segments(np.tile(corners, (copies, 1)), np.tile(a, (copies, 1)), np.tile(b, (copies, 1)), 0.3,
+                             (point_labels, np.repeat(np.arange(copies), len(a))))
+        inside = geometry._ring_hits(np.tile(corners, (copies, 1)), *(np.tile(e, (copies, 1)) for e in edges),
+                                     (point_labels, np.repeat(np.arange(copies), len(edges[0]))))
+    assert check.cross == 0 and check.pairs
+    assert near.tolist() == near_segments(corners, a, b, 0.3).tolist() * copies
+    assert inside.tolist() == geometry._ring_hits(corners, *edges).tolist() * copies
+    # the first copy's corners alone against every copy's edges: a crossing counted once per copy would even out
+    alone = geometry._ring_hits(corners, *(np.tile(e, (copies, 1)) for e in edges),
+                                (np.zeros(len(corners), dtype=np.intp), np.repeat(np.arange(copies), len(edges[0]))))
+    assert alone.tolist() == geometry._ring_hits(corners, *edges).tolist()

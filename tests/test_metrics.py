@@ -282,11 +282,13 @@ def test_evaluate_trajectory_computes_dacr_flags_once(monkeypatch):
 
     calls = []
 
+    conflict_rows = metrics_mod._conflict_rows
+
     def counting_flags(*args):
         calls.append(args)
-        return dacr_flags(*args)
+        return conflict_rows(*args)
 
-    monkeypatch.setattr(metrics_mod, "dacr_flags", counting_flags)
+    monkeypatch.setattr(metrics_mod, "_conflict_rows", counting_flags)
     rng = np.random.Generator(np.random.PCG64(5))
     da = rect_da(0, 10.5, -1.9, 1.9)
     for _ in range(20):

@@ -18,6 +18,7 @@ from uncplan.geometry import normalize_heading
 from uncplan.metrics import dacr_frame, scenario_class_of
 from uncplan.scenario import (
     GeneratorParams,
+    Scenario,
     ScenarioFormatError,
     ScenarioInvariantError,
     ScenarioKind,
@@ -811,3 +812,64 @@ def test_suite_files_are_json_dumps_indent_2(tmp_path, knobs):
     for i, (entry, path) in enumerate(zip(manifest["scenarios"], paths)):
         s = generate_scenario(ScenarioKind(entry["kind"]), params, scenario_seed(73, i))
         assert path.read_bytes() == (_dumps(scenario_to_dict(s)) + "\n").encode("ascii")
+
+
+def _loaded_fields(tmp_path):
+    s = generate_scenario(ScenarioKind.TURN, GeneratorParams(), 21)
+    path = tmp_path / "s.json"
+    save_scenario(s, path)
+    loaded = load_scenario(path)
+    return loaded, {f.name: getattr(loaded, f.name) for f in fields(loaded)}
+
+
+def test_loader_builds_what_the_public_constructors_build(tmp_path):
+    """The loader hands its checked arrays to Scenario and Polygon without a
+    copy or a second check; the values equal those the public constructors
+    build from the same fields, which copy and check them."""
+    from uncplan.geometry import MultiPolygon, Polygon
+
+    loaded, values = _loaded_fields(tmp_path)
+    copies = {name: np.array(values[name]) for name in ("ego_poses", "agent_boxes")}  # writable, so copied again
+    rebuilt = Scenario(**{**values, **copies})
+    assert rebuilt == loaded
+    assert rebuilt.ego_poses is not loaded.ego_poses and not rebuilt.ego_poses.flags.writeable
+    area = loaded.map.drivable_area
+    assert MultiPolygon(tuple(Polygon(p.rings[0], p.rings[1:]) for p in area.polygons)) == area
+
+
+def _set_flat(k, value):
+    """An edit that puts value at flat index k of an array."""
+    return lambda a: np.where(np.arange(a.size).reshape(a.shape) == k, value, a)
+
+
+@pytest.mark.parametrize("field, edit, message", [
+    ("ego_poses", _set_flat(4, math.nan), "finite numbers"),
+    ("ego_poses", lambda a: a[:, :2], "shape"),
+    ("agent_boxes", _set_flat(7, math.nan), "finite numbers"),  # a heading
+    ("agent_boxes", lambda a: a[..., :4], "shape"),
+    ("agent_boxes", _set_flat(8, 0.0), "box dimensions must be positive"),  # a length
+    ("agent_boxes", _set_flat(9, -1.0), "box dimensions must be positive"),  # a width
+])
+def test_public_scenario_constructor_still_checks_its_arrays(tmp_path, field, edit, message):
+    """A read-only array like the loader's, with a NaN, the wrong shape or a
+    non-positive box size, is refused by the public constructor."""
+    loaded, values = _loaded_fields(tmp_path)
+    bad = edit(values[field])
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match=message):
+        Scenario(**{**values, field: bad})
+
+
+@pytest.mark.parametrize("ring, message", [
+    ([[0.0, 0.0], [4.0, 0.0], [math.nan, 4.0], [0.0, 0.0]], "finite numbers"),
+    ([[0.0, 0.0, 1.0], [4.0, 0.0, 1.0], [4.0, 4.0, 1.0], [0.0, 0.0, 1.0]], "shape"),
+])
+def test_public_polygon_constructor_still_checks_its_rings(ring, message):
+    from uncplan.geometry import Polygon
+
+    arr = np.array(ring)
+    arr.flags.writeable = False
+    with pytest.raises(ValueError, match=message):
+        Polygon(arr)
+    with pytest.raises(ValueError, match=message):
+        Polygon(np.array([[0.0, 0.0], [9.0, 0.0], [9.0, 9.0], [0.0, 0.0]]), (arr,))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from uncplan.geometry import MultiPolygon, Point2, Polygon, Pose2
+from uncplan.cli import PRESETS, preset_selection
+from uncplan.geometry import MultiPolygon, Point2, Polygon, Pose2, box_corners
+from uncplan.metrics import evaluate_trajectories, evaluate_trajectory
 from uncplan.map_model import MapElement, MapElementKind, UncertainMap
 from uncplan.scenario import AgentMode, AgentPrediction, GeneratorParams, ScenarioKind, generate_scenario
 from uncplan.selection import (
@@ -411,3 +413,73 @@ def test_one_values_object_selects_as_ucas_select_under_every_flag_set_and_cap()
             assert report.chosen == s.candidates.for_command(s.command)[report.chosen_index]
             if not cfg.enable_uncertainty_filter:  # computed by another rule, yet not reported
                 assert all(r.risk_nll == math.inf for r in report.records)
+
+
+# -- chunks of scenarios ----------------------------------------------------------
+
+
+def _uneven_scenarios():
+    """Generated scenarios made uneven: one without agents, one whose commands
+    hold 5, 5 and 3 candidates (3 for its own), one whose drivable area holds a
+    hole around a candidate's footprint corner and a second, far polygon, and
+    one with a larger ego."""
+    a, b, c, d = (generate_scenario(kind, GeneratorParams(), seed) for kind in ScenarioKind for seed in (11, 12))
+    no_agents = dataclasses.replace(a, agents=(), agent_boxes=np.zeros((0, T_F, 5)))
+    fields = {"turn_left": Command.TURN_LEFT, "turn_right": Command.TURN_RIGHT, "go_straight": Command.GO_STRAIGHT}
+    candidates = CandidateSet(**{name: b.candidates.for_command(cmd)[:3 if cmd is b.command else 5]
+                                 for name, cmd in fields.items()})
+    three = dataclasses.replace(b, candidates=candidates)
+    xy, yaw, _ = c.candidates.batches[c.command]
+    (x, y), r = box_corners(xy[0, 2], yaw[0, 2], *c.ego_dims)[1].tolist(), 0.05  # candidate 0's, at step 2
+    hole = [Point2(x + dx, y + dy) for dx, dy in ((-r, -r), (-r, r), (r, r), (r, -r), (-r, -r))]  # clockwise
+    far = [Point2(-500.0, -500.0), Point2(-490.0, -500.0), Point2(-490.0, -490.0), Point2(-500.0, -490.0),
+           Point2(-500.0, -500.0)]
+    rim = c.map.drivable_area.polygons[0].outer
+    area = MultiPolygon((Polygon(rim, (tuple(hole),)), Polygon(tuple(far))))
+    holed = dataclasses.replace(c, map=UncertainMap(c.map.elements, area))
+    return [no_agents, three, holed, dataclasses.replace(d, ego_dims=(5.1, 2.3))]
+
+
+def _alone(s, runs):
+    """Filter values, reports and metrics of scenario s in a chunk of its own."""
+    values = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, SelectionConfig())
+    reports = [values.select(cfg, limit) for cfg, limit in runs]
+    gt = s.ground_truth()
+    metrics = [evaluate_trajectory(r.chosen, s.ego_dims, gt, s.scenario_id, s.scenario_class) for r in reports]
+    return values.risks, values.agent_flags, values.boundary_flags, reports, metrics
+
+
+def _chunked(scenarios, runs):
+    """The same, for every scenario of one chunk: one box call, one clearance call, one CR and DACR call."""
+    values = FilterValues.chunk([(s.candidates, s.command, s.map, s.agents, s.ego_dims) for s in scenarios],
+                                SelectionConfig())
+    reports = [[v.select(cfg, limit) for cfg, limit in runs] for v in values]
+    truths = [s.ground_truth() for s in scenarios]
+    items = [(r.chosen, s.ego_dims, gt, s.scenario_id, s.scenario_class)
+             for s, gt, per in zip(scenarios, truths, reports) for r in per]
+    metrics = iter(evaluate_trajectories(items))
+    return [(v.risks, v.agent_flags, v.boundary_flags, per, [next(metrics) for _ in per])
+            for v, per in zip(values, reports)]
+
+
+def _key(result):
+    risks, agent, boundary, reports, metrics = result
+    return risks, agent, boundary, reports, [(m, m.dacr_steps) for m in metrics]
+
+
+@pytest.mark.parametrize("params", [GeneratorParams(n_candidates=20), GeneratorParams(n_element_points=80)],
+                         ids=["20-candidates", "80-vertices"])
+def test_values_and_metrics_do_not_depend_on_the_chunk(params):
+    """Each scenario's risks, flags, reports under every preset and metrics
+    (with the DACR steps) are those it has alone, in any chunk: all scenarios
+    together, reversed, and interleaved into two chunks."""
+    runs = [preset_selection(preset, SelectionConfig()) for preset in PRESETS]
+    generated = [generate_scenario(kind, params, seed) for kind in ScenarioKind for seed in range(4)]
+    scenarios = _uneven_scenarios() + generated
+    alone = [_key(_alone(s, runs)) for s in scenarios]
+    n = len(scenarios)
+    for order in (list(range(n)), list(range(n))[::-1], list(range(0, n, 2)), list(range(1, n, 2))):
+        chunked = [_key(r) for r in _chunked([scenarios[i] for i in order], runs)]
+        assert chunked == [alone[i] for i in order]
+    assert any(any(a[1]) for a in alone) and any(any(a[2]) for a in alone)  # both box and clearance kernels hit
+    assert any(alone[2][4][0][1])  # baseline's choice, candidate 0, has a corner in the hole: a DACR conflict
