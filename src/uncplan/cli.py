@@ -111,8 +111,8 @@ def _evaluate_chunk(chunk, runs, base: SelectionConfig, convention: str, verify:
             message = f"{entry['id']!r} is not the file's id {s.scenario_id!r}"
             raise ScenarioInvariantError(f"field 'scenarios[{i}].id': {message}")
         scenarios.append(s)
-    values = FilterValues.chunk([(s.candidates, s.command, s.map, s.agents, s.ego_dims) for s in scenarios], base)
-    reports = [[v.select(cfg, limit) for v in values] for cfg, limit in runs]
+    values = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims) for s in scenarios], base)
+    reports = [[values.select(n, cfg, limit) for n in range(len(scenarios))] for cfg, limit in runs]
     chosen = {}  # (scenario, chosen index) -> trajectory: the metrics read only the trajectory
     for per_scenario in reports:
         for n, report in enumerate(per_scenario):

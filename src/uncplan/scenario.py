@@ -762,6 +762,8 @@ def _decode(text: str, path: Path):
         raise
     except ValueError as e:  # an integer literal longer than int() reads
         raise ScenarioFormatError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise ScenarioFormatError(f"{path}: invalid JSON: nested deeper than the decoder reads") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

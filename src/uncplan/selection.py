@@ -11,10 +11,10 @@ Each filter is one array kernel: risk over a (K, T, V) NLL array per
 scenario, the agent check over (K, T) ego boxes x agent boxes, and clearance
 over (K, T, 4) corners x S segments, the last two behind a broad phase. The
 box and clearance kernels run once over a chunk of scenarios
-(FilterValues.chunk): the candidates of all its scenarios laid end to end,
-each item labelled with its scenario, so that only items of one scenario are
-paired. A single scenario (ucas_select, FilterValues(...)) is a chunk of one,
-and the per-candidate functions are the same kernels called with K = 1.
+(FilterValues): the candidates of all its scenarios laid end to end, each
+item labelled with its scenario, so that only items of one scenario are
+paired. ucas_select is a FilterValues of one scenario, and the per-candidate
+functions are the same kernels called with K = 1.
 """
 
 from __future__ import annotations
@@ -97,14 +97,12 @@ class CandidateSet(ArrayValue):
     _views = {name: lambda s, c=command: s._trajectories(c) for command, name in _FIELDS.items()}
 
     def __post_init__(self) -> None:
-        batches, stacked = {}, {}  # a tuple given for several commands is stacked once
+        batches = {}
         for command, name in _FIELDS.items():
             cands = self.__dict__[name] = tuple(self.__dict__[name])
             if not cands:
                 raise ValueError(f"command {name} needs at least one candidate")
-            if id(cands) not in stacked:
-                stacked[id(cands)] = tuple(map(frozen, zip(*((c.xy, c.yaw, c.confidence) for c in cands))))
-            batches[command] = stacked[id(cands)]
+            batches[command] = tuple(map(frozen, zip(*((c.xy, c.yaw, c.confidence) for c in cands))))
         self.__dict__["batches"] = batches
 
     def head(self, limit: int) -> "CandidateSet":
@@ -165,20 +163,11 @@ class SelectionReport:
     fallback_used: bool
 
 
-def _command(command: Command | str) -> Command:
-    if isinstance(command, Command):
-        return command
-    try:
-        return Command(command)
-    except ValueError:
-        raise ValueError(f"unknown command {command!r}") from None
-
-
 def command_filter(
     candidate_set: CandidateSet, command: Command | str
 ) -> list[CandidateTrajectory]:
     """The candidate subset owned by the given driving command."""
-    return list(candidate_set.for_command(_command(command)))
+    return list(candidate_set.for_command(Command(command)))
 
 
 def _risks(xy: np.ndarray, elements: Sequence[UncertainPolyline], aggregator: str) -> list[float]:
@@ -272,58 +261,78 @@ def boundary_collision_check(
 
 
 class FilterValues:
-    """Per-candidate filter values of one scenario and command under the kernel
-    parameters of cfg. Each filter runs once, over all K candidates, when first
-    read; its kernel decides each candidate alone, so the first k values are those
-    of head(k). The values of the scenes of a chunk share one box and one
-    clearance call, and each scene's values are those it has alone; a
-    FilterValues built directly is a chunk of one."""
+    """Per-candidate filter values of the scenes of a chunk under the kernel
+    parameters of cfg. A scene is (candidate_set, command, uncertain_map,
+    agents, ego_dims). The candidates of all scenes are laid end to end, K rows
+    in all, each row labelled with its scene's slot. Each filter runs when first
+    read: risk once per scene, the agent check and the clearance filter once over
+    all rows. Every kernel decides each candidate alone, so a scene's values are
+    those it has in a chunk of its own, and its first k values are those of
+    head(k). A chunk of one scene keeps its own arrays and passes the kernels no
+    labels, which they read as one group: building the labels and the joined
+    rows made a single selection 10-18 % slower."""
 
-    def __init__(self, candidate_set: CandidateSet, command: Command | str, uncertain_map: UncertainMap,
-                 agents: Sequence["AgentPrediction"], ego_dims: tuple[float, float], cfg: SelectionConfig) -> None:
-        self._take(_Chunk([(candidate_set, command, uncertain_map, agents, ego_dims)], cfg), 0)
+    def __init__(self, scenes: Sequence[tuple], cfg: SelectionConfig) -> None:
+        self.cfg = cfg
+        # per scene: (xy, headings, confidences, uncertain_map, agents, ego_dims)
+        self.scenes = [(*candidate_set.batches[Command(command)], uncertain_map, agents, ego_dims)
+                       for candidate_set, command, uncertain_map, agents, ego_dims in scenes]
+        sizes = [len(scene[0]) for scene in self.scenes]
+        self.bounds = list(accumulate(sizes, initial=0))
+        self.groups = np.repeat(np.arange(len(sizes)), sizes) if len(sizes) > 1 else None
 
-    @classmethod
-    def chunk(cls, scenes: Sequence[tuple], cfg: SelectionConfig) -> list["FilterValues"]:
-        """The values of each scene, (candidate_set, command, uncertain_map,
-        agents, ego_dims) as FilterValues takes them, under cfg: the agent check
-        and the clearance filter each run once over the candidates of all scenes."""
-        shared = _Chunk(scenes, cfg)
-        members = [cls.__new__(cls) for _ in scenes]
-        for slot, values in enumerate(members):
-            values._take(shared, slot)
-        return members
-
-    def _take(self, chunk: "_Chunk", slot: int) -> None:
-        """Become the values of chunk's scene at slot."""
-        self.xy, self.headings, confidences, self.map, self.agents, self.ego_dims = chunk.scenes[slot]
-        self.confidences = confidences.tolist()
-        self.cfg, self._chunk, self._slot = chunk.cfg, chunk, slot
+    def _split(self, values: list) -> list[list]:
+        """Per scene, its rows of values."""
+        return [values[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
 
     @cached_property
-    def risks(self) -> list[float]:
-        cfg, m = self.cfg, self.map
-        elements = [e.polyline for e in m.elements] if cfg.risk_on_all_elements else boundary_elements(m)
-        if not elements:
-            raise ValueError("uncertainty filter needs at least one boundary element")
-        return _risks(self.xy, elements, cfg.risk_aggregator)
-
-    @property
-    def _corners(self) -> np.ndarray:
-        start, stop = self._chunk.bounds[self._slot:self._slot + 2]
-        return self._chunk.corners[start:stop]
-
-    @cached_property
-    def agent_flags(self) -> list[bool]:
-        return self._chunk.agent_flags[self._slot]
+    def rows(self) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
+        """Centres (K, T, 2), headings (K, T), ego lengths and widths (the
+        scene's pair, or (K, 1) arrays) and footprint corners (K, T, 4, 2) of
+        every row."""
+        if self.groups is None:
+            xy, headings, _, _, _, dims = self.scenes[0]
+        else:
+            xy, headings, _, _, _, dims = zip(*self.scenes)
+            xy, headings, dims = np.concatenate(xy), np.concatenate(headings), row_dims(dims, np.diff(self.bounds))
+        return xy, headings, dims, box_corners(xy, headings, *dims)
 
     @cached_property
-    def boundary_flags(self) -> list[bool]:
-        return self._chunk.boundary_flags[self._slot]
+    def risks(self) -> list[list[float]]:
+        """Per scene, the risk of each candidate."""
+        per_scene = []
+        for xy, _, _, m, _, _ in self.scenes:
+            elements = [e.polyline for e in m.elements] if self.cfg.risk_on_all_elements else boundary_elements(m)
+            if not elements:
+                raise ValueError("uncertainty filter needs at least one boundary element")
+            per_scene.append(_risks(xy, elements, self.cfg.risk_aggregator))
+        return per_scene
 
-    def select(self, cfg: SelectionConfig, limit: int | None = None) -> SelectionReport:
+    @cached_property
+    def agent_flags(self) -> list[list[bool]]:
+        """Per scene, whether each candidate's footprint meets a checked agent mode."""
+        (xy, headings, dims, corners), cfg = self.rows, self.cfg
+        agents = [scene[4] for scene in self.scenes]
+        flags = _agent_flags(xy, headings, corners, dims, agents, cfg.agent_margin, cfg.check_all_agent_modes,
+                             self.groups)
+        return self._split(flags)
+
+    @cached_property
+    def boundary_flags(self) -> list[list[bool]]:
+        """Per scene, whether each candidate's footprint comes too close to a boundary."""
+        bounds = [boundary_elements(scene[3]) for scene in self.scenes]
+        if not all(bounds):
+            raise ValueError("boundary filter needs at least one boundary element")
+        corners, labels = self.rows[3], None
+        if self.groups is not None:  # each scene's label on its corners and its segments
+            counts = [sum(len(b.mu) - 1 for b in scene) for scene in bounds]
+            labels = np.repeat(self.groups, corners[0].size // 2), np.repeat(np.arange(len(counts)), counts)
+        segments = _segments([b.mu for scene in bounds for b in scene])
+        return self._split(_clearance_flags(corners, segments, self.cfg.boundary_clearance, labels))
+
+    def select(self, slot: int, cfg: SelectionConfig, limit: int | None = None) -> SelectionReport:
         """Score, filter and pick the safest of the first limit candidates (all
-        when None) under the filters and threshold of cfg.
+        when None) of the scene at slot under the filters and threshold of cfg.
 
         final_score = confidence, zeroed when an enabled filter flags the
         candidate. Winner: highest score, ties broken by lower risk_nll, then by
@@ -331,12 +340,13 @@ class FilterValues:
         without agent collisions and takes the one farthest from uncertain
         boundaries (highest risk_nll); if all collide, the raw-confidence argmax.
         """
-        confidences = self.confidences[:limit]
+        xy, headings, confidences = self.scenes[slot][:3]
+        confidences = confidences[:limit].tolist()
         n = len(confidences)
         # a disabled filter leaves its risk at +inf (never below the finite threshold) and its flags False
-        risks = self.risks[:n] if cfg.enable_uncertainty_filter else [math.inf] * n
-        agent_flags = self.agent_flags[:n] if cfg.enable_agent_filter else [False] * n
-        boundary_flags = self.boundary_flags[:n] if cfg.enable_boundary_filter else [False] * n
+        risks = self.risks[slot][:n] if cfg.enable_uncertainty_filter else [math.inf] * n
+        agent_flags = self.agent_flags[slot][:n] if cfg.enable_agent_filter else [False] * n
+        boundary_flags = self.boundary_flags[slot][:n] if cfg.enable_boundary_filter else [False] * n
 
         scores = []
         for i, confidence in enumerate(confidences):
@@ -354,64 +364,9 @@ class FilterValues:
                 chosen_index = max(range(n), key=lambda i: (confidences[i], -i))
 
         records = tuple(map(CandidateRecord, range(n), confidences, risks, agent_flags, boundary_flags, scores))
-        xy, yaw, confidence = self.xy[chosen_index], self.headings[chosen_index], confidences[chosen_index]
-        chosen = CandidateTrajectory._of(xy=xy, yaw=yaw, confidence=confidence)
+        chosen = CandidateTrajectory._of(xy=xy[chosen_index], yaw=headings[chosen_index],
+                                         confidence=confidences[chosen_index])
         return SelectionReport(chosen_index=chosen_index, chosen=chosen, records=records, fallback_used=fallback_used)
-
-
-class _Chunk:
-    """The candidates of some scenes laid end to end, K rows in all, each row
-    labelled with its scene's slot. A chunk of one scene keeps its own arrays
-    and passes the kernels no labels, which they read as one group: building
-    the labels and the joined rows made a single selection 10-18 % slower."""
-
-    def __init__(self, scenes: Sequence[tuple], cfg: SelectionConfig) -> None:
-        self.cfg = cfg
-        # per scene: (xy, headings, confidences, uncertain_map, agents, ego_dims)
-        self.scenes = [(*candidate_set.batches[_command(command)], uncertain_map, agents, ego_dims)
-                       for candidate_set, command, uncertain_map, agents, ego_dims in scenes]
-        self.sizes = [len(scene[0]) for scene in self.scenes]
-        self.bounds = list(accumulate(self.sizes, initial=0))
-        self.groups = np.repeat(np.arange(len(self.sizes)), self.sizes) if len(self.sizes) > 1 else None
-
-    def _split(self, values: list) -> list[list]:
-        """Per scene, its rows of values."""
-        return [values[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
-
-    @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """Centres (K, T, 2), headings (K, T) and ego lengths and widths (the
-        scene's pair, or (K, 1) arrays) of every row."""
-        if self.groups is None:
-            xy, headings, _, _, _, dims = self.scenes[0]
-            return xy, headings, dims
-        xy, headings, _, _, _, dims = zip(*self.scenes)
-        return np.concatenate(xy), np.concatenate(headings), row_dims(dims, self.sizes)
-
-    @cached_property
-    def corners(self) -> np.ndarray:
-        xy, headings, dims = self.rows
-        return box_corners(xy, headings, *dims)
-
-    @cached_property
-    def agent_flags(self) -> list[list[bool]]:
-        (xy, headings, dims), cfg = self.rows, self.cfg
-        agents = [scene[4] for scene in self.scenes]
-        flags = _agent_flags(xy, headings, self.corners, dims, agents, cfg.agent_margin, cfg.check_all_agent_modes,
-                             self.groups)
-        return self._split(flags)
-
-    @cached_property
-    def boundary_flags(self) -> list[list[bool]]:
-        bounds = [boundary_elements(scene[3]) for scene in self.scenes]
-        if not all(bounds):
-            raise ValueError("boundary filter needs at least one boundary element")
-        labels = None
-        if self.groups is not None:  # each scene's label on its corners and its segments
-            counts = [sum(len(b.mu) - 1 for b in scene) for scene in bounds]
-            labels = np.repeat(self.groups, self.corners[0].size // 2), np.repeat(np.arange(len(counts)), counts)
-        segments = _segments([b.mu for scene in bounds for b in scene])
-        return self._split(_clearance_flags(self.corners, segments, self.cfg.boundary_clearance, labels))
 
 
 def ucas_select(
@@ -423,4 +378,4 @@ def ucas_select(
     cfg: SelectionConfig,
 ) -> SelectionReport:
     """Score, filter and pick the safest candidate for a command, by the rule of FilterValues.select."""
-    return FilterValues(candidate_set, command, uncertain_map, agents, ego_dims, cfg).select(cfg)
+    return FilterValues([(candidate_set, command, uncertain_map, agents, ego_dims)], cfg).select(0, cfg)

@@ -622,15 +622,16 @@ def _nested_too_deep(text):
 
 @pytest.mark.parametrize("command", [["eval"], ["eval", "--verify"], ["ablate"]], ids=["eval", "verify", "ablate"])
 @pytest.mark.parametrize("faults", [(_no_boundaries, _broken_json), (_broken_json, _no_boundaries),
-                                    (_no_boundaries, _nested_too_deep)],
-                         ids=["selection-first", "load-first", "selection-then-recursion"])
+                                    (_no_boundaries, _nested_too_deep), (_nested_too_deep,)],
+                         ids=["selection-first", "load-first", "selection-then-recursion", "recursion-only"])
 def test_lowest_failing_id_and_its_first_fault_decide_the_error(small_suite, tmp_path, capsys, command, faults):
     """A scenario with no Boundary element and a malformed one in the same
     chunk, after a clean one, in either order, or the first before one whose
-    JSON nests too deep for the decoder (a RecursionError, no ValueError): the
+    JSON nests too deep for the decoder's recursion limit: the
     lower id names the error and picks the exit code, and for it the first
     fault met (the uncertainty filter under ucas, the boundary filter under
-    ablate, where cas reads it first)."""
+    ablate, where cas reads it first). Alone, JSON nested too deep is a parse
+    error too."""
     manifest, ids = _suite_with_faults(small_suite, tmp_path, "faults", [None, *faults])
     code = run([*command, "--suite", manifest, "--out", tmp_path / "x"])
     err = capsys.readouterr().err
@@ -641,6 +642,13 @@ def test_lowest_failing_id_and_its_first_fault_decide_the_error(small_suite, tmp
     else:
         assert code == EXIT_PARSE
         assert err.startswith(f"parse error: scenario {ids[1]}: ") and "invalid JSON" in err
+
+
+def test_manifest_nested_too_deep_is_parse_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(_nested_too_deep(""))
+    assert run(["eval", "--suite", manifest, "--out", tmp_path / "x"]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"parse error: {manifest}: invalid JSON: ")
 
 
 @pytest.mark.parametrize("mismatch_first", [True, False], ids=["mismatch-first", "load-first"])

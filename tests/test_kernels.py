@@ -794,9 +794,9 @@ def checked_modes(agents, margin, all_modes):
 
 def allpairs_flags(fv, segments, cfg):
     """Agent and clearance flags of FilterValues fv, from the all-pairs kernels."""
-    corners, k = fv._corners, len(fv.xy)
-    poses, lengths, widths = checked_modes(fv.agents, cfg.agent_margin, cfg.check_all_agent_modes)
-    agent = allpairs_box_hits(fv.headings, corners, poses, lengths, widths).reshape(k, -1).any(axis=1)
+    corners, k = fv.rows[3], len(fv.rows[0])
+    poses, lengths, widths = checked_modes(fv.scenes[0][4], cfg.agent_margin, cfg.check_all_agent_modes)
+    agent = allpairs_box_hits(fv.rows[1], corners, poses, lengths, widths).reshape(k, -1).any(axis=1)
     clear = allpairs_near(corners.reshape(-1, 2), *segments, cfg.boundary_clearance).reshape(k, -1).any(axis=1)
     return agent.tolist(), clear.tolist()
 
@@ -929,9 +929,9 @@ def test_pruned_flags_match_all_pairs_on_generated_scenarios(params):
         segments = boundary_segments(s)
         for clearance, margin, all_modes in itertools.product((0.0, 0.3, 1.0, 5.0), (0.0, 0.5, 2.0), (False, True)):
             cfg = SelectionConfig(boundary_clearance=clearance, agent_margin=margin, check_all_agent_modes=all_modes)
-            fv = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
+            fv = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims)], cfg)
             agent, clear = allpairs_flags(fv, segments, cfg)
-            assert (fv.agent_flags, fv.boundary_flags) == (agent, clear)
+            assert (fv.agent_flags[0], fv.boundary_flags[0]) == (agent, clear)
             flagged["agent"] += sum(agent)
             flagged["clear"] += sum(clear)
         gt = s.ground_truth()
@@ -968,9 +968,9 @@ def test_broad_phase_work_is_a_small_share_of_all_pairs(monkeypatch):
         for kind in ScenarioKind:
             for seed in range(8):
                 s = generate_scenario(kind, params, seed)
-                fv = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, SelectionConfig())
+                fv = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims)], SelectionConfig())
                 fv.boundary_flags, fv.agent_flags
-                k, segments = len(fv.xy), len(boundary_segments(s)[0])
+                k, segments = len(fv.rows[0]), len(boundary_segments(s)[0])
                 all_pairs["offsets"] += k * T_F * 4 * segments
                 all_pairs["sat"] += k * T_F * len(s.agents)
         assert counts["offsets"] <= 0.02 * all_pairs["offsets"]
@@ -1128,8 +1128,8 @@ def test_groups_with_identical_geometry_stay_apart(shift):
     all at the same coordinates: each copy's clearance and containment come
     out as the scenario's own, and no pair of two copies is swept."""
     s = generate_scenario(ScenarioKind.TURN, GeneratorParams(), 5)
-    fv = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, SelectionConfig())
-    corners = fv._corners.reshape(-1, 2) + shift
+    fv = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims)], SelectionConfig())
+    corners = fv.rows[3].reshape(-1, 2) + shift
     a, b = (v + shift for v in boundary_segments(s))
     edges = tuple(v + shift for v in s.map.drivable_area.edges)
     copies = 8

@@ -657,6 +657,15 @@ def test_integer_beyond_the_digit_limit_is_a_parse_error_naming_the_file(tmp_pat
     assert str(err.value).startswith(f"{p}: invalid JSON: ")
 
 
+@pytest.mark.parametrize("load", [load_scenario, load_suite], ids=["scenario", "manifest"])
+def test_json_nested_beyond_the_recursion_limit_is_a_parse_error_naming_the_file(tmp_path, load):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ScenarioFormatError) as err:
+        load(p)
+    assert str(err.value).startswith(f"{p}: invalid JSON: ")
+
+
 # -- suites --------------------------------------------------------------------
 
 

@@ -405,9 +405,9 @@ def test_one_values_object_selects_as_ucas_select_under_every_flag_set_and_cap()
         for limit in (1, 7, None)
     ]
     for s in noisy_wide_scenarios():
-        values = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, base)
+        values = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims)], base)
         for cfg, limit in rules[::-1] + rules:  # all filters computed first, then read by every rule
-            report = values.select(cfg, limit)
+            report = values.select(0, cfg, limit)
             candidates = s.candidates if limit is None else s.candidates.head(limit)
             assert report == ucas_select(candidates, s.command, s.map, s.agents, s.ego_dims, cfg)
             assert report.chosen == s.candidates.for_command(s.command)[report.chosen_index]
@@ -442,24 +442,24 @@ def _uneven_scenarios():
 
 def _alone(s, runs):
     """Filter values, reports and metrics of scenario s in a chunk of its own."""
-    values = FilterValues(s.candidates, s.command, s.map, s.agents, s.ego_dims, SelectionConfig())
-    reports = [values.select(cfg, limit) for cfg, limit in runs]
+    values = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims)], SelectionConfig())
+    reports = [values.select(0, cfg, limit) for cfg, limit in runs]
     gt = s.ground_truth()
     metrics = [evaluate_trajectory(r.chosen, s.ego_dims, gt, s.scenario_id, s.scenario_class) for r in reports]
-    return values.risks, values.agent_flags, values.boundary_flags, reports, metrics
+    return values.risks[0], values.agent_flags[0], values.boundary_flags[0], reports, metrics
 
 
 def _chunked(scenarios, runs):
     """The same, for every scenario of one chunk: one box call, one clearance call, one CR and DACR call."""
-    values = FilterValues.chunk([(s.candidates, s.command, s.map, s.agents, s.ego_dims) for s in scenarios],
-                                SelectionConfig())
-    reports = [[v.select(cfg, limit) for cfg, limit in runs] for v in values]
+    values = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims) for s in scenarios],
+                          SelectionConfig())
+    reports = [[values.select(n, cfg, limit) for cfg, limit in runs] for n in range(len(scenarios))]
     truths = [s.ground_truth() for s in scenarios]
     items = [(r.chosen, s.ego_dims, gt, s.scenario_id, s.scenario_class)
              for s, gt, per in zip(scenarios, truths, reports) for r in per]
     metrics = iter(evaluate_trajectories(items))
-    return [(v.risks, v.agent_flags, v.boundary_flags, per, [next(metrics) for _ in per])
-            for v, per in zip(values, reports)]
+    return [(values.risks[n], values.agent_flags[n], values.boundary_flags[n], per, [next(metrics) for _ in per])
+            for n, per in enumerate(reports)]
 
 
 def _key(result):
@@ -483,3 +483,42 @@ def test_values_and_metrics_do_not_depend_on_the_chunk(params):
         assert chunked == [alone[i] for i in order]
     assert any(any(a[1]) for a in alone) and any(any(a[2]) for a in alone)  # both box and clearance kernels hit
     assert any(alone[2][4][0][1])  # baseline's choice, candidate 0, has a corner in the hole: a DACR conflict
+
+
+def test_one_scene_passes_the_kernels_no_labels_and_a_chunk_labels_every_item(monkeypatch):
+    """ucas_select hands the sweep and the box test no labels, which they read
+    as one group; a FilterValues of two or more scenes labels each candidate,
+    agent mode, corner and boundary segment with its scene's slot."""
+    from uncplan import geometry, selection
+
+    seen = []
+    sweep, boxes = geometry._swept_pairs, selection.aligned_box_hits
+
+    def spy_sweep(keys, lo, hi, groups=None):
+        seen.append(("sweep", groups))
+        return sweep(keys, lo, hi, groups)
+
+    def spy_boxes(xy, headings, corners, dims, poses, lengths, widths, groups=None):
+        seen.append(("boxes", groups))
+        return boxes(xy, headings, corners, dims, poses, lengths, widths, groups)
+
+    monkeypatch.setattr(geometry, "_swept_pairs", spy_sweep)
+    monkeypatch.setattr(selection, "aligned_box_hits", spy_boxes)
+    scenarios = [generate_scenario(kind, GeneratorParams(), seed) for kind in ScenarioKind for seed in (3, 4)]
+    assert all(s.agents for s in scenarios)
+    for s in scenarios:
+        seen.clear()
+        ucas_select(s.candidates, s.command, s.map, s.agents, s.ego_dims, SelectionConfig())
+        assert sorted(seen, key=lambda call: call[0]) == [("boxes", None), ("sweep", None)]
+    for chunk in (scenarios[:2], scenarios[::-1]):
+        seen.clear()
+        values = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims) for s in chunk], SelectionConfig())
+        values.agent_flags, values.boundary_flags
+        labels = dict(seen)
+        slots = np.arange(len(chunk))
+        rows = np.repeat(slots, [len(s.candidates.for_command(s.command)) for s in chunk])
+        assert len(seen) == 2 and None not in labels.values()
+        assert labels["boxes"][0].tolist() == rows.tolist()
+        assert labels["boxes"][1].tolist() == np.repeat(slots, [len(s.agents) for s in chunk]).tolist()  # top modes
+        assert labels["sweep"][0].tolist() == np.repeat(rows, T_F * 4).tolist()
+        assert np.unique(labels["sweep"][1]).tolist() == slots.tolist()
