@@ -244,11 +244,11 @@ def cmd_generate(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     turn_fraction = _parse_mix(args.mix)
-    try:
+    try:  # with the options checked, a generator fault comes from noise_scale (see GeneratorParams)
         params = GeneratorParams(noise_scale=args.noise, n_candidates=args.candidates)
+        manifest = generate_suite(args.out, args.count, turn_fraction, params, args.seed)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    manifest = generate_suite(args.out, args.count, turn_fraction, params, args.seed)
     print(f"wrote {args.count} scenarios, manifest {manifest}")
     return EXIT_OK
 

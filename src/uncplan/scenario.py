@@ -7,7 +7,8 @@ ground-truth drivable area. The ego ground truth follows the corridor center;
 candidates emulate a planner that aims at the *perceived* corridor center
 read from the noisy map at a lookahead station, spreading lateral variations
 around that aim point with confidences decaying with deviation from it.
-Agents are scripted constant-velocity vehicles and pedestrians.
+Agents are scripted constant-velocity vehicles and pedestrians. The generator
+builds float rows, which the public constructors check and store as arrays.
 
 Suite seeding: scenario i of a suite uses splitmix64(master_seed XOR i), so
 suites are reproducible and individual scenarios can be regenerated alone.
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (ArrayValue, MultiPolygon, OrientedBox, Point2, Polygon, Pose2, frozen, normalized_poses,
+from .geometry import (ArrayValue, MultiPolygon, Point2, Polygon, Pose2, frozen, normalize_heading, normalized_poses,
                        pose_array, row_array)
 from .map_model import MapElement, MapElementKind, UncertainMap, perturb_map
 from .metrics import GroundTruth, box_array, scenario_class_of
@@ -56,8 +57,9 @@ class ScenarioKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class AgentMode(ArrayValue):
-    """One predicted future of an agent with its confidence. poses, T_F Pose2s
-    or (x, y, heading) rows, is stored as a read-only (T_F, 3) array (see pose_array)."""
+    """One predicted future of an agent with its confidence. poses, a (T_F, 3) array of
+    (x, y, heading) rows as the generator and the loader build it, or T_F Pose2s from an
+    external caller, is stored as a read-only array, headings normalized (see pose_array)."""
 
     poses: np.ndarray
     confidence: float
@@ -100,6 +102,10 @@ class GeneratorParams:
     are the constrained regime the suite is meant to stress. planner_noise_frac
     scales the planning-head aim error with the map noise, so noiseless
     scenarios stay exact while noisy ones have an imperfect top-confidence mode.
+
+    Each knob is checked here on its own. generate_scenario refuses what shows
+    only in a scenario: a turn corridor of fewer than 3 element points, and a
+    noise_scale large enough to move the perceived map off the finite floats.
     """
 
     noise_scale: float = 0.5  # m, Laplace scale of map perturbation
@@ -111,7 +117,7 @@ class GeneratorParams:
     turn_half_width_range: tuple[float, float] = (2.8, 3.3)  # m, turn corridors
     ego_length: float = 4.2  # m; the corridor starts 1.5 m behind the ego's rear
     ego_width: float = 1.9
-    n_element_points: int = 20  # vertices per map element
+    n_element_points: int = 20  # vertices per map element, >= 3 in turn corridors
     calibrated: bool = True  # perturbed maps advertise their true noise scale
     lateral_reach_frac: float = 0.55  # candidate spread as a fraction of half width
     planner_noise_frac: float = 1.0  # aim error scale as a fraction of noise_scale
@@ -152,9 +158,12 @@ class GeneratorParams:
 @dataclass(frozen=True, eq=False)
 class Scenario(ArrayValue):
     """One evaluation unit: perceived map, agents, candidates, ground truth.
-    The ground truths are stored as read-only arrays: agent_boxes (A, T_F, 5),
-    per agent T_F OrientedBoxes (see metrics.box_array), and ego_poses (T_F, 3),
-    the ego's future Pose2s (see geometry.pose_array)."""
+    The ground truths are float rows, stored as read-only arrays: agent_boxes
+    (A, T_F, 5), per agent and step (cx, cy, heading, length, width), and
+    ego_poses (T_F, 3), the ego's future (x, y, heading), headings normalized.
+    The generator and the loader build these arrays; an external caller may
+    pass OrientedBoxes and Pose2s instead (see metrics.box_array and
+    geometry.pose_array)."""
 
     scenario_id: str
     seed: int
@@ -234,21 +243,17 @@ def _offset_template(n: int) -> list[float]:
     Magnitudes are deliberately asymmetric so no two candidates are ever
     equally far from the aim point (keeps confidences strictly ordered).
     """
-    if n == 1:
-        return [0.0]
-    raw = [0.0]
-    j = 1
-    while len(raw) < n:
-        raw.append(j - 0.05)
-        if len(raw) < n:
-            raw.append(-(j + 0.05))
-        j += 1
-    peak = max(abs(v) for v in raw)
+    raw = [0.0, *chain.from_iterable((j - 0.05, -(j + 0.05)) for j in range(1, n // 2 + 1))][:n]
+    peak = max(map(abs, raw)) or 1.0  # n = 1: the one factor is 0
     return [v / peak for v in raw]
 
 
 def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) -> Scenario:
-    """Build one deterministic synthetic scenario for the given seed."""
+    """Build one deterministic synthetic scenario for the given seed. Its points, poses and
+    boxes are plain float rows, which the public constructors turn into checked arrays."""
+    n_pts = params.n_element_points
+    if kind is ScenarioKind.TURN and n_pts < 3:  # two stations span a chord, whose ring can fold over
+        raise ValueError(f"n_element_points must be >= 3 for turn corridors, got {n_pts}")
     rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
 
     speed = float(rng.uniform(*params.speed_range))
@@ -257,70 +262,62 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
         curvature = float(rng.uniform(*params.curvature_range))
         if rng.random() < 0.5:
             curvature = -curvature
+        command = Command.TURN_LEFT if curvature > 0 else Command.TURN_RIGHT
     else:
         half_width = float(rng.uniform(*params.half_width_range))
         curvature = 0.0
+        command = Command.GO_STRAIGHT
 
     horizon_len = speed * DT * T_F
     corridor_len = horizon_len + params.corridor_tail
     # corridor starts behind the ego so the rear footprint corners stay on road
     corridor_start = -(params.ego_length / 2 + 1.5)
 
-    def center(s: float) -> tuple[float, float]:
-        if curvature == 0.0:
-            return s, 0.0
-        return math.sin(curvature * s) / curvature, (1.0 - math.cos(curvature * s)) / curvature
+    def point(s: float, lateral: float) -> tuple[float, float]:
+        """The point at arc length s, lateral metres left of the centreline (right if negative)."""
+        h = curvature * s
+        cx, cy = (s, 0.0) if curvature == 0.0 else (math.sin(h) / curvature, (1.0 - math.cos(h)) / curvature)
+        return cx + lateral * -math.sin(h), cy + lateral * math.cos(h)
 
-    def heading(s: float) -> float:
-        return curvature * s
-
-    def normal(s: float) -> tuple[float, float]:
-        h = heading(s)
-        return -math.sin(h), math.cos(h)
-
-    n_pts = params.n_element_points
-    stations = [
-        corridor_start + (corridor_len - corridor_start) * k / (n_pts - 1) for k in range(n_pts)
-    ]
-
-    def offset_point(s: float, lateral: float) -> Point2:
-        cx, cy = center(s)
-        nx, ny = normal(s)
-        return Point2(cx + lateral * nx, cy + lateral * ny)
-
-    left_pts = [offset_point(s, half_width) for s in stations]
-    right_pts = [offset_point(s, -half_width) for s in stations]
+    stations = [corridor_start + (corridor_len - corridor_start) * k / (n_pts - 1) for k in range(n_pts)]
+    left = [point(s, half_width) for s in stations]
+    right = [point(s, -half_width) for s in stations]
 
     # drivable area: corridor ring, right side forward then left side back (CCW)
-    ring = tuple(right_pts) + tuple(reversed(left_pts)) + (right_pts[0],)
-    drivable = MultiPolygon((Polygon(ring),))
+    drivable = MultiPolygon((Polygon(np.array(right + left[::-1] + right[:1])),))
 
-    def element(points: list[Point2], kind: MapElementKind) -> MapElement:
-        return MapElement(UncertainPolyline(np.array([(p.x, p.y, B_MIN, B_MIN) for p in points])), kind)
+    def element(points: list[tuple[float, float]], kind: MapElementKind) -> MapElement:
+        return MapElement(UncertainPolyline(np.array([(x, y, B_MIN, B_MIN) for x, y in points])), kind)
 
     elements = [
-        element(left_pts, MapElementKind.BOUNDARY),
-        element(right_pts, MapElementKind.BOUNDARY),
-        element([offset_point(s, 0.0) for s in stations], MapElementKind.LANE_DIVIDER),
+        element(left, MapElementKind.BOUNDARY),
+        element(right, MapElementKind.BOUNDARY),
+        element([point(s, 0.0) for s in stations], MapElementKind.LANE_DIVIDER),
     ]
     if rng.random() < 0.4:
         s_cross = float(rng.uniform(0.35, 0.7)) * corridor_len
         span = half_width - 0.2
-        cross = [offset_point(s_cross, -span + 2 * span * k / (n_pts - 1)) for k in range(n_pts)]
+        cross = [point(s_cross, -span + 2 * span * k / (n_pts - 1)) for k in range(n_pts)]
         elements.append(element(cross, MapElementKind.PED_CROSSING))
 
     true_map = UncertainMap(tuple(elements), drivable)
     perturb_seed = int(rng.integers(0, 2**63 - 1))
-    perceived = perturb_map(true_map, params.noise_scale, perturb_seed, params.calibrated)
+    noise_fault = f"noise_scale {params.noise_scale} moves the perceived map to non-finite coordinates"
+    try:
+        perceived = perturb_map(true_map, params.noise_scale, perturb_seed, params.calibrated)
+    except ValueError:
+        raise ValueError(noise_fault) from None
 
     # planner aim point: perceived corridor center at the lookahead station,
     # plus the planning head's own lateral error on top of the map reading
     i_look = min(range(n_pts), key=lambda k: abs(stations[k] - horizon_len))
     (plx, ply), (prx, pry) = (perceived.elements[k].polyline.table[i_look, :2].tolist() for k in (0, 1))
-    mid = Point2(0.5 * (plx + prx), 0.5 * (ply + pry))
-    cx, cy = center(stations[i_look])
-    nx, ny = normal(stations[i_look])
-    aim = (mid.x - cx) * nx + (mid.y - cy) * ny
+    mid_x, mid_y = 0.5 * (plx + prx), 0.5 * (ply + pry)
+    if not (math.isfinite(mid_x) and math.isfinite(mid_y)):
+        raise ValueError(noise_fault)
+    cx, cy = point(stations[i_look], 0.0)
+    h_look = curvature * stations[i_look]
+    aim = (mid_x - cx) * -math.sin(h_look) + (mid_y - cy) * math.cos(h_look)
     head_scale = params.planner_noise_frac * params.noise_scale
     if kind is ScenarioKind.TURN:
         head_scale *= params.turn_planner_noise_boost
@@ -329,65 +326,44 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
     reach = params.lateral_reach_frac * half_width
     aim = max(-0.8 * half_width, min(0.8 * half_width, aim))
 
-    ego_pose = Pose2(Point2(0.0, 0.0), 0.0)
     step_arcs = [speed * DT * (t + 1) for t in range(T_F)]
-    ego_gt_future = tuple(Pose2(offset_point(s, 0.0), heading(s)) for s in step_arcs)
-
     template = _offset_template(params.n_candidates)
-    deviations = [abs(f) * reach for f in template]
-    weights = [math.exp(-d / params.confidence_temperature) for d in deviations]
-    total_w = sum(weights)
-    confidences = [w / total_w for w in weights]
-
-    if kind is ScenarioKind.TURN:
-        command = Command.TURN_LEFT if curvature > 0 else Command.TURN_RIGHT
-    else:
-        command = Command.GO_STRAIGHT
+    # a softmax over each candidate's deviation from the aim point, abs(f) * reach
+    weights = [math.exp(-(abs(f) * reach) / params.confidence_temperature) for f in template]
+    confidences = [w / sum(weights) for w in weights]
 
     def command_batch(cmd: Command) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The command's candidate arrays, valid by construction: Point2 waypoints are finite."""
+        """The command's candidate arrays; row_array refuses a non-finite waypoint."""
         bias = (_COMMAND_SIDE[cmd] - _COMMAND_SIDE[command]) * _INACTIVE_COMMAND_BIAS
-        xy, yaw = [], []
-        for factor in template:
-            target = aim + factor * reach + bias
-            waypoints = []
-            for t, s in enumerate(step_arcs):
-                ramp = (t + 1) / T_F
-                waypoints.append(offset_point(s, target * ramp))
-            headings = [ego_pose.heading]
-            for t in range(1, T_F):
-                a, b = waypoints[t - 1], waypoints[t]
-                headings.append(math.atan2(b.y - a.y, b.x - a.x))
-            xy.append([(p.x, p.y) for p in waypoints])
-            yaw.append(headings)
-        return frozen(xy), frozen(yaw), frozen(confidences)
+        xy = [[point(s, (aim + factor * reach + bias) * ((t + 1) / T_F)) for t, s in enumerate(step_arcs)]
+              for factor in template]
+        yaw = [[0.0] + [math.atan2(by - ay, bx - ax) for (ax, ay), (bx, by) in zip(w, w[1:])] for w in xy]
+        return row_array(xy, T_F, 2), frozen(yaw), frozen(confidences)
 
     candidates = CandidateSet._of(batches={cmd: command_batch(cmd) for cmd in Command})
+    agents, agent_gt = _script_agents(rng, params, speed, half_width, horizon_len, point, curvature)
 
-    agents, agent_gt = _script_agents(rng, params, speed, half_width, horizon_len, offset_point, heading, normal)
-
-    kind_name = "turn" if kind is ScenarioKind.TURN else "straight"
-    scenario_id = f"{kind_name}-{seed & _MASK64:016x}"
     return Scenario(
-        scenario_id=scenario_id,
+        scenario_id=f"{kind.value.lower()}-{seed & _MASK64:016x}",
         seed=seed,
         map=perceived,
         agents=agents,
         agent_boxes=agent_gt,
-        ego_pose=ego_pose,
+        ego_pose=Pose2(Point2(0.0, 0.0), 0.0),
         ego_dims=(params.ego_length, params.ego_width),
         command=command,
         candidates=candidates,
-        ego_poses=ego_gt_future,
-        scenario_class=ScenarioKind.TURN.value if kind is ScenarioKind.TURN else ScenarioKind.STRAIGHT.value,
+        ego_poses=np.array([(*point(s, 0.0), curvature * s) for s in step_arcs]),
+        scenario_class=kind.value,
     )
 
 
-def _script_agents(rng, params, speed, half_width, horizon_len, offset_point, heading, normal):
+def _script_agents(rng, params, speed, half_width, horizon_len, point, curvature):
     """Constant-velocity scripted agents: parked cars nudging into the corridor,
-    pedestrians on the verge, and a leading vehicle that keeps its gap."""
-    agents = []
-    agent_gt = []
+    pedestrians on the verge, and a leading vehicle that keeps its gap. Returns
+    the agents and their (A, T_F, 5) ground-truth box rows; point(s, lateral) is
+    the corridor point, and the heading at arc length s is curvature * s."""
+    agents, agent_gt = [], []
     for idx in range(params.n_agents):
         draw = rng.random()
         side = 1.0 if rng.random() < 0.5 else -1.0
@@ -395,43 +371,32 @@ def _script_agents(rng, params, speed, half_width, horizon_len, offset_point, he
             dims = (4.0, 1.7)
             s_a = float(rng.uniform(0.3, 0.95)) * horizon_len
             lateral = side * (half_width + 0.55)
-            poses = tuple(Pose2(offset_point(s_a, lateral), heading(s_a)) for _ in range(T_F))
+            steps = [(s_a, s_a)] * T_F  # (arc length of the position, arc length of the heading)
         elif draw < 0.75:  # pedestrian walking on the verge
             dims = (0.5, 0.5)
             s_a = float(rng.uniform(0.2, 0.9)) * horizon_len
             lateral = side * (half_width + 1.2)
             walk = float(rng.uniform(1.0, 1.4)) * (1.0 if rng.random() < 0.5 else -1.0)
-            poses = tuple(
-                Pose2(offset_point(s_a + walk * DT * (t + 1), lateral), heading(s_a))
-                for t in range(T_F)
-            )
+            steps = [(s_a + walk * DT * (t + 1), s_a) for t in range(T_F)]
         else:  # lead vehicle pulling away on the centerline
             dims = (4.2, 1.8)
             s_a = float(rng.uniform(1.05, 1.3)) * horizon_len
             v_lead = speed + float(rng.uniform(0.5, 1.5))
-            poses = tuple(
-                Pose2(offset_point(s_a + v_lead * DT * (t + 1), 0.0), heading(s_a + v_lead * DT * (t + 1)))
-                for t in range(T_F)
-            )
+            lateral = 0.0
+            steps = [(s, s) for s in (s_a + v_lead * DT * (t + 1) for t in range(T_F))]
+        poses = [(*point(s, lateral), normalize_heading(curvature * s_h)) for s, s_h in steps]
 
         base_conf = float(rng.uniform(0.55, 0.8))
         n_extra = int(rng.integers(0, 3))
-        modes = [AgentMode(poses, base_conf)]
-        if n_extra:
-            share = (1.0 - base_conf) * 0.9 / n_extra
-            for e in range(n_extra):
-                drift = (0.5 + 0.5 * e) * (1.0 if e % 2 == 0 else -1.0)
-                drifted = []
-                for t, p in enumerate(poses):
-                    ramp = (t + 1) / T_F
-                    nx, ny = -math.sin(p.heading), math.cos(p.heading)
-                    drifted.append(
-                        Pose2(Point2(p.position.x + drift * ramp * nx, p.position.y + drift * ramp * ny), p.heading)
-                    )
-                modes.append(AgentMode(tuple(drifted), share))
+        modes = [AgentMode(np.array(poses), base_conf)]
+        for e in range(n_extra):
+            drift = (0.5 + 0.5 * e) * (1.0 if e % 2 == 0 else -1.0)
+            drifted = [(x + drift * ((t + 1) / T_F) * -math.sin(h), y + drift * ((t + 1) / T_F) * math.cos(h), h)
+                       for t, (x, y, h) in enumerate(poses)]
+            modes.append(AgentMode(np.array(drifted), (1.0 - base_conf) * 0.9 / n_extra))
         agents.append(AgentPrediction(f"agent-{idx}", dims, tuple(modes)))
-        agent_gt.append(tuple(OrientedBox(p.position, p.heading, dims[0], dims[1]) for p in poses))
-    return tuple(agents), tuple(agent_gt)
+        agent_gt.append([(*pose, *dims) for pose in poses])
+    return tuple(agents), np.array(agent_gt)
 
 
 # ---------------------------------------------------------------------------

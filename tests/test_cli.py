@@ -293,6 +293,14 @@ def test_non_finite_noise_is_config_error(tmp_path, capsys, value):
     assert f"noise_scale must be finite and >= 0, got {value}" in capsys.readouterr().err
 
 
+def test_noise_that_moves_the_map_off_the_floats_is_config_error(tmp_path, capsys):
+    """A finite --noise can still be too large for a scenario: the fault is a config error naming noise_scale,
+    not an invariant violation about an array shape."""
+    assert run(["generate", "--count", 20, "--noise", "1e308", "--seed", 1, "--out", tmp_path / "d"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: noise_scale 1e+308 moves the perceived map to non-finite coordinates"), err
+
+
 def test_eval_bad_preset_is_argparse_exit_2(small_suite, tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["eval", "--suite", small_suite, "--preset", "bogus", "--out", tmp_path / "x"])

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -691,6 +692,85 @@ def test_generate_suite_reruns_byte_identical(tmp_path):
         f1 = (tmp_path / "a" / e1["path"]).read_bytes()
         f2 = (tmp_path / "b" / e1["path"]).read_bytes()
         assert f1 == f2
+
+
+# SHA-256 of the save_scenario bytes of scenarios scenario_seed(73, i), i = 4..7, one kind at a time.
+# The first three configurations are the benchmark workloads' params; the rest cover branches those
+# suites do not reach: the zero-noise branch, a noisier map, an uncalibrated map with an exact planner,
+# a crowd of agents with one candidate per command, and the fewest vertices a turn corridor takes.
+_GENERATOR_CONFIGS = {
+    "canonical": {"noise_scale": 0.5, "n_agents": 2},
+    "wide-candidates": {"noise_scale": 0.5, "n_agents": 2, "n_candidates": 20},
+    "dense-map": {"noise_scale": 0.5, "n_agents": 2, "n_element_points": 80},
+    "noiseless": {"noise_scale": 0.0},
+    "noisy": {"noise_scale": 1.5},
+    "uncalibrated-exact-planner": {"calibrated": False, "planner_noise_frac": 0.0},
+    "crowded-single-candidate": {"n_agents": 6, "n_candidates": 1},
+    "three-point-elements": {"n_element_points": 3},
+}
+_STORED_BYTES = {
+    ("canonical", "STRAIGHT"): "69703dec3f00ce181a979bf31f7e5382d9fdebfed1ec8d0babb72a62ef9934e1",
+    ("canonical", "TURN"): "b555221d1b7bddc0f32c531306d061ed4cdd85f311e0188f868a739fbdd695f7",
+    ("wide-candidates", "STRAIGHT"): "49e3d41ebf44a9b08b6473d1306c8879cbb4cd05814350196c061daf38814564",
+    ("wide-candidates", "TURN"): "06a8480f30177bbb8f120b8bc111237c89c6d27b30c351ca015d0f556757721d",
+    ("dense-map", "STRAIGHT"): "e4b96da451502642a1a6c19c5aea6ab9430700bd9ca6a23dacbb8011563d30e6",
+    ("dense-map", "TURN"): "f7a258dd77ec9e44c410e6db778a26d72c6f456e6e3a11ffbc1d4b42c934cbf6",
+    ("noiseless", "STRAIGHT"): "a7e91fa98b57016946dbbbd038f47b0c1992254d5737e0038e5b68d9c78e67ba",
+    ("noiseless", "TURN"): "9d5bd04e87cf037433bd7fac7c905f8c22dbe72802a80dea1f71b4c3c4d7acb0",
+    ("noisy", "STRAIGHT"): "f41b8f4c27729fb8a6c2a04ad5537612c32087a1db2f92570d457143829a5c92",
+    ("noisy", "TURN"): "48a39d791b63c281e8408c50c95d5b6cec84d3767a78e4aa5ae6b9e60d7a9294",
+    ("uncalibrated-exact-planner", "STRAIGHT"): "6d35d8b66d7a6de0d44fa1f4d7b034ad8cdad6fb4fc699938ee6b5e1358b0cea",
+    ("uncalibrated-exact-planner", "TURN"): "c37e2c418cce99c623eed31d1be3d61a8efd95323b1c12f3c5e7be01532dd257",
+    ("crowded-single-candidate", "STRAIGHT"): "607ca1db5eaba05b8c86d569a2cca8375d3d35647a96b305234719611b4bf58a",
+    ("crowded-single-candidate", "TURN"): "623d0cc57a0ffb4a004a41d7251e793d277ee902fe953c4761a21b586be9cb11",
+    ("three-point-elements", "STRAIGHT"): "283d850f6f268ac039bfafb2b1532a7ccedf463ad06b6432e004dfe7d20e3706",
+    ("three-point-elements", "TURN"): "270024669610af294e251be794c8eaa6ec2e83eb5ed59aa6b9a1cea79f272576",
+}
+
+
+@pytest.mark.parametrize("config, kind", list(_STORED_BYTES))
+def test_generated_files_keep_their_stored_bytes(tmp_path, config, kind):
+    params = GeneratorParams(**_GENERATOR_CONFIGS[config])
+    digest = hashlib.sha256()
+    for i in range(4, 8):
+        save_scenario(generate_scenario(ScenarioKind[kind], params, scenario_seed(73, i)), tmp_path / "s.json")
+        digest.update((tmp_path / "s.json").read_bytes())
+    assert digest.hexdigest() == _STORED_BYTES[config, kind]
+
+
+@pytest.mark.parametrize("noise, kind, index", [(1e308, ScenarioKind.TURN, 0), (2e307, ScenarioKind.STRAIGHT, 50)])
+def test_noise_that_moves_the_map_off_the_floats_is_refused_naming_noise_scale(noise, kind, index):
+    """1e308 moves map vertices past the float range; at 2e307 the vertices stay finite for this seed, but the
+    perceived corridor centre, the mean of two of them, does not."""
+    message = f"noise_scale {noise} moves the perceived map to non-finite coordinates"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_scenario(kind, GeneratorParams(noise_scale=noise), scenario_seed(73, index))
+
+
+def test_turn_corridors_need_three_element_points():
+    """Two stations of a turn span a chord, and about half of such corridor rings fold over; straight
+    corridors of two points stay valid (tests/data/single_faults.json is built on one)."""
+    params = GeneratorParams(n_element_points=2)
+    for i in range(20):
+        with pytest.raises(ValueError, match="^n_element_points must be >= 3 for turn corridors, got 2$"):
+            generate_scenario(ScenarioKind.TURN, params, scenario_seed(73, i))
+        straight = generate_scenario(ScenarioKind.STRAIGHT, params, scenario_seed(73, i))
+        assert all(len(e.polyline.table) == 2 for e in straight.map.elements)
+
+
+def test_a_non_finite_waypoint_is_refused_before_a_scenario_exists(monkeypatch):
+    """The candidate arrays go through a finiteness check: a lateral factor of inf makes waypoints of nan,
+    and generation stops with a ValueError before the Scenario constructor is reached."""
+    import uncplan.scenario as scenario_module
+
+    def built(**fields):
+        raise AssertionError("a Scenario was built from a non-finite waypoint")
+
+    monkeypatch.setattr(scenario_module, "_offset_template", lambda n: [0.0, math.inf])
+    monkeypatch.setattr(scenario_module, "Scenario", built)
+    for kind in ScenarioKind:
+        with pytest.raises(ValueError, match="finite"):
+            generate_scenario(kind, GeneratorParams(), scenario_seed(73, 4))
 
 
 def test_generate_suite_turn_only_mix(tmp_path):
