@@ -43,9 +43,14 @@ _HYPOT_ULPS = 16  # np.hypot and math.hypot are each within 1 ulp; distances thi
 # and released every time; the dozen the distance kernel holds stay ~200 KB.
 _PAIR_BLOCK = 1 << 11
 # Slack of the clearance and bounding-circle broad phases, relative and per
-# metre of the largest coordinate: rounding moves an offset or a corner by
-# about 1e-15 of the coordinates, so every pair dropped would be refused.
+# metre of the largest coordinate a pair that meets can have, taken from each
+# segment or pose alone: rounding moves an offset or a corner by about 1e-15
+# of the coordinates, so every pair dropped would be refused.
 _BROAD_EPS = 1e-9
+
+
+class RingTooLargeError(ValueError):
+    """A ring whose coordinates are too large for its shoelace area to be a finite number."""
 
 
 def normalize_heading(theta: float) -> float:
@@ -366,9 +371,11 @@ def _first_crossing(a0, a1, b0=None, b1=None, keep=None) -> tuple[int, int] | No
 
 def _ring_signed_area(ring: np.ndarray) -> float:
     """Shoelace area, the terms added in vertex order as a loop from 0.0 adds
-    them (accumulate, not sum's pairwise order; + 0.0 turns an all -0.0 sum to +0.0)."""
+    them (accumulate, not sum's pairwise order; + 0.0 turns an all -0.0 sum to +0.0).
+    Products of coordinates past about 1e154 overflow, to an inf or nan area."""
     x, y = ring[:, 0], ring[:, 1]
-    return 0.5 * (float(np.add.accumulate(x[:-1] * y[1:] - x[1:] * y[:-1])[-1]) + 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (float(np.add.accumulate(x[:-1] * y[1:] - x[1:] * y[:-1])[-1]) + 0.0)
 
 
 def _validate_ring(ring: np.ndarray, want_ccw: bool, label: str) -> tuple[np.ndarray, np.ndarray]:
@@ -378,6 +385,8 @@ def _validate_ring(ring: np.ndarray, want_ccw: bool, label: str) -> tuple[np.nda
     if (ring[0] != ring[-1]).any():
         raise ValueError(f"{label} ring is not closed (first vertex != last vertex)")
     area = _ring_signed_area(ring)
+    if not math.isfinite(area):
+        raise RingTooLargeError(f"{label} ring coordinates are too large: its area is not a finite number")
     if abs(area) < MIN_POLYGON_AREA:
         raise ValueError(f"{label} ring is degenerate (area {abs(area):.3e} m^2)")
     if (area > 0) != want_ccw:
@@ -490,19 +499,21 @@ def aligned_box_hits(xy, headings, corners, dims, poses, lengths, widths, groups
     with lengths and widths broadcasting to (P, T). groups, integer labels of
     the K and the P rows (one group when None), pairs only rows of one group:
     a pair of two groups reads False untested. Only pairs whose bounding
-    circles meet within _BROAD_EPS are tested."""
+    circles meet within _BROAD_EPS, scaled by the pose's largest coordinate
+    plus the two radii, are tested."""
     lengths, widths = _checked_dims(lengths, widths)
     centres, turns = poses[..., :2], poses[..., 2]
     ego, half = 0.5 * np.hypot(*dims), 0.5 * np.hypot(lengths, widths)  # the bounding circles' radii
-    slack = _BROAD_EPS * (1.0 + max(np.abs(xy).max(), np.abs(centres).max()))
+    # eps per metre of |centre| + reach, a bound on both boxes' coordinates where they meet; reach's part is in 2 eps
+    slack = _BROAD_EPS * (1.0 + np.abs(centres).max(axis=-1))  # (P, T)
     if _one_group(groups):  # every pair, as one (K, P, T) array
         gap = np.hypot(xy[:, None, :, 0] - centres[..., 0], xy[:, None, :, 1] - centres[..., 1])
-        hits = gap <= (np.asarray(ego)[..., None] + half) * (1.0 + _BROAD_EPS) + slack
+        hits = gap <= (np.asarray(ego)[..., None] + half) * (1.0 + 2 * _BROAD_EPS) + slack
     else:  # the pairs of one group only
         k, p = _group_pairs(*groups)
         gap, reach = xy[k] - centres[p], np.broadcast_to(ego, (len(xy), 1))[k] + np.broadcast_to(half, turns.shape)[p]
         hits = np.zeros((len(xy),) + turns.shape, dtype=bool)
-        hits[k, p] = np.hypot(gap[..., 0], gap[..., 1]) <= reach * (1.0 + _BROAD_EPS) + slack
+        hits[k, p] = np.hypot(gap[..., 0], gap[..., 1]) <= reach * (1.0 + 2 * _BROAD_EPS) + slack[p]
     k, p, t = np.nonzero(hits)  # the kept pairs, each then replaced by its test
     if k.size:
         size = (np.broadcast_to(v, turns.shape)[p, t] for v in (lengths, widths))
@@ -572,9 +583,10 @@ def near_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray, limit: float
     to any closed segment a[j]-b[j] (S, 2) of its group (groups: labels of
     the points and of the segments, as _swept_pairs takes them), or on one.
     Only the pairs whose point lies in the segment's box grown by limit and
-    _BROAD_EPS, scaled by the largest coordinate of the call, reach the
-    distance kernel."""
-    scale = max(np.abs(points).max(initial=0.0), np.abs(a).max(), np.abs(b).max())
+    _BROAD_EPS, scaled by the segment's largest coordinate plus limit, reach
+    the distance kernel."""
+    # (S, 1): no coordinate of a point near segment j is larger than scale[j]
+    scale = np.maximum(np.abs(a), np.abs(b)).max(axis=1, keepdims=True) + limit
     pad = limit * (1.0 + _BROAD_EPS) + _BROAD_EPS * (1.0 + scale)
     lo, hi = np.minimum(a, b) - pad, np.maximum(a, b) + pad
     near = np.zeros(len(points), dtype=bool)

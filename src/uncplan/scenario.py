@@ -12,6 +12,12 @@ builds float rows, which the public constructors check and store as arrays.
 
 Suite seeding: scenario i of a suite uses splitmix64(master_seed XOR i), so
 suites are reproducible and individual scenarios can be regenerated alone.
+
+Files hold the bytes of json.dumps(scenario_to_dict(s), indent=2). The layout
+is written down once (_scenario_tree), with each number table an array and
+its schema form: scenario_to_dict expands the tables into dicts and lists,
+and save_scenario formats each with one %r template per item, strings going
+only through json's encoder.
 """
 
 from __future__ import annotations
@@ -21,14 +27,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, asdict
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import (ArrayValue, MultiPolygon, Point2, Polygon, Pose2, frozen, normalize_heading, normalized_poses,
-                       pose_array, row_array)
+from .geometry import (ArrayValue, MultiPolygon, Point2, Polygon, Pose2, RingTooLargeError, frozen, normalize_heading,
+                       normalized_poses, pose_array, row_array)
 from .map_model import MapElement, MapElementKind, UncertainMap, perturb_map
 from .metrics import GroundTruth, box_array, scenario_class_of
 from .selection import DT, T_F, CandidateSet, Command
@@ -104,8 +110,10 @@ class GeneratorParams:
     scenarios stay exact while noisy ones have an imperfect top-confidence mode.
 
     Each knob is checked here on its own. generate_scenario refuses what shows
-    only in a scenario: a turn corridor of fewer than 3 element points, and a
-    noise_scale large enough to move the perceived map off the finite floats.
+    only in a scenario: a turn corridor of fewer than 3 element points, a
+    corridor too large for its ring's area to be a finite number (half widths
+    of 1e307 m), and a noise_scale large enough to move the perceived map off
+    the finite floats.
     """
 
     noise_scale: float = 0.5  # m, Laplace scale of map perturbation
@@ -284,7 +292,12 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
     right = [point(s, -half_width) for s in stations]
 
     # drivable area: corridor ring, right side forward then left side back (CCW)
-    drivable = MultiPolygon((Polygon(np.array(right + left[::-1] + right[:1])),))
+    try:
+        drivable = MultiPolygon((Polygon(np.array(right + left[::-1] + right[:1])),))
+    except RingTooLargeError as e:
+        knob = "turn_half_width_range" if kind is ScenarioKind.TURN else "half_width_range"
+        length = corridor_len - corridor_start
+        raise ValueError(f"{knob} {getattr(params, knob)} and a length of {length} m make a corridor too large: {e}") from None
 
     def element(points: list[tuple[float, float]], kind: MapElementKind) -> MapElement:
         return MapElement(UncertainPolyline(np.array([(x, y, B_MIN, B_MIN) for x, y in points])), kind)
@@ -403,7 +416,7 @@ def _script_agents(rng, params, speed, half_width, horizon_len, point, curvature
 # serialization (schema v1)
 
 
-# The forms of the file's objects, as scenario_to_dict writes them and _scan reads them (see _scan).
+# The forms of the file's objects, as the writer lays them out and _scan reads them (see _scan).
 _NUMBER_TYPES = {int, float}  # exact types: true and false are not numbers
 _PAIR = "[x, y]"
 _POSE = dict.fromkeys(("x", "y", "heading"), float)
@@ -412,13 +425,14 @@ _BOX = dict.fromkeys(("cx", "cy", "heading", "length", "width"), float)
 _DIMS = ("length", "width")
 _CANDIDATE = {"confidence": float, "waypoints": (_PAIR, T_F), "headings": (float, T_F)}
 _MODE = {"confidence": float, "trajectory": (_POSE, T_F)}
+_AGENT_GT = (_BOX, T_F)
 _POSE_ROW, _VERTEX_ROW, _BOX_ROW = (itemgetter(*form) for form in (_POSE, _VERTEX, _BOX))
 _EGO, _MAP, _AGENTS, _CANDIDATES = ((None, key) for key in ("ego", "map", "agents", "candidates"))  # paths, see _name
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    """Plain-data form of a scenario, schema v1."""
-    objects = lambda form, table: [dict(zip(form, row)) for row in table.tolist()]
+def _scenario_tree(s: Scenario) -> dict:
+    """The file's layout, schema v1: dicts, lists and scalars, and each number table a (form, array) leaf, a
+    list of one item of form (see _scan) per row of the array. Expanded by scenario_to_dict, written by _text."""
     return {
         "version": SCHEMA_VERSION,
         "id": s.scenario_id,
@@ -427,73 +441,88 @@ def scenario_to_dict(s: Scenario) -> dict:
         "command": s.command.value,
         "ego": {"pose": dict(zip(_POSE, (s.ego_pose.position.x, s.ego_pose.position.y, s.ego_pose.heading))),
                 "dims": dict(zip(_DIMS, s.ego_dims))},
-        "ego_gt_future": objects(_POSE, s.ego_poses),
+        "ego_gt_future": (_POSE, s.ego_poses),
         "map": {
-            "elements": [{"kind": e.kind.value, "points": objects(_VERTEX, e.polyline.table)} for e in s.map.elements],
-            "drivable_area": [{"outer": poly.rings[0].tolist(), "holes": [ring.tolist() for ring in poly.rings[1:]]}
+            "elements": [{"kind": e.kind.value, "points": (_VERTEX, e.polyline.table)} for e in s.map.elements],
+            "drivable_area": [{"outer": (_PAIR, poly.rings[0]), "holes": [(_PAIR, ring) for ring in poly.rings[1:]]}
                               for poly in s.map.drivable_area.polygons],
         },
         "agents": [{"id": a.agent_id, "dims": dict(zip(_DIMS, a.dims)),
-                    "modes": [dict(zip(_MODE, (m.confidence, objects(_POSE, m.poses)))) for m in a.modes]}
+                    "modes": [{"confidence": m.confidence, "trajectory": (_POSE, m.poses)} for m in a.modes]}
                    for a in s.agents],
-        "agent_gt": [objects(_BOX, seq) for seq in s.agent_boxes],
-        "candidates": {
-            command.value: [dict(zip(_CANDIDATE, (c, w, h)))
-                            for w, h, c in zip(*(a.tolist() for a in s.candidates.batches[command]))]
-            for command in Command
-        },
+        "agent_gt": (_AGENT_GT, s.agent_boxes),
+        "candidates": {command.value: (_CANDIDATE, np.hstack((conf[:, None], xy.reshape(len(xy), -1), yaw)))
+                       for command, (xy, yaw, conf) in ((c, s.candidates.batches[c]) for c in Command)},
     }
 
 
+def _item(form, numbers):
+    """One item of form, its numbers taken in order from the iterator numbers."""
+    if form is float:
+        return next(numbers)
+    if form is _PAIR:
+        return [next(numbers), next(numbers)]
+    if isinstance(form, dict):
+        return {key: _item(inner, numbers) for key, inner in form.items()}
+    return [_item(form[0], numbers) for _ in range(form[1])]
+
+
+def _expanded(node):
+    """node with each (form, array) leaf as its list of len(array) items of form."""
+    if type(node) is dict:
+        return {key: _expanded(value) for key, value in node.items()}
+    if type(node) is list:
+        return list(map(_expanded, node))
+    return _item((node[0], len(node[1])), iter(node[1].ravel().tolist())) if type(node) is tuple else node
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    """Plain-data form of a scenario, schema v1."""
+    return _expanded(_scenario_tree(s))
+
+
 _ENCODE = json.JSONEncoder(allow_nan=False).encode  # one key or scalar, as json.dumps writes it
-_REFERENCE = json.JSONEncoder(indent=2, allow_nan=False).encode  # json.dumps(indent=2), for json's own nan error
+_SLOT = 1.25e-321  # a number whose repr is in no key of the schema: where json.dumps writes it, a template has %r
 
 
-def _number_rows(items: list | tuple, inner: str) -> tuple[str, list[tuple]] | None:
-    """(%r template, value tuples) if the items are number lists of one length, or number dicts with one key order."""
-    first, deeper = items[0], inner + "  "
-    if type(first) in (list, tuple):
-        rows = [tuple(r) for r in items if type(r) in (list, tuple) and len(r) == len(first)]
-        fields, brackets = ["%r"] * len(first), "[]"
-    elif type(first) is dict:
-        keys = list(first)
-        rows = [tuple(r.values()) for r in items if type(r) is dict and list(r) == keys]
-        fields, brackets = [_ENCODE(k).replace("%", "%%") + ": %r" for k in keys], "{}"
-    else:
-        return None
-    if not fields or len(rows) != len(items) or not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        return None
-    return brackets[0] + deeper + ("," + deeper).join(fields) + inner + brackets[1], rows
-
-
-def _json_text(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2, allow_nan=False) for trees of dicts with str keys, lists, tuples, str,
-    int, float, bool and None. A list of numbers, or of number rows (see _number_rows), is one join."""
+def _laid_out(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A list, or an object, of the texts items, as json.dumps(indent=2) lays it out on a line indented as indent."""
     inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [f"{_ENCODE(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if not isinstance(obj, (list, tuple)):
-        return _ENCODE(obj) if not isinstance(obj, float) or math.isfinite(obj) else _REFERENCE(obj)
-    if not obj:
-        return "[]"
-    sep = "," + inner
-    if set(map(type, obj)) <= {int, float}:
-        text, template, values = sep.join(map(repr, obj)), "", obj
-    elif found := _number_rows(obj, inner):
-        template, values = found
-        text = sep.join(map(template.__mod__, values))
-    else:
-        return "[" + inner + sep.join(_json_text(v, inner) for v in obj) + indent + "]"
-    # the repr of an int or a finite float has no letter n; those of nan, inf and -inf have one
-    if text.count("n") != len(obj) * template.count("n"):
-        _REFERENCE(values)  # raises json's ValueError for the out-of-range float
-    return "[" + inner + text + indent + "]"
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}" if items else brackets
+
+
+# id of a leaf form (module constants, alive as long as the table) -> the %r template of one of its items,
+# as json.dumps(indent=2) lays it out at the top level, its keys % escaped
+_TEMPLATES = {id(form): json.dumps(_item(form, repeat(_SLOT)), indent=2).replace("%", "%%").replace(repr(_SLOT), "%r")
+              for form in (_PAIR, _POSE, _VERTEX, _AGENT_GT, _CANDIDATE)}
+
+
+def _text(node, indent: str = "\n") -> str:
+    """json.dumps(_expanded(node), indent=2, allow_nan=False), laid out on a line indented as indent; a
+    leaf is one % of its items' template over array.tolist()."""
+    inner = indent + "  "
+    if type(node) is dict:
+        return _laid_out([f"{_ENCODE(key)}: {_text(value, inner)}" for key, value in node.items()], indent, "{}")
+    if type(node) is list:
+        return _laid_out([_text(item, inner) for item in node], indent)
+    if type(node) is not tuple:
+        try:
+            return _ENCODE(node)
+        except ValueError:  # json.dumps(indent=2)'s message, which names the value
+            return json.dumps(node, indent=2, allow_nan=False)
+    form, table = node
+    item = _TEMPLATES[id(form)].replace("\n", inner)
+    text = _laid_out([item] * len(table), indent) % tuple(table.ravel().tolist())
+    # the repr of a finite float has no letter n; those of nan, inf and -inf have one
+    if text.count("n") != len(table) * item.count("n"):
+        json.dumps(_expanded(node), indent=2, allow_nan=False)  # raises json's ValueError for the first one
+    return text
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:
-    """Write one scenario as indented JSON (floats keep full round-trip precision)."""
-    Path(path).write_text(_json_text(scenario_to_dict(s)) + "\n", encoding="utf-8")
+    """Write one scenario as json.dumps(scenario_to_dict(s), indent=2) would, floats at full round-trip
+    precision; a non-finite number raises json's ValueError before anything is written."""
+    Path(path).write_text(_text(_scenario_tree(s)) + "\n", encoding="utf-8")
 
 
 def _name(path) -> str:
@@ -776,7 +805,7 @@ def generate_suite(
         "scenarios": entries,
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(_json_text(manifest) + "\n", encoding="utf-8")
+    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return manifest_path
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -226,6 +227,24 @@ def test_bad_hole_layout_is_invariant_error_naming_the_polygon(small_suite, tmp_
     manifest, sid = _edited_suite(small_suite, tmp_path, "holes", second_polygon)
     assert run(["eval", "--suite", manifest, "--verify", "--out", tmp_path / "x"]) == EXIT_INVARIANT
     assert f"scenario {sid}: field 'map.drivable_area[1]': {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["eval"], ["eval", "--verify"], ["ablate"]], ids=["eval", "verify", "ablate"])
+def test_ring_too_large_to_measure_is_invariant_error_naming_the_polygon(small_suite, tmp_path, capsys, command):
+    """The outer ring scaled by 1e200: the shoelace products overflow, which is refused as coordinates too
+    large, not read as an inf or nan area that fails the orientation test."""
+    def scaled_ring(text):
+        data = json.loads(text)
+        area = data["map"]["drivable_area"][0]
+        area["outer"] = [[x * 1e200, y * 1e200] for x, y in area["outer"]]
+        return json.dumps(data)
+
+    manifest, sid = _edited_suite(small_suite, tmp_path, "scaled", scaled_ring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*command, "--suite", manifest, "--out", tmp_path / "x"]) == EXIT_INVARIANT
+    message = "outer ring coordinates are too large: its area is not a finite number"
+    assert f"scenario {sid}: field 'map.drivable_area[0]': {message}" in capsys.readouterr().err
 
 
 def test_verify_accepts_footprint_corners_on_a_hole_edge(tmp_path, capsys):

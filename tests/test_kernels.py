@@ -1064,6 +1064,10 @@ def test_grouped_kernels_equal_per_group_calls(data, points, vertices, limit, bl
         (point_labels, rank_p), (segment_labels, rank_s) = interleaved(data, len(xy), g), interleaved(data, len(a0), g)
         pts = xy[rank_p] + offsets[point_labels]
         a, b = a0[rank_s] + offsets[segment_labels], b0[rank_s] + offsets[segment_labels]
+        moved = (a != b).any(axis=1)  # not a short segment whose ends the offset rounds to one point
+        a, b, segment_labels = a[moved], b[moved], segment_labels[moved]
+        if not len(a):
+            continue
         labels = (point_labels, segment_labels)
         with unittest.mock.patch.object(geometry, "_PAIR_BLOCK", block or geometry._PAIR_BLOCK):
             lo, hi = np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
@@ -1147,3 +1151,54 @@ def test_groups_with_identical_geometry_stay_apart(shift):
     alone = geometry._ring_hits(corners, *(np.tile(e, (copies, 1)) for e in edges),
                                 (np.zeros(len(corners), dtype=np.intp), np.repeat(np.arange(copies), len(edges[0]))))
     assert alone.tolist() == geometry._ring_hits(corners, *edges).tolist()
+
+
+class KernelPairs:
+    """A pairwise kernel that counts the pairs it is handed, as the length of its first argument."""
+
+    def __init__(self, kernel):
+        self.kernel, self.pairs = kernel, 0
+
+    def __call__(self, first, *args):
+        self.pairs += len(first)
+        return self.kernel(first, *args)
+
+
+def test_a_far_group_does_not_widen_the_broad_phase_of_another():
+    """Two copies of one corridor scenario's candidates, agent modes and boundary segments, the second moved
+    by 1e9 m: one grouped call hands the distance kernel and the box kernel no more pairs than two calls of
+    one copy each, and decides as they do. A broad-phase slack scaled by the whole call's largest coordinate
+    grew the near copy's boxes by about 1 m, handing the distance kernel 344 pairs instead of 32 + 172 and
+    the box kernel 38 instead of 15 + 19."""
+    s = generate_scenario(ScenarioKind.TURN, GeneratorParams(), 5)
+    xy, headings, dims, corners = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims)],
+                                               SelectionConfig()).rows
+    poses, lengths, widths = checked_modes(s.agents, 0.0, True)
+    a, b = boundary_segments(s)
+    shifts = (0.0, 1e9)
+
+    def moved(shift):
+        far = poses.copy()
+        far[..., :2] += shift
+        return xy + shift, headings, corners + shift, far, lengths, widths, a + shift, b + shift
+
+    def calls(*copies, groups=(None, None)):
+        """The near_segments and aligned_box_hits results of one call over the copies, and the pairs
+        each kernel was handed."""
+        xy, headings, corners, poses, lengths, widths, a, b = (np.concatenate(parts) for parts in zip(*copies))
+        distance, boxes = KernelPairs(geometry.segment_offsets), KernelPairs(geometry.boxes_overlap_batch)
+        with unittest.mock.patch.object(geometry, "segment_offsets", distance), \
+                unittest.mock.patch.object(geometry, "boxes_overlap_batch", boxes):
+            near = near_segments(corners.reshape(-1, 2), a, b, 0.3, groups[0])
+            hits = geometry.aligned_box_hits(xy, headings, corners, dims, poses, lengths, widths, groups[1])
+        return near.tolist(), hits.tolist(), distance.pairs, boxes.pairs
+
+    alone = [calls(moved(shift)) for shift in shifts]
+    labels = ((np.repeat([0, 1], corners.size // 2), np.repeat([0, 1], len(a))),
+              (np.repeat([0, 1], len(xy)), np.repeat([0, 1], len(poses))))
+    near, hits, distance_pairs, box_pairs = calls(*map(moved, shifts), groups=labels)
+    assert near == alone[0][0] + alone[1][0]
+    assert [row[:len(poses)] for row in hits[:len(xy)]] == alone[0][1]
+    assert [row[len(poses):] for row in hits[len(xy):]] == alone[1][1]
+    assert distance_pairs <= alone[0][2] + alone[1][2] and box_pairs <= alone[0][3] + alone[1][3]
+    assert alone[0][2] and alone[0][3]  # the kernels are handed pairs at all

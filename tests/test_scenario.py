@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from uncplan.geometry import normalize_heading
 from uncplan.metrics import dacr_frame, scenario_class_of
 from uncplan.scenario import (
+    AgentMode,
+    AgentPrediction,
     GeneratorParams,
     Scenario,
     ScenarioFormatError,
@@ -34,7 +37,7 @@ from uncplan.scenario import (
     scenario_to_dict,
     splitmix64,
 )
-from uncplan.scenario import _json_text
+from uncplan.scenario import _text
 from uncplan.selection import T_F, Command
 
 
@@ -747,6 +750,19 @@ def test_noise_that_moves_the_map_off_the_floats_is_refused_naming_noise_scale(n
         generate_scenario(kind, GeneratorParams(noise_scale=noise), scenario_seed(73, index))
 
 
+@pytest.mark.parametrize("kind, knob", [(ScenarioKind.STRAIGHT, "half_width_range"),
+                                        (ScenarioKind.TURN, "turn_half_width_range")])
+def test_a_corridor_too_large_to_measure_is_refused_naming_its_width_knob(kind, knob):
+    """Half widths of 1e307 m are finite and accepted, but the corridor ring's shoelace products overflow:
+    generation stops naming the kind's half-width knob and the reason, and numpy warns of no overflow."""
+    message = (f"{knob} (1e+307, 1e+307) and a length of 28.688295986667526 m make a corridor too large: "
+               f"outer ring coordinates are too large: its area is not a finite number")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_scenario(kind, GeneratorParams(**{knob: (1e307, 1e307)}), scenario_seed(73, 5))
+
+
 def test_turn_corridors_need_three_element_points():
     """Two stations of a turn span a chord, and about half of such corridor rings fold over; straight
     corridors of two points stay valid (tests/data/single_faults.json is built on one)."""
@@ -822,12 +838,21 @@ def _dumps(obj):
     return json.dumps(obj, indent=2, allow_nan=False)
 
 
+# The writer's plain part: _text lays out dicts, lists and scalars as json.dumps(indent=2) does. A tuple is a
+# (form, array) number-table leaf there, so a tree's JSON arrays are given to it as lists (json writes a
+# tuple as a list too).
+def _lists(tree):
+    if isinstance(tree, dict):
+        return {key: _lists(value) for key, value in tree.items()}
+    return [_lists(item) for item in tree] if isinstance(tree, (list, tuple)) else tree
+
+
 _numbers = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
 _keys = st.text(st.sampled_from('an%"\\\n\té☃\x00\U0001f600'), max_size=4)
 
 
 def _containers(children):
-    # the writer's fast paths: equal-shape number rows, sometimes followed by an item of another shape
+    # equal-shape number rows, sometimes followed by an item of another shape
     list_rows = st.integers(0, 3).flatmap(lambda m: st.lists(st.lists(_numbers, min_size=m, max_size=m), max_size=4))
     dict_rows = st.lists(_keys, max_size=3, unique=True).flatmap(
         lambda keys: st.lists(st.fixed_dictionaries({k: _numbers for k in keys}), max_size=4)
@@ -835,7 +860,6 @@ def _containers(children):
     rows = st.one_of(list_rows, dict_rows, st.lists(_numbers, max_size=5))
     return st.one_of(
         st.lists(children, max_size=4),
-        st.lists(children, max_size=3).map(tuple),
         st.dictionaries(_keys, children, max_size=4),
         rows,
         st.tuples(rows, children).map(lambda pair: [*pair[0], pair[1]]),
@@ -848,7 +872,7 @@ _trees = st.recursive(st.one_of(st.none(), st.booleans(), _numbers, st.text(max_
 @given(_trees)
 @settings(max_examples=400, deadline=None)
 def test_json_text_is_json_dumps_indent_2(tree):
-    assert _json_text(tree) == _dumps(tree)
+    assert _text(tree) == _dumps(tree)
 
 
 @pytest.mark.parametrize(
@@ -863,13 +887,13 @@ def test_json_text_is_json_dumps_indent_2(tree):
         [[1, 2.5], [3.0, 4]], [(1.0, 2.0), [3.0, 4.0]], [{"a": 1.0}, [1.0]], [[1.0], {"a": 1.0}],
         [[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]],
         [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1}, {"b": 1}],
-        {"é☃\n\t\"\\/": "ünï\x00\x1f \U0001f600"}, ["\ud800", "/", ""],
+        {"é☃\n\t\"\\/": "ünï\x00\x1f \U0001f600"}, ["\ud800", "/", ""],
         [{"%r%%": 1.5, 'n"': 2}, {"%r%%": -0.0, 'n"': 3}], {"%s": [1.0], "nnn": {"n": 1}},
         [{"%": 1.0, "%d": 2}], [{"\n": 1.0}, {"\n": 2.0}],
     ],
 )
 def test_json_text_edge_cases(tree):
-    assert _json_text(tree) == _dumps(tree)
+    assert _text(_lists(tree)) == _dumps(tree)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -889,7 +913,170 @@ def test_json_text_rejects_non_finite_as_json_does(place, value):
     with pytest.raises(ValueError) as expected:
         _dumps(place(value))
     with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-        _json_text(place(value))
+        _text(place(value))
+
+
+# edge values of the writer: signed zero, the least subnormal, floats printed with an exponent
+_SPECIALS = [-0.0, 0.0, 5e-324, 1e16, -1e16, 1e-7, 0.1, 2.5, 1e300]
+_reals = st.one_of(st.sampled_from(_SPECIALS), st.floats(-1e300, 1e300))
+_sizes = st.one_of(st.sampled_from([5e-324, 1e-7, 0.1, 2.5, 1e16]), st.floats(1e-300, 1e300))
+_names = st.text(st.sampled_from('a%"\\\n\t/é☃\x00\U0001f600'), max_size=6)
+
+
+def _rows(draw, shape, numbers=_reals):
+    return np.array(draw(st.lists(numbers, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+
+
+@st.composite
+def _built_scenarios(draw):
+    """Scenarios built through the public constructors, their numbers, ids and counts drawn."""
+    from uncplan.geometry import MultiPolygon, Point2, Polygon, Pose2
+    from uncplan.map_model import MapElement, MapElementKind, UncertainMap
+    from uncplan.selection import CandidateSet, CandidateTrajectory
+    from uncplan.uncertainty import B_MIN, UncertainPolyline
+
+    # the lower left corner and the extent of the drivable area, each axis wide enough to place holes in
+    x0, width = draw(st.sampled_from([(-0.0, 8.0), (5e-324, 8.0), (-0.0, 1e16), (-1e16, 4e16)]))
+    y0, height = draw(st.sampled_from([(-0.0, 4.0), (1e-7, 4.0), (5e-324, 1e16)]))
+
+    def rectangle(left, bottom, right, top):  # counterclockwise from the lower left corner
+        return [(left, bottom), (right, bottom), (right, top), (left, top), (left, bottom)]
+
+    outer = rectangle(x0, y0, x0 + width, y0 + height)
+    holes = [rectangle(x0 + width * (2 * k + 1) / 8, y0 + height / 4, x0 + width * (k + 1) / 4, y0 + height / 2)
+             for k in range(draw(st.integers(0, 2)))]
+    area = MultiPolygon((Polygon(np.array(outer), [np.array(h[::-1]) for h in holes]),))  # holes run clockwise
+    elements = []
+    for _ in range(draw(st.integers(1, 3))):
+        table = _rows(draw, (draw(st.integers(1, 4)), 4))
+        table[:, 2:] = _rows(draw, (len(table), 2), st.sampled_from([B_MIN, 0.5, 1e16]))
+        elements.append(MapElement(UncertainPolyline(table), draw(st.sampled_from(MapElementKind))))
+    agents, boxes = [], []
+    for _ in range(draw(st.integers(0, 2))):
+        n_modes = draw(st.integers(1, 3))
+        confidence = st.sampled_from([0, 1 / n_modes, 5e-324, -0.0, 0.1])
+        modes = [AgentMode(_rows(draw, (T_F, 3)), draw(confidence)) for _ in range(n_modes)]
+        dims = (draw(_sizes), draw(_sizes))
+        agents.append(AgentPrediction(draw(_names), dims, tuple(modes)))
+        truth = _rows(draw, (T_F, 5))
+        truth[:, 3:] = _rows(draw, (T_F, 2), _sizes)
+        boxes.append(truth)
+
+    def candidates():
+        confidence = st.sampled_from([0.0, 1.0, 5e-324, 0.3])
+        return tuple(CandidateTrajectory(_rows(draw, (T_F, 2)), _rows(draw, (T_F,)), draw(confidence))
+                     for _ in range(draw(st.integers(1, 3))))
+
+    future = _rows(draw, (T_F, 3))
+    ego = Pose2(Point2(draw(st.one_of(st.integers(-3, 3), _reals)), draw(_reals)), draw(st.one_of(st.just(0), _reals)))
+    return Scenario(
+        scenario_id=draw(_names),
+        seed=draw(st.one_of(st.sampled_from([2**70, -(2**70), 0]), st.integers())),
+        map=UncertainMap(tuple(elements), area),
+        agents=tuple(agents),
+        agent_boxes=np.array(boxes).reshape(len(boxes), T_F, 5),
+        ego_pose=ego,
+        ego_dims=(draw(_sizes), draw(_sizes)),
+        command=draw(st.sampled_from(Command)),
+        candidates=CandidateSet(candidates(), candidates(), candidates()),
+        ego_poses=future,
+        scenario_class=scenario_class_of([normalize_heading(h) for h in future[:, 2].tolist()]),
+    )
+
+
+@given(_built_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_saved_bytes_are_json_dumps_indent_2_of_scenario_to_dict(s):
+    """The writer's templates against json's encoder, on edge numbers, on ints where the constructors keep
+    them (ego pose, mode confidences, seed), on strings that hold % and escapes, on zero agents, single
+    candidates and holes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        save_scenario(s, path)
+        assert path.read_bytes() == (_dumps(scenario_to_dict(s)) + "\n").encode("ascii")
+
+
+def _with(obj, **changes):
+    """A shallow copy of obj with fields replaced, unchecked: the constructors refuse non-finite numbers."""
+    out = copy.copy(obj)
+    for name, value in changes.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+def _put(table, value):
+    """A copy of the read-only table with value at its last flat index."""
+    out = np.array(table)
+    out.reshape(-1)[-1] = value
+    return out
+
+
+def _first_agent(s, **changes):
+    return _with(s, agents=(_with(s.agents[0], **changes), *s.agents[1:]))
+
+
+def _first_mode(s, **changes):
+    agent = s.agents[0]
+    return _first_agent(s, modes=(_with(agent.modes[0], **changes), *agent.modes[1:]))
+
+
+def _first_element(s, value):
+    element = s.map.elements[0]
+    line = _with(element.polyline, table=_put(element.polyline.table, value))
+    return _with(s, map=_with(s.map, elements=(_with(element, polyline=line), *s.map.elements[1:])))
+
+
+def _ring(s, k, value):
+    polygon = s.map.drivable_area.polygons[0]
+    rings = list(polygon.rings)
+    rings[k] = _put(rings[k], value)
+    return _with(s, map=_with(s.map, drivable_area=_with(s.map.drivable_area, polygons=(_with(polygon, rings=rings),))))
+
+
+def _batch(s, column, value):
+    batches = dict(s.candidates.batches)
+    batch = list(batches[Command.TURN_RIGHT])
+    batch[column] = _put(batch[column], value)
+    batches[Command.TURN_RIGHT] = tuple(batch)
+    return _with(s, candidates=_with(s.candidates, batches=batches))
+
+
+_NON_FINITE_PLACES = {
+    "ego pose": lambda s, v: _with(s, ego_pose=_with(s.ego_pose, heading=v)),
+    "ego dims": lambda s, v: _with(s, ego_dims=(4.2, v)),
+    "ego future": lambda s, v: _with(s, ego_poses=_put(s.ego_poses, v)),
+    "element points": _first_element,
+    "outer ring": lambda s, v: _ring(s, 0, v),
+    "hole ring": lambda s, v: _ring(s, 1, v),
+    "agent dims": lambda s, v: _first_agent(s, dims=(v, 1.0)),
+    "mode confidence": lambda s, v: _first_mode(s, confidence=v),
+    "mode trajectory": lambda s, v: _first_mode(s, poses=_put(s.agents[0].modes[0].poses, v)),
+    "agent boxes": lambda s, v: _with(s, agent_boxes=_put(s.agent_boxes, v)),
+    "waypoints": lambda s, v: _batch(s, 0, v),
+    "headings": lambda s, v: _batch(s, 1, v),
+    "candidate confidence": lambda s, v: _batch(s, 2, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("place", list(_NON_FINITE_PLACES))
+def test_a_non_finite_number_raises_json_s_error_before_anything_is_written(tmp_path, place, value):
+    """A scenario whose numbers bypassed the constructors' checks: save_scenario raises the ValueError of
+    json.dumps(scenario_to_dict(s), indent=2, allow_nan=False), word for word, and writes no file."""
+    from uncplan.geometry import MultiPolygon, Polygon
+
+    s = generate_scenario(ScenarioKind.TURN, GeneratorParams(), scenario_seed(73, 4))
+    outer = s.map.drivable_area.polygons[0].rings[0]
+    hole = np.array([(1.0, -0.5), (1.0, 0.5), (2.0, 0.5), (2.0, -0.5), (1.0, -0.5)])
+    s = _with(s, map=_with(s.map, drivable_area=MultiPolygon((Polygon(outer, [hole]),))))
+    assert s.agents
+    bad = _NON_FINITE_PLACES[place](s, value)
+    with pytest.raises(ValueError) as expected:
+        _dumps(scenario_to_dict(bad))
+    assert str(expected.value).startswith("Out of range float values are not JSON compliant")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        save_scenario(bad, tmp_path / "s.json")
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("knobs", [{}, {"n_candidates": 20}, {"n_element_points": 80}])
