@@ -2,7 +2,8 @@
 metric reports, and run the five-preset ablation.
 
 Exit codes: 0 success, 2 config error, 3 scenario parse error, 4 invariant
-violation, 5 oracle mismatch, 6 I/O failure.
+violation, 5 oracle mismatch, 6 I/O failure; main maps each error class to its
+stderr prefix and code through one table, _EXITS.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .metrics import MetricsRow, ScenarioMetrics, aggregate, evaluate_trajectories
@@ -54,6 +55,18 @@ class ConfigError(Exception):
 
 class OracleMismatch(Exception):
     pass
+
+
+# (error class, stderr prefix, exit code): main takes the first row whose class the error is an instance
+# of, so the two scenario errors come before their base class, ValueError; any other error propagates
+_EXITS = (
+    (ConfigError, "config error", EXIT_CONFIG),
+    (OracleMismatch, "oracle mismatch", EXIT_ORACLE),
+    (ScenarioInvariantError, "invariant violation", EXIT_INVARIANT),
+    (ScenarioFormatError, "parse error", EXIT_PARSE),
+    (ValueError, "invariant violation", EXIT_INVARIANT),
+    (OSError, "i/o error", EXIT_IO),
+)
 
 
 def preset_selection(preset: str, base: SelectionConfig) -> tuple[SelectionConfig, int | None]:
@@ -168,10 +181,15 @@ def evaluate_suite(
 # report rendering
 
 
-def _header_lines(pairs: list[tuple[str, object]]) -> list[str]:
-    lines = [f"# uncplan-version: {__version__}"]
-    lines.extend(f"# {key}: {value}" for key, value in pairs)
-    return lines
+def _csv(header_pairs: list[tuple[str, object]], columns: str, lines: Iterable[str]) -> str:
+    """A CSV report: the version and each header pair as a # line, the column names, then the rows."""
+    head = [f"# uncplan-version: {__version__}", *(f"# {key}: {value}" for key, value in header_pairs)]
+    return "\n".join([*head, columns, *lines]) + "\n"
+
+
+def _table(title: str, head: str, lines: Iterable[str]) -> str:
+    """A text report: the title, the column heading underlined to its width, then the rows."""
+    return "\n".join([title, head, "-" * len(head), *lines]) + "\n"
 
 
 _ROW_FIELDS = (
@@ -182,42 +200,41 @@ _ROW_FIELDS = (
 
 
 def render_rows_csv(rows: list[MetricsRow], header_pairs: list[tuple[str, object]]) -> str:
-    lines = _header_lines(header_pairs)
-    lines.append("stratum,n," + ",".join(_ROW_FIELDS))
-    for row in rows:
-        values = [repr(getattr(row, f)) for f in _ROW_FIELDS]
-        lines.append(f"{row.scenario_class},{row.n_scenarios}," + ",".join(values))
-    return "\n".join(lines) + "\n"
+    lines = (f"{row.scenario_class},{row.n_scenarios}," + ",".join(repr(getattr(row, f)) for f in _ROW_FIELDS)
+             for row in rows)
+    return _csv(header_pairs, "stratum,n," + ",".join(_ROW_FIELDS), lines)
 
 
 def render_scenarios_csv(per_scenario: list[ScenarioMetrics], header_pairs) -> str:
-    lines = _header_lines(header_pairs)
-    lines.append("scenario_id,class,de_1s,de_2s,de_3s,cr_1s,cr_2s,cr_3s,dacr_1s,dacr_2s,dacr_3s")
-    for r in sorted(per_scenario, key=lambda r: r.scenario_id):
-        cells = [r.scenario_id, r.scenario_class]
-        cells += [repr(v) for v in r.de]
-        cells += [str(int(v)) for v in r.cr]
-        cells += [repr(v) for v in r.dacr]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    lines = (",".join([r.scenario_id, r.scenario_class, *map(repr, r.de), *(str(int(v)) for v in r.cr),
+                       *map(repr, r.dacr)]) for r in sorted(per_scenario, key=lambda r: r.scenario_id))
+    columns = "scenario_id,class,de_1s,de_2s,de_3s,cr_1s,cr_2s,cr_3s,dacr_1s,dacr_2s,dacr_3s"
+    return _csv(header_pairs, columns, lines)
 
 
 def render_rows_table(rows: list[MetricsRow], title: str) -> str:
-    out = [title]
     head = (
         f"{'Stratum':<10} {'N':>5} | {'DE (m)':>7} {'1s':>6} {'2s':>6} {'3s':>6} {'Avg.':>6} |"
         f" {'CR (%)':>7} {'1s':>6} {'2s':>6} {'3s':>6} {'Avg.':>6} |"
         f" {'DACR (%)':>9} {'1s':>6} {'2s':>6} {'3s':>6} {'Avg.':>6}"
     )
-    out.append(head)
-    out.append("-" * len(head))
-    for r in rows:
-        out.append(
-            f"{r.scenario_class:<10} {r.n_scenarios:>5} | {'':>7} {r.de_1s:>6.3f} {r.de_2s:>6.3f} {r.de_3s:>6.3f} {r.de_avg:>6.3f} |"
-            f" {'':>7} {100 * r.cr_1s:>6.2f} {100 * r.cr_2s:>6.2f} {100 * r.cr_3s:>6.2f} {100 * r.cr_avg:>6.2f} |"
-            f" {'':>9} {100 * r.dacr_1s:>6.2f} {100 * r.dacr_2s:>6.2f} {100 * r.dacr_3s:>6.2f} {100 * r.dacr_avg:>6.2f}"
-        )
-    return "\n".join(out) + "\n"
+    lines = (
+        f"{r.scenario_class:<10} {r.n_scenarios:>5} | {'':>7} {r.de_1s:>6.3f} {r.de_2s:>6.3f} {r.de_3s:>6.3f} {r.de_avg:>6.3f} |"
+        f" {'':>7} {100 * r.cr_1s:>6.2f} {100 * r.cr_2s:>6.2f} {100 * r.cr_3s:>6.2f} {100 * r.cr_avg:>6.2f} |"
+        f" {'':>9} {100 * r.dacr_1s:>6.2f} {100 * r.dacr_2s:>6.2f} {100 * r.dacr_3s:>6.2f} {100 * r.dacr_avg:>6.2f}"
+        for r in rows
+    )
+    return _table(title, head, lines)
+
+
+def _write_reports(prefix: str, reports: dict[str, str]) -> None:
+    """Write each report to prefix + its suffix, in order, then print the .txt report and the paths."""
+    out = Path(prefix)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    for suffix, text in reports.items():
+        Path(f"{out}{suffix}").write_text(text, encoding="utf-8")
+    print(reports[".txt"], end="")
+    print(f"reports written to {out}.csv (+ {', '.join(s for s in reports if s != '.csv')})")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +261,7 @@ def cmd_generate(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     turn_fraction = _parse_mix(args.mix)
-    try:  # with the options checked, a generator fault comes from noise_scale (see GeneratorParams)
+    try:  # GeneratorParams refuses an option out of its range, naming the knob
         params = GeneratorParams(noise_scale=args.noise, n_candidates=args.candidates)
         manifest = generate_suite(args.out, args.count, turn_fraction, params, args.seed)
     except ValueError as e:
@@ -255,10 +272,7 @@ def cmd_generate(args) -> int:
 
 def _base_selection(args) -> SelectionConfig:
     try:
-        return SelectionConfig(
-            nll_threshold=args.nll_threshold,
-            boundary_clearance=args.clearance,
-        )
+        return SelectionConfig(nll_threshold=args.nll_threshold, boundary_clearance=args.clearance)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -280,17 +294,12 @@ def cmd_eval(args) -> int:
         ("convention", args.convention),
         ("verify", str(args.verify).lower()),
     ]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = Path(str(out) + ".csv")
-    csv_path.write_text(render_rows_csv(rows, header), encoding="utf-8")
-    Path(str(out) + ".scenarios.csv").write_text(
-        render_scenarios_csv(per_scenario, header), encoding="utf-8"
-    )
     title = f"preset={args.preset} convention={args.convention} suite={args.suite}"
-    Path(str(out) + ".txt").write_text(render_rows_table(rows, title), encoding="utf-8")
-    print(render_rows_table(rows, title), end="")
-    print(f"reports written to {csv_path} (+ .scenarios.csv, .txt)")
+    _write_reports(args.out, {
+        ".csv": render_rows_csv(rows, header),
+        ".scenarios.csv": render_scenarios_csv(per_scenario, header),
+        ".txt": render_rows_table(rows, title),
+    })
     return EXIT_OK
 
 
@@ -298,7 +307,6 @@ def cmd_ablate(args) -> int:
     base = _base_selection(args)
     manifest, results = evaluate_suite(Path(args.suite), PRESETS, base, args.convention)
     overall = [(preset, rows[0]) for preset, (rows, _) in zip(PRESETS, results)]
-
     header = [
         ("command", "ablate"),
         ("suite", args.suite),
@@ -307,27 +315,14 @@ def cmd_ablate(args) -> int:
         ("clearance", repr(base.boundary_clearance)),
         ("convention", args.convention),
     ]
-    lines = _header_lines(header)
-    lines.append("preset,n,cr_avg,dacr_avg")
-    for preset, row in overall:
-        lines.append(f"{preset},{row.n_scenarios},{repr(row.cr_avg)},{repr(row.dacr_avg)}")
-    csv_text = "\n".join(lines) + "\n"
-
-    table = [f"ablation on {args.suite} (convention={args.convention})"]
+    csv_lines = (f"{preset},{row.n_scenarios},{row.cr_avg!r},{row.dacr_avg!r}" for preset, row in overall)
     head = f"{'preset':<12} {'N':>5} {'CR (%)':>9} {'DACR (%)':>10}"
-    table.append(head)
-    table.append("-" * len(head))
-    for preset, row in overall:
-        table.append(f"{preset:<12} {row.n_scenarios:>5} {100 * row.cr_avg:>9.2f} {100 * row.dacr_avg:>10.2f}")
-    table_text = "\n".join(table) + "\n"
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = Path(str(out) + ".csv")
-    csv_path.write_text(csv_text, encoding="utf-8")
-    Path(str(out) + ".txt").write_text(table_text, encoding="utf-8")
-    print(table_text, end="")
-    print(f"reports written to {csv_path} (+ .txt)")
+    table_lines = (f"{preset:<12} {row.n_scenarios:>5} {100 * row.cr_avg:>9.2f} {100 * row.dacr_avg:>10.2f}"
+                   for preset, row in overall)
+    _write_reports(args.out, {
+        ".csv": _csv(header, "preset,n,cr_avg,dacr_avg", csv_lines),
+        ".txt": _table(f"ablation on {args.suite} (convention={args.convention})", head, table_lines),
+    })
     return EXIT_OK
 
 
@@ -348,50 +343,31 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(func=cmd_generate)
 
-    e = sub.add_parser("eval", help="run selection and metrics over a suite")
-    e.add_argument("--suite", required=True, help="suite manifest path")
-    e.add_argument("--preset", choices=PRESETS, default="ucas")
-    e.add_argument("--nll-threshold", type=float, default=2.0)
-    e.add_argument("--clearance", type=float, default=0.3)
-    e.add_argument("--convention", choices=("cumulative", "instantaneous"), default="cumulative")
-    e.add_argument("--verify", action="store_true", help="differential-check against the oracles")
-    e.add_argument("--out", required=True, help="output path prefix for reports")
-    e.set_defaults(func=cmd_eval)
-
-    a = sub.add_parser("ablate", help="evaluate all five presets on one suite")
-    a.add_argument("--suite", required=True, help="suite manifest path")
-    a.add_argument("--nll-threshold", type=float, default=2.0)
-    a.add_argument("--clearance", type=float, default=0.3)
-    a.add_argument("--convention", choices=("cumulative", "instantaneous"), default="cumulative")
-    a.add_argument("--out", required=True, help="output path prefix for reports")
-    a.set_defaults(func=cmd_ablate)
+    for name, func, about in (("eval", cmd_eval, "run selection and metrics over a suite"),
+                              ("ablate", cmd_ablate, "evaluate all five presets on one suite")):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--suite", required=True, help="suite manifest path")
+        if name == "eval":
+            p.add_argument("--preset", choices=PRESETS, default="ucas")
+        p.add_argument("--nll-threshold", type=float, default=2.0)
+        p.add_argument("--clearance", type=float, default=0.3)
+        p.add_argument("--convention", choices=("cumulative", "instantaneous"), default="cumulative")
+        if name == "eval":
+            p.add_argument("--verify", action="store_true", help="differential-check against the oracles")
+        p.add_argument("--out", required=True, help="output path prefix for reports")
+        p.set_defaults(func=func)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OracleMismatch as e:
-        print(f"oracle mismatch: {e}", file=sys.stderr)
-        return EXIT_ORACLE
-    except ScenarioInvariantError as e:
-        print(f"invariant violation: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except ScenarioFormatError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as e:
-        print(f"invariant violation: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
+    except tuple(cls for cls, _, _ in _EXITS) as e:
+        prefix, code = next((prefix, code) for cls, prefix, code in _EXITS if isinstance(e, cls))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

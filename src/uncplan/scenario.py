@@ -8,7 +8,8 @@ candidates emulate a planner that aims at the *perceived* corridor center
 read from the noisy map at a lookahead station, spreading lateral variations
 around that aim point with confidences decaying with deviation from it.
 Agents are scripted constant-velocity vehicles and pedestrians. The generator
-builds float rows, which the public constructors check and store as arrays.
+builds float rows, which the public constructors check and store as arrays;
+its float knobs are at most KNOB_LIMIT, so every number it builds is finite.
 
 Suite seeding: scenario i of a suite uses splitmix64(master_seed XOR i), so
 suites are reproducible and individual scenarios can be regenerated alone.
@@ -33,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (ArrayValue, MultiPolygon, Point2, Polygon, Pose2, RingTooLargeError, frozen, normalize_heading,
-                       normalized_poses, pose_array, row_array)
+from .geometry import (ArrayValue, MultiPolygon, Point2, Polygon, Pose2, frozen, normalize_heading, normalized_poses,
+                       pose_array, row_array)
 from .map_model import MapElement, MapElementKind, UncertainMap, perturb_map
 from .metrics import GroundTruth, box_array, scenario_class_of
 from .selection import DT, T_F, CandidateSet, Command
@@ -42,6 +43,7 @@ from .uncertainty import B_MIN, UncertainPolyline
 
 SCHEMA_VERSION = 1
 _MASK64 = (1 << 64) - 1
+KNOB_LIMIT = 1e6  # the largest value of a float generator knob, in metres, m/s or as a factor
 
 
 class ScenarioFormatError(ValueError):
@@ -109,11 +111,9 @@ class GeneratorParams:
     scales the planning-head aim error with the map noise, so noiseless
     scenarios stay exact while noisy ones have an imperfect top-confidence mode.
 
-    Each knob is checked here on its own. generate_scenario refuses what shows
-    only in a scenario: a turn corridor of fewer than 3 element points, a
-    corridor too large for its ring's area to be a finite number (half widths
-    of 1e307 m), and a noise_scale large enough to move the perceived map off
-    the finite floats.
+    Each knob is checked here on its own, and no float knob may exceed
+    KNOB_LIMIT, so every number a scenario is built from stays finite.
+    generate_scenario refuses a turn corridor of fewer than 3 element points.
     """
 
     noise_scale: float = 0.5  # m, Laplace scale of map perturbation
@@ -143,6 +143,9 @@ class GeneratorParams:
                 raise ValueError(f"{name} must be finite, got {value}")
             if name.endswith("_range") and not 0 < value[0] <= value[1]:
                 raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({value[0]}, {value[1]})")
+            # a float or range knob, told by its default from the int and bool ones
+            if not isinstance(getattr(GeneratorParams, name), int) and max(numbers) > KNOB_LIMIT:
+                raise ValueError(f"{name} must be at most {KNOB_LIMIT:g}, got {value}")
         if self.n_agents < 0:
             raise ValueError(f"n_agents must be >= 0, got {self.n_agents}")
         if self.n_candidates < 1:
@@ -292,12 +295,7 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
     right = [point(s, -half_width) for s in stations]
 
     # drivable area: corridor ring, right side forward then left side back (CCW)
-    try:
-        drivable = MultiPolygon((Polygon(np.array(right + left[::-1] + right[:1])),))
-    except RingTooLargeError as e:
-        knob = "turn_half_width_range" if kind is ScenarioKind.TURN else "half_width_range"
-        length = corridor_len - corridor_start
-        raise ValueError(f"{knob} {getattr(params, knob)} and a length of {length} m make a corridor too large: {e}") from None
+    drivable = MultiPolygon((Polygon(np.array(right + left[::-1] + right[:1])),))
 
     def element(points: list[tuple[float, float]], kind: MapElementKind) -> MapElement:
         return MapElement(UncertainPolyline(np.array([(x, y, B_MIN, B_MIN) for x, y in points])), kind)
@@ -315,19 +313,13 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
 
     true_map = UncertainMap(tuple(elements), drivable)
     perturb_seed = int(rng.integers(0, 2**63 - 1))
-    noise_fault = f"noise_scale {params.noise_scale} moves the perceived map to non-finite coordinates"
-    try:
-        perceived = perturb_map(true_map, params.noise_scale, perturb_seed, params.calibrated)
-    except ValueError:
-        raise ValueError(noise_fault) from None
+    perceived = perturb_map(true_map, params.noise_scale, perturb_seed, params.calibrated)
 
     # planner aim point: perceived corridor center at the lookahead station,
     # plus the planning head's own lateral error on top of the map reading
     i_look = min(range(n_pts), key=lambda k: abs(stations[k] - horizon_len))
     (plx, ply), (prx, pry) = (perceived.elements[k].polyline.table[i_look, :2].tolist() for k in (0, 1))
     mid_x, mid_y = 0.5 * (plx + prx), 0.5 * (ply + pry)
-    if not (math.isfinite(mid_x) and math.isfinite(mid_y)):
-        raise ValueError(noise_fault)
     cx, cy = point(stations[i_look], 0.0)
     h_look = curvature * stations[i_look]
     aim = (mid_x - cx) * -math.sin(h_look) + (mid_y - cy) * math.cos(h_look)

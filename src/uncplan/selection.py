@@ -127,7 +127,6 @@ class SelectionConfig:
     enable_agent_filter: bool = True
     enable_boundary_filter: bool = True
     check_all_agent_modes: bool = False  # default: highest-confidence mode only
-    risk_on_all_elements: bool = False  # default: boundary elements only
 
     def __post_init__(self) -> None:
         for name in ("nll_threshold", "boundary_clearance", "agent_margin"):
@@ -299,10 +298,10 @@ class FilterValues:
 
     @cached_property
     def risks(self) -> list[list[float]]:
-        """Per scene, the risk of each candidate."""
+        """Per scene, the risk of each candidate against the map's boundary elements."""
         per_scene = []
         for xy, _, _, m, _, _ in self.scenes:
-            elements = [e.polyline for e in m.elements] if self.cfg.risk_on_all_elements else boundary_elements(m)
+            elements = boundary_elements(m)
             if not elements:
                 raise ValueError("uncertainty filter needs at least one boundary element")
             per_scene.append(_risks(xy, elements, self.cfg.risk_aggregator))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 from collections import Counter
@@ -14,11 +15,22 @@ from uncplan.cli import (
     EXIT_PARSE,
     PRESETS,
     ConfigError,
+    OracleMismatch,
+    build_parser,
     main,
     preset_selection,
 )
 from uncplan.metrics import evaluate_trajectories
-from uncplan.scenario import GeneratorParams, ScenarioKind, generate_scenario, load_scenario, scenario_to_dict
+from uncplan.scenario import (
+    GeneratorParams,
+    ScenarioFormatError,
+    ScenarioInvariantError,
+    ScenarioKind,
+    ScenarioVersionError,
+    generate_scenario,
+    load_scenario,
+    scenario_to_dict,
+)
 from uncplan.selection import SelectionConfig, ucas_select
 
 
@@ -312,12 +324,11 @@ def test_non_finite_noise_is_config_error(tmp_path, capsys, value):
     assert f"noise_scale must be finite and >= 0, got {value}" in capsys.readouterr().err
 
 
-def test_noise_that_moves_the_map_off_the_floats_is_config_error(tmp_path, capsys):
-    """A finite --noise can still be too large for a scenario: the fault is a config error naming noise_scale,
-    not an invariant violation about an array shape."""
-    assert run(["generate", "--count", 20, "--noise", "1e308", "--seed", 1, "--out", tmp_path / "d"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: noise_scale 1e+308 moves the perceived map to non-finite coordinates"), err
+def test_noise_above_the_knob_limit_is_config_error(tmp_path, capsys):
+    """A finite --noise above KNOB_LIMIT is refused before any scenario is generated, naming noise_scale."""
+    assert run(["generate", "--count", 2, "--noise", "2e6", "--out", tmp_path / "d"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: noise_scale must be at most 1e+06, got 2000000.0\n"
+    assert not (tmp_path / "d").exists()
 
 
 def test_eval_bad_preset_is_argparse_exit_2(small_suite, tmp_path):
@@ -475,6 +486,79 @@ def test_ablate_five_rows_ordered(small_suite, tmp_path):
         if not l.startswith("#") and not l.startswith("preset")
     ]
     assert [l.split(",")[0] for l in lines] == list(PRESETS)
+
+
+@pytest.mark.parametrize("command, others", [
+    (["eval"], ".scenarios.csv, .txt"),
+    (["eval", "--verify"], ".scenarios.csv, .txt"),
+    (["ablate"], ".txt"),
+], ids=["eval", "verify", "ablate"])
+def test_stdout_is_the_table_then_the_report_paths(small_suite, tmp_path, capsys, command, others):
+    """The .txt report, then the .csv path (its prefix normalized as a Path) and the other suffixes; nothing on stderr."""
+    capsys.readouterr()
+    assert run([*command, "--suite", small_suite, "--out", f"{tmp_path}/new/./r"]) == EXIT_OK
+    captured = capsys.readouterr()
+    table = (tmp_path / "new" / "r.txt").read_text()
+    title = f"ablation on {small_suite} (convention=cumulative)" if command == ["ablate"] else \
+        f"preset=ucas convention=cumulative suite={small_suite}"
+    assert table.startswith(title + "\n")
+    assert captured.out == f"{table}reports written to {tmp_path / 'new' / 'r'}.csv (+ {others})\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+@pytest.mark.parametrize("error, prefix, code", [
+    (ConfigError("bad knob"), "config error", EXIT_CONFIG),
+    (OracleMismatch("scenario s: disagree"), "oracle mismatch", EXIT_ORACLE),
+    (ScenarioInvariantError("bad value"), "invariant violation", EXIT_INVARIANT),
+    (ScenarioFormatError("bad field"), "parse error", EXIT_PARSE),
+    (ScenarioVersionError("bad version"), "parse error", EXIT_PARSE),
+    (ValueError("plain"), "invariant violation", EXIT_INVARIANT),
+    (FileNotFoundError("missing"), "i/o error", EXIT_IO),
+    (RuntimeError("unmapped"), None, None),
+], ids=["config", "oracle", "invariant", "format", "version", "value", "os", "unmapped"])
+def test_each_error_class_has_its_stderr_prefix_and_exit_code(small_suite, tmp_path, capsys, monkeypatch, command,
+                                                             error, prefix, code):
+    """The first matching class decides: a ScenarioVersionError is a parse error and a plain ValueError an invariant
+    violation; an error of no listed class propagates."""
+    import uncplan.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "evaluate_suite", fail)
+    argv = [command, "--suite", small_suite, "--out", tmp_path / "x"]
+    if code is None:
+        with pytest.raises(RuntimeError, match="^unmapped$"):
+            run(argv)
+        return
+    assert run(argv) == code
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
+
+
+_SHARED_OPTIONS = ("suite", "nll_threshold", "clearance", "convention", "out")
+
+
+def _shared_options(command):
+    """(flags, type, default, choices, required, help) of each shared option of a subcommand."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    return {a.dest: (a.option_strings, a.type, a.default, a.choices, a.required, a.help)
+            for a in actions if a.dest in _SHARED_OPTIONS}
+
+
+def test_eval_and_ablate_parse_their_shared_options_alike():
+    assert _shared_options("eval") == _shared_options("ablate")
+    assert list(_shared_options("eval")) == list(_SHARED_OPTIONS)
+    defaults = {"suite": "s.json", "nll_threshold": 2.0, "clearance": 0.3, "convention": "cumulative", "out": "o"}
+    given = {"suite": "s.json", "nll_threshold": 2.5, "clearance": 0.45, "convention": "instantaneous", "out": "o"}
+    tuned = ["--nll-threshold", "2.5", "--clearance", "0.45", "--convention", "instantaneous"]
+    for extra, expected in (([], defaults), (tuned, given)):
+        for command in ("eval", "ablate"):
+            args = vars(build_parser().parse_args([command, "--suite", "s.json", "--out", "o", *extra]))
+            parsed = {name: args[name] for name in _SHARED_OPTIONS}
+            assert parsed == expected
+            assert all(type(parsed[name]) is float for name in ("nll_threshold", "clearance"))
 
 
 def test_ablate_loads_each_scenario_once(small_suite, tmp_path, monkeypatch):

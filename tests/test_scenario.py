@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from uncplan.geometry import normalize_heading
 from uncplan.metrics import dacr_frame, scenario_class_of
 from uncplan.scenario import (
+    KNOB_LIMIT,
     AgentMode,
     AgentPrediction,
     GeneratorParams,
@@ -741,28 +742,6 @@ def test_generated_files_keep_their_stored_bytes(tmp_path, config, kind):
     assert digest.hexdigest() == _STORED_BYTES[config, kind]
 
 
-@pytest.mark.parametrize("noise, kind, index", [(1e308, ScenarioKind.TURN, 0), (2e307, ScenarioKind.STRAIGHT, 50)])
-def test_noise_that_moves_the_map_off_the_floats_is_refused_naming_noise_scale(noise, kind, index):
-    """1e308 moves map vertices past the float range; at 2e307 the vertices stay finite for this seed, but the
-    perceived corridor centre, the mean of two of them, does not."""
-    message = f"noise_scale {noise} moves the perceived map to non-finite coordinates"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        generate_scenario(kind, GeneratorParams(noise_scale=noise), scenario_seed(73, index))
-
-
-@pytest.mark.parametrize("kind, knob", [(ScenarioKind.STRAIGHT, "half_width_range"),
-                                        (ScenarioKind.TURN, "turn_half_width_range")])
-def test_a_corridor_too_large_to_measure_is_refused_naming_its_width_knob(kind, knob):
-    """Half widths of 1e307 m are finite and accepted, but the corridor ring's shoelace products overflow:
-    generation stops naming the kind's half-width knob and the reason, and numpy warns of no overflow."""
-    message = (f"{knob} (1e+307, 1e+307) and a length of 28.688295986667526 m make a corridor too large: "
-               f"outer ring coordinates are too large: its area is not a finite number")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            generate_scenario(kind, GeneratorParams(**{knob: (1e307, 1e307)}), scenario_seed(73, 5))
-
-
 def test_turn_corridors_need_three_element_points():
     """Two stations of a turn span a chord, and about half of such corridor rings fold over; straight
     corridors of two points stay valid (tests/data/single_faults.json is built on one)."""
@@ -832,6 +811,35 @@ def test_generator_params_reject_non_finite_range_ends(name, end, value):
     bounds[end] = value
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         GeneratorParams(**{name: tuple(bounds)})
+
+
+_RING_REFUSAL = r"^outer ring (must be counterclockwise|is self-intersecting \(edges \d+ and \d+\))$"
+
+
+@pytest.mark.parametrize("name", _FLOAT_FIELDS + _RANGE_FIELDS)
+def test_float_knobs_are_bounded_so_generated_numbers_stay_finite(name):
+    """Just above KNOB_LIMIT, and at 1e307 and 1e308, where generation used to overflow, a float knob or a range
+    knob's end is refused naming the knob. At the limit, one knob at a time, 20 seeds of each kind generate finite
+    numbers, numpy warning of no overflow, or are refused by the ring validator for a corridor that folds over."""
+    for value in (math.nextafter(KNOB_LIMIT, math.inf), 1e307, 1e308):
+        for knob in [value] if name in _FLOAT_FIELDS else [(1.0, value), (value, value)]:
+            with pytest.raises(ValueError, match=rf"^{name} must be at most 1e\+06, got "):
+                GeneratorParams(**{name: knob})
+    if name == "lateral_reach_frac":  # its own range, (0, 1), is narrower
+        with pytest.raises(ValueError, match=r"^lateral_reach_frac must be in \(0, 1\)$"):
+            GeneratorParams(lateral_reach_frac=KNOB_LIMIT)
+        return
+    params = GeneratorParams(**{name: KNOB_LIMIT if name in _FLOAT_FIELDS else (KNOB_LIMIT, KNOB_LIMIT)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ScenarioKind:
+            for i in range(20):
+                try:
+                    s = generate_scenario(kind, params, scenario_seed(73, i))
+                except ValueError as e:
+                    assert re.match(_RING_REFUSAL, str(e)), (kind, i, e)
+                    continue
+                json.dumps(scenario_to_dict(s), allow_nan=False)
 
 
 def _dumps(obj):

@@ -362,16 +362,14 @@ def test_uncertainty_filter_requires_boundaries():
     assert report.chosen_index == 0
 
 
-def test_risk_on_all_elements_flag():
+def test_risk_reads_boundary_elements_only():
+    """A lane divider on the path adds no risk: only boundary elements are read."""
     s = uniform_set([0.5], offsets=[0.0])
     divider_on_path = MapElement(boundary_at(0.0, b=0.5), MapElementKind.LANE_DIVIDER)
     boundary_far = MapElement(boundary_at(50.0, b=0.5), MapElementKind.BOUNDARY)
     m = UncertainMap((divider_on_path, boundary_far), wide_da())
     base = SelectionConfig(enable_agent_filter=False, enable_boundary_filter=False)
     assert ucas_select(s, Command.GO_STRAIGHT, m, [], EGO_DIMS, base).records[0].final_score > 0
-    wide = dataclasses.replace(base, risk_on_all_elements=True)
-    report = ucas_select(s, Command.GO_STRAIGHT, m, [], EGO_DIMS, wide)
-    assert report.records[0].final_score == 0.0  # divider now contributes risk
 
 
 FILTERS = ("enable_uncertainty_filter", "enable_agent_filter", "enable_boundary_filter")
