@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__
-from .metrics import MetricsRow, ScenarioMetrics, aggregate, evaluate_trajectories
+from .metrics import CONVENTIONS, ROW_FIELDS, MetricsRow, ScenarioMetrics, aggregate, evaluate_trajectories
 from .oracles import oracle_dacr_flags, oracle_select
 from .scenario import (
     GeneratorParams,
@@ -192,17 +192,10 @@ def _table(title: str, head: str, lines: Iterable[str]) -> str:
     return "\n".join([title, head, "-" * len(head), *lines]) + "\n"
 
 
-_ROW_FIELDS = (
-    "de_1s", "de_2s", "de_3s", "de_avg",
-    "cr_1s", "cr_2s", "cr_3s", "cr_avg",
-    "dacr_1s", "dacr_2s", "dacr_3s", "dacr_avg",
-)
-
-
 def render_rows_csv(rows: list[MetricsRow], header_pairs: list[tuple[str, object]]) -> str:
-    lines = (f"{row.scenario_class},{row.n_scenarios}," + ",".join(repr(getattr(row, f)) for f in _ROW_FIELDS)
+    lines = (f"{row.scenario_class},{row.n_scenarios}," + ",".join(repr(getattr(row, f)) for f in ROW_FIELDS)
              for row in rows)
-    return _csv(header_pairs, "stratum,n," + ",".join(_ROW_FIELDS), lines)
+    return _csv(header_pairs, "stratum,n," + ",".join(ROW_FIELDS), lines)
 
 
 def render_scenarios_csv(per_scenario: list[ScenarioMetrics], header_pairs) -> str:
@@ -246,22 +239,17 @@ def _parse_mix(raw: str) -> float:
         return 1.0
     if raw == "straight-only":
         return 0.0
-    try:
-        frac = float(raw)
+    try:  # generate_suite checks the fraction's range
+        return float(raw)
     except ValueError:
         raise ConfigError(
             f"--mix must be 'turn-only', 'straight-only' or a turn fraction in [0, 1], got {raw!r}"
         ) from None
-    if not 0.0 <= frac <= 1.0:
-        raise ConfigError(f"--mix fraction must be in [0, 1], got {frac}")
-    return frac
 
 
 def cmd_generate(args) -> int:
-    if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
     turn_fraction = _parse_mix(args.mix)
-    try:  # GeneratorParams refuses an option out of its range, naming the knob
+    try:  # GeneratorParams and generate_suite refuse an option out of its range by name, before writing a file
         params = GeneratorParams(noise_scale=args.noise, n_candidates=args.candidates)
         manifest = generate_suite(args.out, args.count, turn_fraction, params, args.seed)
     except ValueError as e:
@@ -351,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--preset", choices=PRESETS, default="ucas")
         p.add_argument("--nll-threshold", type=float, default=2.0)
         p.add_argument("--clearance", type=float, default=0.3)
-        p.add_argument("--convention", choices=("cumulative", "instantaneous"), default="cumulative")
+        p.add_argument("--convention", choices=CONVENTIONS, default="cumulative")
         if name == "eval":
             p.add_argument("--verify", action="store_true", help="differential-check against the oracles")
         p.add_argument("--out", required=True, help="output path prefix for reports")

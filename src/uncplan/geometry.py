@@ -49,10 +49,6 @@ _PAIR_BLOCK = 1 << 11
 _BROAD_EPS = 1e-9
 
 
-class RingTooLargeError(ValueError):
-    """A ring whose coordinates are too large for its shoelace area to be a finite number."""
-
-
 def normalize_heading(theta: float) -> float:
     """Wrap an angle into (-pi, pi]. Values already in range pass through unchanged."""
     if not math.isfinite(theta):
@@ -386,7 +382,7 @@ def _validate_ring(ring: np.ndarray, want_ccw: bool, label: str) -> tuple[np.nda
         raise ValueError(f"{label} ring is not closed (first vertex != last vertex)")
     area = _ring_signed_area(ring)
     if not math.isfinite(area):
-        raise RingTooLargeError(f"{label} ring coordinates are too large: its area is not a finite number")
+        raise ValueError(f"{label} ring coordinates are too large: its area is not a finite number")
     if abs(area) < MIN_POLYGON_AREA:
         raise ValueError(f"{label} ring is degenerate (area {abs(area):.3e} m^2)")
     if (area > 0) != want_ccw:

@@ -15,7 +15,7 @@ paired only with its own ground truth; one trajectory is a call on one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Sequence
 
@@ -29,6 +29,7 @@ from .geometry import (
     areas_contain,
     box_corners,
     frozen,
+    normalize_heading,
     row_array,
     row_dims,
 )
@@ -42,8 +43,11 @@ TURN_THRESHOLD_RAD = math.radians(15.0)
 
 
 def box_array(boxes) -> np.ndarray:
-    """Per agent, T_F boxes as a read-only (A, T_F, 5) array of rows (cx, cy,
-    heading, length, width); boxes is such an array, or holds OrientedBoxes."""
+    """Per agent, T_F boxes (each agent's count checked here) as a read-only (A, T_F, 5) array of rows
+    (cx, cy, heading, length, width); boxes is such an array, or holds OrientedBoxes."""
+    for i, seq in enumerate(boxes):
+        if len(seq) != T_F:
+            raise ValueError(f"agent {i} ground truth has {len(seq)} steps, needs {T_F}")
     table = row_array(boxes, T_F, 5, row=lambda seq: list(map(_BOX, seq)))
     if not (table[..., 3:] > 0).all():
         raise ValueError("box dimensions must be positive")
@@ -65,9 +69,6 @@ class GroundTruth(ArrayValue):
         ego_xy, ego_yaw = row_array(self.ego_xy, 2, row=POINT), frozen(self.ego_yaw)
         if len(ego_xy) != T_F or ego_yaw.shape != (T_F,):
             raise ValueError(f"ground truth needs {T_F} ego steps")
-        for i, seq in enumerate(self.agent_boxes):
-            if len(seq) != T_F:
-                raise ValueError(f"agent {i} ground truth has {len(seq)} steps, needs {T_F}")
         self.__dict__.update(ego_xy=ego_xy, ego_yaw=ego_yaw, agent_boxes=box_array(self.agent_boxes))
 
 
@@ -103,13 +104,16 @@ class MetricsRow:
     dacr_avg: float
 
     def __post_init__(self) -> None:
-        for name in ("de_1s", "de_2s", "de_3s", "de_avg"):
+        for name in ROW_FIELDS[:4]:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("cr_1s", "cr_2s", "cr_3s", "cr_avg", "dacr_1s", "dacr_2s", "dacr_3s", "dacr_avg"):
+        for name in ROW_FIELDS[4:]:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a fraction in [0, 1], got {v}")
+
+
+ROW_FIELDS = tuple(f.name for f in fields(MetricsRow))[2:]  # the metric columns: DE, then the CR and DACR fractions
 
 
 def _check_horizon(horizon_steps: int) -> None:
@@ -243,15 +247,8 @@ def evaluate_trajectories(items: Sequence[tuple], convention: str = "cumulative"
 
 def scenario_class_of(ego_headings: Sequence[float]) -> str:
     """Turn/Straight split: total ground-truth heading change above 15 degrees is a Turn."""
-    delta = abs(_angle_diff(ego_headings[-1], ego_headings[0]))
+    delta = abs(normalize_heading(ego_headings[-1] - ego_headings[0]))
     return "Turn" if delta > TURN_THRESHOLD_RAD else "Straight"
-
-
-def _angle_diff(a: float, b: float) -> float:
-    d = (a - b) % math.tau
-    if d > math.pi:
-        d -= math.tau
-    return d
 
 
 def _mean_row(label: str, rows: Sequence[ScenarioMetrics]) -> MetricsRow:
@@ -259,13 +256,7 @@ def _mean_row(label: str, rows: Sequence[ScenarioMetrics]) -> MetricsRow:
     de = [sum(r.de[k] for r in rows) / n for k in range(3)]
     cr = [sum(1.0 for r in rows if r.cr[k]) / n for k in range(3)]
     dacr = [sum(r.dacr[k] for r in rows) / n for k in range(3)]
-    return MetricsRow(
-        scenario_class=label,
-        n_scenarios=n,
-        de_1s=de[0], de_2s=de[1], de_3s=de[2], de_avg=sum(de) / 3.0,
-        cr_1s=cr[0], cr_2s=cr[1], cr_3s=cr[2], cr_avg=sum(cr) / 3.0,
-        dacr_1s=dacr[0], dacr_2s=dacr[1], dacr_3s=dacr[2], dacr_avg=sum(dacr) / 3.0,
-    )
+    return MetricsRow(label, n, *de, sum(de) / 3.0, *cr, sum(cr) / 3.0, *dacr, sum(dacr) / 3.0)
 
 
 def aggregate(rows: Sequence[ScenarioMetrics], stratify: bool = False) -> list[MetricsRow]:

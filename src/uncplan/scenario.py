@@ -113,7 +113,8 @@ class GeneratorParams:
 
     Each knob is checked here on its own, and no float knob may exceed
     KNOB_LIMIT, so every number a scenario is built from stays finite.
-    generate_scenario refuses a turn corridor of fewer than 3 element points.
+    generate_scenario refuses a turn corridor of fewer than 3 element points,
+    and one whose ring folds over, naming the knobs that drew it.
     """
 
     noise_scale: float = 0.5  # m, Laplace scale of map perturbation
@@ -202,14 +203,12 @@ class Scenario(ArrayValue):
 
     def _settle(self, future: np.ndarray, boxes) -> None:
         """Check the fields, future being the ego_poses array, and store them, agent_boxes as boxes(agent_boxes)."""
-        agents, agent_gt = tuple(self.agents), self.agent_boxes
+        agents = tuple(self.agents)
         if len(future) != T_F:
             raise ValueError(f"ego ground truth needs {T_F} poses, got {len(future)}")
-        if len(agent_gt) != len(agents):
+        if len(self.agent_boxes) != len(agents):
             raise ValueError("agent_gt and agents must align")
-        for seq in agent_gt:
-            if len(seq) != T_F:
-                raise ValueError(f"agent ground truth needs {T_F} boxes per agent")
+        agent_boxes = boxes(self.agent_boxes)
         expected = scenario_class_of(future[:, 2].tolist())
         if self.scenario_class != expected:
             raise ValueError(
@@ -217,7 +216,7 @@ class Scenario(ArrayValue):
                 f"(15 degree rule says {expected!r})"
             )
         ego_dims = (float(self.ego_dims[0]), float(self.ego_dims[1]))
-        self.__dict__.update(agents=agents, agent_boxes=boxes(agent_gt), ego_poses=future, ego_dims=ego_dims)
+        self.__dict__.update(agents=agents, agent_boxes=agent_boxes, ego_poses=future, ego_dims=ego_dims)
 
     def ground_truth(self) -> GroundTruth:
         return GroundTruth._of(ego_xy=self.ego_poses[:, :2], ego_yaw=self.ego_poses[:, 2],
@@ -295,7 +294,13 @@ def generate_scenario(kind: ScenarioKind, params: GeneratorParams, seed: int) ->
     right = [point(s, -half_width) for s in stations]
 
     # drivable area: corridor ring, right side forward then left side back (CCW)
-    drivable = MultiPolygon((Polygon(np.array(right + left[::-1] + right[:1])),))
+    try:  # the ring validator refuses a corridor that folds over, one that turns more than once
+        drivable = MultiPolygon((Polygon(np.array(right + left[::-1] + right[:1])),))
+    except ValueError as e:
+        knobs = "curvature_range, turn_half_width_range" if curvature else "half_width_range"
+        raise ValueError(f"corridor of curvature {curvature} 1/m, half width {half_width} m and length "
+                         f"{corridor_len - corridor_start} m has no valid ring ({e}); it is set by {knobs}, "
+                         "speed_range, corridor_tail and ego_length") from None
 
     def element(points: list[tuple[float, float]], kind: MapElementKind) -> MapElement:
         return MapElement(UncertainPolyline(np.array([(x, y, B_MIN, B_MIN) for x, y in points])), kind)
@@ -526,9 +531,8 @@ def _name(path) -> str:
     return "".join(reversed(parts)).lstrip(".")
 
 
-def _field(obj, key: str, kind, path, *read):
-    """obj[key] as kind: dict, list, str, int or a finite float; true and false are not numbers.
-    Given read, the items of a list are read by read[0](item, item path, *read[1:])."""
+def _field(obj, key: str, kind, path):
+    """obj[key] as kind: dict, list, str, int or a finite float; true and false are not numbers."""
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"field '{_name(path)}' must be an object")
     if key not in obj:
@@ -539,7 +543,7 @@ def _field(obj, key: str, kind, path, *read):
             value = _number(value, (path, key))
         elif isinstance(value, bool) or not isinstance(value, kind):
             raise ScenarioFormatError(f"field '{_name((path, key))}' must be {kind.__name__}")
-    return _list(value, (path, key), *read) if read else value
+    return value
 
 
 def _number(value, path) -> float:
@@ -557,12 +561,6 @@ def _number(value, path) -> float:
 
 def _floats(obj, path, *keys) -> tuple[float, ...]:
     return tuple([_field(obj, key, float, path) for key in keys])
-
-
-def _list(value, path, read, *args) -> tuple:
-    if not isinstance(value, list):
-        raise ScenarioFormatError(f"field '{_name(path)}' must be a list")
-    return tuple([read(item, (path, i), *args) for i, item in enumerate(value)])
 
 
 def _enum(obj, key: str, path, enum_cls, unknown: str):
@@ -806,8 +804,12 @@ def load_suite(manifest_path: str | Path) -> tuple[dict, list[Path]]:
     manifest_path = Path(manifest_path)
     data = _decode(manifest_path.read_text(encoding="utf-8"), manifest_path)
     _check_version(data, manifest_path)
-    paths = list(_field(data, "scenarios", list, None, _suite_entry, manifest_path.parent))
-    ids = [entry["id"] for entry in data["scenarios"]]
+    paths, ids = [], []
+    for i, entry in enumerate(_field(data, "scenarios", list, None)):  # each entry's path, then its id
+        paths.append(manifest_path.parent / _field(entry, "path", str, ((None, "scenarios"), i)))
+        ids.append(_field(entry, "id", str, ((None, "scenarios"), i)))
+    if not ids:
+        raise ScenarioInvariantError("field 'scenarios': a suite needs at least one scenario")
     for what, keys in (("id", ids), ("path", list(map(os.path.normpath, paths)))):
         first: dict = {}  # key -> index of the first entry with it
         for i, key in enumerate(keys):
@@ -815,10 +817,3 @@ def load_suite(manifest_path: str | Path) -> tuple[dict, list[Path]]:
                 message = f"{ids[i]!r} repeats the {what} of scenarios[{j}] ({ids[j]!r})"
                 raise ScenarioInvariantError(f"field 'scenarios[{i}].id': {message}")
     return data, paths
-
-
-def _suite_entry(obj, path, root: Path) -> Path:
-    """A manifest entry's scenario path; its id must be a string too."""
-    rel = _field(obj, "path", str, path)
-    _field(obj, "id", str, path)
-    return root / rel

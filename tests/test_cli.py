@@ -92,6 +92,29 @@ def test_generate_bad_mix_is_config_error(tmp_path):
     assert run(["generate", "--count", 2, "--mix", "sideways", "--out", tmp_path / "x"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--count", 0], "count must be >= 1, got 0"),
+        (["--count", 2, "--mix", "1.5"], "turn_fraction must be in [0, 1], got 1.5"),
+    ],
+    ids=["count", "mix"],
+)
+def test_generate_out_of_range_count_or_mix_is_config_error_naming_the_parameter(tmp_path, capsys, args, message):
+    assert run(["generate", *args, "--out", tmp_path / "x"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_empty_suite_is_invariant_error_naming_scenarios(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"version": 1, "scenarios": []}))
+    assert run([command, "--suite", manifest, "--out", tmp_path / "x"]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: field 'scenarios': a suite needs at least one scenario\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_generate_turn_only(tmp_path):
     out = tmp_path / "turns"
     assert run(["generate", "--count", 3, "--mix", "turn-only", "--seed", 5, "--out", out]) == EXIT_OK

@@ -212,6 +212,31 @@ def test_scenario_class_split():
     assert scenario_class_of([math.pi - 0.05, 0, 0, 0, 0, -math.pi + 0.05]) == "Straight"
 
 
+def _modular_delta(a, b):
+    """The heading difference a - b wrapped into (-pi, pi] by one modulo, as scenario_class_of once took it."""
+    d = (a - b) % math.tau
+    if d > math.pi:
+        d -= math.tau
+    return d
+
+
+def test_scenario_class_agrees_with_the_modular_heading_difference():
+    rng = np.random.default_rng(15)
+    pairs = rng.uniform(-2 * math.pi, 2 * math.pi, size=(10_000, 2)).tolist()
+    # pairs that wrap across +/-pi, on either side of the 15 degree threshold
+    pairs += [(s * (math.pi - e), -s * (math.pi - f)) for s in (1, -1) for e in (0.0, 0.01, 0.1, 0.2)
+              for f in (0.0, 0.05, 0.13, 0.3)]
+    threshold = math.radians(15.0)
+    checked = 0
+    for first, last in pairs:
+        delta = abs(_modular_delta(last, first))
+        if abs(delta - threshold) <= 1e-12:
+            continue
+        assert scenario_class_of([first, 0, 0, 0, 0, last]) == ("Turn" if delta > threshold else "Straight")
+        checked += 1
+    assert checked >= 10_000
+
+
 # -- aggregation ------------------------------------------------------------------
 
 

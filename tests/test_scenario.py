@@ -8,7 +8,7 @@ import re
 import tempfile
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from uncplan.geometry import normalize_heading
-from uncplan.metrics import dacr_frame, scenario_class_of
+from uncplan.metrics import GroundTruth, dacr_frame, scenario_class_of
 from uncplan.scenario import (
     KNOB_LIMIT,
     AgentMode,
@@ -813,7 +813,45 @@ def test_generator_params_reject_non_finite_range_ends(name, end, value):
         GeneratorParams(**{name: tuple(bounds)})
 
 
-_RING_REFUSAL = r"^outer ring (must be counterclockwise|is self-intersecting \(edges \d+ and \d+\))$"
+_RING_REFUSAL = (r"^corridor of curvature \S+ 1/m, half width \S+ m and length \S+ m has no valid ring \(outer ring "
+                 r"(must be counterclockwise|is self-intersecting \(edges \d+ and \d+\))\); it is set by curvature_range, "
+                 r"turn_half_width_range, speed_range, corridor_tail and ego_length$")
+
+
+def test_a_turn_corridor_that_folds_over_is_refused_naming_its_knobs():
+    """With a 100 m tail every turn corridor of seed 73 turns more than once and folds over; the refusal names
+    the drawn curvature, half width and length and the knobs that set them. Straight corridors still generate."""
+    params = GeneratorParams(corridor_tail=100.0)
+    for i in range(40):
+        with pytest.raises(ValueError, match=_RING_REFUSAL):
+            generate_scenario(ScenarioKind.TURN, params, scenario_seed(73, i))
+        generate_scenario(ScenarioKind.STRAIGHT, params, scenario_seed(73, i))
+
+
+@pytest.mark.parametrize("build", ["Scenario", "GroundTruth"])
+def test_an_agent_with_too_few_boxes_is_refused_naming_it(build):
+    s = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1), scenario_seed(73, 3))
+    short = s.agent_boxes[:, :T_F - 1]
+    with pytest.raises(ValueError, match=rf"^agent 0 ground truth has {T_F - 1} steps, needs {T_F}$"):
+        if build == "Scenario":
+            replace(s, agent_boxes=short)
+        else:
+            GroundTruth(s.ego_poses[:, :2], s.ego_poses[:, 2], short, s.map.drivable_area)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([{"path": "a.json"}, {"id": "b"}], r"^missing field 'scenarios\[0\]\.id'$"),
+        ([{"path": 7}, {"id": "b", "path": "b.json"}], r"^field 'scenarios\[0\]\.path' must be str$"),
+    ],
+    ids=["id-before-next-path", "path-before-id"],
+)
+def test_manifest_entries_are_read_one_at_a_time_path_then_id(tmp_path, entries, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"version": 1, "scenarios": entries}))
+    with pytest.raises(ScenarioFormatError, match=message):
+        load_suite(manifest)
 
 
 @pytest.mark.parametrize("name", _FLOAT_FIELDS + _RANGE_FIELDS)
