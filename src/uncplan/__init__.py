@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .geometry import (
     MultiPolygon,
-    OrientedBox,
     Point2,
     Polygon,
     Pose2,

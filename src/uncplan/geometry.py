@@ -152,7 +152,8 @@ class ArrayValue:
 
     @classmethod
     def _of(cls, **stored):
-        """An instance holding stored as it is, unchecked."""
+        """An instance holding stored as it is, unchecked: arrays a caller has checked already, such as the
+        loader's candidate, mode and polyline tables. Polygon has only its checked constructor."""
         self = object.__new__(cls)
         self.__dict__.update(stored)
         return self
@@ -186,18 +187,7 @@ class Polygon(ArrayValue):
     _views = {"outer": lambda p: point_tuple(p.rings[0]), "holes": lambda p: tuple(map(point_tuple, p.rings[1:]))}
 
     def __init__(self, outer, holes=()) -> None:
-        self._settle(tuple(row_array(ring, 2, row=POINT) for ring in (outer, *holes)))
-
-    @classmethod
-    def _loaded(cls, rings: Sequence[np.ndarray]) -> "Polygon":
-        """The Polygon of rings, outer ring first, each a read-only (n, 2) array
-        of finite numbers as the loader reads it: not copied or checked again."""
-        self = object.__new__(cls)
-        self._settle(tuple(rings))
-        return self
-
-    def _settle(self, rings: tuple[np.ndarray, ...]) -> None:
-        """Check the ring layout and store rings and their edges."""
+        rings = tuple(row_array(ring, 2, row=POINT) for ring in (outer, *holes))
         rim = _validate_ring(rings[0], want_ccw=True, label="outer")
         edges = [rim]
         # the layout under which even-odd parity over all rings is the polygon's area
@@ -243,22 +233,6 @@ def areas_contain(points: np.ndarray, areas: Sequence[MultiPolygon], groups: np.
     every area."""
     labels = np.repeat(np.arange(len(areas)), [len(area.edges[0]) for area in areas])
     return _ring_hits(points, *_concat([area.edges for area in areas]), (groups, labels))
-
-
-@dataclass(frozen=True)
-class OrientedBox:
-    """Rectangular footprint: center, heading and full length/width in meters."""
-
-    center: Point2
-    heading: float
-    length: float
-    width: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.heading):
-            raise ValueError(f"heading must be finite, got {self.heading}")
-        if not (0 < self.length < math.inf and 0 < self.width < math.inf):
-            raise ValueError(f"box dimensions must be positive and finite, got {self.length} x {self.width}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -28,14 +27,11 @@ from .geometry import (
     aligned_box_hits,
     areas_contain,
     box_corners,
-    frozen,
     normalize_heading,
     row_array,
     row_dims,
 )
 from .selection import T_F, CandidateTrajectory
-
-_BOX = attrgetter("center.x", "center.y", "heading", "length", "width")
 
 HORIZON_STEPS = (2, 4, 6)  # 1 s / 2 s / 3 s at 0.5 s per step
 CONVENTIONS = ("cumulative", "instantaneous")
@@ -43,12 +39,12 @@ TURN_THRESHOLD_RAD = math.radians(15.0)
 
 
 def box_array(boxes) -> np.ndarray:
-    """Per agent, T_F boxes (each agent's count checked here) as a read-only (A, T_F, 5) array of rows
-    (cx, cy, heading, length, width); boxes is such an array, or holds OrientedBoxes."""
+    """Per agent, T_F boxes (each agent's count checked here) as a read-only (A, T_F, 5) array of finite
+    rows (cx, cy, heading, length, width) with positive sizes; boxes is such an array, or nested sequences."""
     for i, seq in enumerate(boxes):
         if len(seq) != T_F:
             raise ValueError(f"agent {i} ground truth has {len(seq)} steps, needs {T_F}")
-    table = row_array(boxes, T_F, 5, row=lambda seq: list(map(_BOX, seq)))
+    table = row_array(boxes, T_F, 5)
     if not (table[..., 3:] > 0).all():
         raise ValueError("box dimensions must be positive")
     return table
@@ -57,19 +53,18 @@ def box_array(boxes) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GroundTruth(ArrayValue):
     """What actually happens: ego future, agent futures, true drivable area.
-    Stored as read-only arrays, each also accepted as Point2s, floats or
-    OrientedBoxes: ego_xy (T_F, 2), ego_yaw (T_F,), agent_boxes (A, T_F, 5)."""
+    Stored as read-only arrays: ego_xy (T_F, 2), also accepted as Point2s,
+    and agent_boxes (A, T_F, 5), as box_array takes them."""
 
     ego_xy: np.ndarray
-    ego_yaw: np.ndarray
     agent_boxes: np.ndarray
     drivable_area: MultiPolygon
 
     def __post_init__(self) -> None:
-        ego_xy, ego_yaw = row_array(self.ego_xy, 2, row=POINT), frozen(self.ego_yaw)
-        if len(ego_xy) != T_F or ego_yaw.shape != (T_F,):
+        ego_xy = row_array(self.ego_xy, 2, row=POINT)
+        if len(ego_xy) != T_F:
             raise ValueError(f"ground truth needs {T_F} ego steps")
-        self.__dict__.update(ego_xy=ego_xy, ego_yaw=ego_yaw, agent_boxes=box_array(self.agent_boxes))
+        self.__dict__.update(ego_xy=ego_xy, agent_boxes=box_array(self.agent_boxes))
 
 
 @dataclass(frozen=True)

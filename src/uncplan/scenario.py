@@ -44,6 +44,7 @@ from .uncertainty import B_MIN, UncertainPolyline
 SCHEMA_VERSION = 1
 _MASK64 = (1 << 64) - 1
 KNOB_LIMIT = 1e6  # the largest value of a float generator knob, in metres, m/s or as a factor
+_KNOB_KINDS = {bool: "a bool", int: "an int", float: "a number", tuple: "a pair of numbers"}  # by its default's type
 
 
 class ScenarioFormatError(ValueError):
@@ -111,10 +112,10 @@ class GeneratorParams:
     scales the planning-head aim error with the map noise, so noiseless
     scenarios stay exact while noisy ones have an imperfect top-confidence mode.
 
-    Each knob is checked here on its own, and no float knob may exceed
-    KNOB_LIMIT, so every number a scenario is built from stays finite.
-    generate_scenario refuses a turn corridor of fewer than 3 element points,
-    and one whose ring folds over, naming the knobs that drew it.
+    Each knob is checked here on its own, and must be of its default's kind;
+    no float knob may exceed KNOB_LIMIT, so every number a scenario is built
+    from stays finite. generate_scenario refuses a turn corridor of fewer than
+    3 element points, and one whose ring folds over, naming the knobs that drew it.
     """
 
     noise_scale: float = 0.5  # m, Laplace scale of map perturbation
@@ -135,17 +136,25 @@ class GeneratorParams:
     corridor_tail: float = 6.0  # m of corridor beyond the 3 s horizon
 
     def __post_init__(self) -> None:
-        if not 0 <= self.noise_scale < math.inf:
+        if isinstance(self.noise_scale, (int, float)) and not 0 <= self.noise_scale < math.inf:  # else refused below
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         # NaN fails every comparison below without raising, and inf passes some of them
         for name, value in vars(self).items():
-            numbers = value if isinstance(value, tuple) else (value,)
+            default = getattr(GeneratorParams, name)  # tells the knob's kind: bool, int, float or range
+            pair = isinstance(default, tuple)
+            numbers = value if pair else (value,)
+            if isinstance(default, int):  # its default's type alone: no bool is an int knob, no int a bool one
+                typed = type(value) is type(default)
+            else:  # ints and floats, a pair of them for a range; no bool is a number
+                typed = (not pair or isinstance(value, tuple) and len(value) == 2) and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers)
+            if not typed:
+                raise ValueError(f"{name} must be {_KNOB_KINDS[type(default)]}, got {value!r}")
             if not all(isinstance(v, int) or math.isfinite(v) for v in numbers):
                 raise ValueError(f"{name} must be finite, got {value}")
-            if name.endswith("_range") and not 0 < value[0] <= value[1]:
+            if pair and not 0 < value[0] <= value[1]:
                 raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({value[0]}, {value[1]})")
-            # a float or range knob, told by its default from the int and bool ones
-            if not isinstance(getattr(GeneratorParams, name), int) and max(numbers) > KNOB_LIMIT:
+            if not isinstance(default, int) and max(numbers) > KNOB_LIMIT:
                 raise ValueError(f"{name} must be at most {KNOB_LIMIT:g}, got {value}")
         if self.n_agents < 0:
             raise ValueError(f"n_agents must be >= 0, got {self.n_agents}")
@@ -171,11 +180,9 @@ class GeneratorParams:
 class Scenario(ArrayValue):
     """One evaluation unit: perceived map, agents, candidates, ground truth.
     The ground truths are float rows, stored as read-only arrays: agent_boxes
-    (A, T_F, 5), per agent and step (cx, cy, heading, length, width), and
-    ego_poses (T_F, 3), the ego's future (x, y, heading), headings normalized.
-    The generator and the loader build these arrays; an external caller may
-    pass OrientedBoxes and Pose2s instead (see metrics.box_array and
-    geometry.pose_array)."""
+    (A, T_F, 5), per agent and step (cx, cy, heading, length, width), as
+    metrics.box_array takes them, and ego_poses (T_F, 3), the ego's future
+    (x, y, heading), headings normalized, also accepted as Pose2s (see geometry.pose_array)."""
 
     scenario_id: str
     seed: int
@@ -219,8 +226,8 @@ class Scenario(ArrayValue):
         self.__dict__.update(agents=agents, agent_boxes=agent_boxes, ego_poses=future, ego_dims=ego_dims)
 
     def ground_truth(self) -> GroundTruth:
-        return GroundTruth._of(ego_xy=self.ego_poses[:, :2], ego_yaw=self.ego_poses[:, 2],
-                               agent_boxes=self.agent_boxes, drivable_area=self.map.drivable_area)
+        return GroundTruth._of(ego_xy=self.ego_poses[:, :2], agent_boxes=self.agent_boxes,
+                               drivable_area=self.map.drivable_area)
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +735,7 @@ def _uncertain_map(map_data: dict) -> UncertainMap:
         ring_paths = [(path, "outer"), *(((path, "holes"), h) for h in range(len(rings) - 1))]
         tables = [_table(lambda: ring, (2,), lambda: [(ring, ring_path, (_PAIR, None))])
                   for ring, ring_path in zip(rings, ring_paths)]
-        polygons.append(_build(path, Polygon._loaded, tables))
+        polygons.append(_build(path, Polygon, tables[0], tables[1:]))
     return _build(_MAP, UncertainMap, list(map(MapElement, lines, kinds)), _build(area_path, MultiPolygon, polygons))
 
 
@@ -770,32 +777,42 @@ def generate_suite(
     """Write `count` scenario files plus a manifest; fully determined by master_seed.
 
     The first round(count * turn_fraction) scenarios are turns, the rest straight.
-    Returns the manifest path.
+    Returns the manifest path. Each scenario is written as it is generated; a call that raises
+    first removes the scenario files it wrote, and out_dir if it created it.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not 0.0 <= turn_fraction <= 1.0:
         raise ValueError(f"turn_fraction must be in [0, 1], got {turn_fraction}")
     out_dir = Path(out_dir)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     n_turn = round(count * turn_fraction)
-    entries = []
-    for i in range(count):
-        kind = ScenarioKind.TURN if i < n_turn else ScenarioKind.STRAIGHT
-        s = generate_scenario(kind, params, scenario_seed(master_seed, i))
-        fname = f"{s.scenario_id}.json"
-        save_scenario(s, out_dir / fname)
-        entries.append({"id": s.scenario_id, "kind": kind.value, "path": fname})
-    manifest = {
-        "version": SCHEMA_VERSION,
-        "master_seed": master_seed,
-        "count": count,
-        "turn_fraction": turn_fraction,
-        "params": asdict(params),
-        "scenarios": entries,
-    }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    entries, written = [], []
+    try:
+        for i in range(count):
+            kind = ScenarioKind.TURN if i < n_turn else ScenarioKind.STRAIGHT
+            s = generate_scenario(kind, params, scenario_seed(master_seed, i))
+            fname = f"{s.scenario_id}.json"
+            written.append(out_dir / fname)  # before the write, so that a file cut short is removed too
+            save_scenario(s, written[-1])
+            entries.append({"id": s.scenario_id, "kind": kind.value, "path": fname})
+        manifest = {
+            "version": SCHEMA_VERSION,
+            "master_seed": master_seed,
+            "count": count,
+            "turn_fraction": turn_fraction,
+            "params": asdict(params),
+            "scenarios": entries,
+        }
+        manifest_path = out_dir / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    except BaseException:  # a refused scenario, a full disk or an interrupt: leave no half-written suite
+        for path in written:
+            path.unlink(missing_ok=True)
+        if created:
+            out_dir.rmdir()
+        raise
     return manifest_path
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from uncplan.geometry import (
     _ring_signed_area,
     MultiPolygon,
-    OrientedBox,
     Point2,
     Polygon,
     Pose2,
@@ -252,8 +251,9 @@ def test_containment_agrees_with_winding_reference():
 
 
 def _frame(box):
-    heading = np.array([box.heading])
-    return box_corners(np.array([[box.center.x, box.center.y]]), heading, box.length, box.width), box_axes(heading)
+    """Corners and axes of box, a row (cx, cy, heading, length, width)."""
+    cx, cy, heading, length, width = box
+    return box_corners(np.array([[cx, cy]]), np.array([heading]), length, width), box_axes(np.array([heading]))
 
 
 def overlap(a, b):
@@ -261,15 +261,15 @@ def overlap(a, b):
 
 
 def test_boxes_overlap_basics():
-    a = OrientedBox(Point2(0, 0), 0.3, 4.0, 2.0)
+    a = (0.0, 0.0, 0.3, 4.0, 2.0)
     assert overlap(a, a)
-    b = OrientedBox(Point2(10, 0), 0.0, 1.0, 1.0)
-    assert not overlap(OrientedBox(Point2(0, 0), 0.0, 1.0, 1.0), b)
+    b = (10.0, 0.0, 0.0, 1.0, 1.0)
+    assert not overlap((0.0, 0.0, 0.0, 1.0, 1.0), b)
 
 
 def test_boxes_overlap_touching_counts():
-    a = OrientedBox(Point2(0, 0), 0.0, 2.0, 2.0)
-    b = OrientedBox(Point2(2.0, 0), 0.0, 2.0, 2.0)
+    a = (0.0, 0.0, 0.0, 2.0, 2.0)
+    b = (2.0, 0.0, 0.0, 2.0, 2.0)
     assert overlap(a, b)
 
 
@@ -278,15 +278,16 @@ def test_boxes_overlap_touching_counts():
     st.floats(-5, 5), st.floats(-5, 5), st.floats(-4, 4), st.floats(0.5, 6), st.floats(0.5, 4),
 )
 def test_boxes_overlap_symmetric(x1, y1, h1, l1, w1, x2, y2, h2, l2, w2):
-    a = OrientedBox(Point2(x1, y1), h1, l1, w1)
-    b = OrientedBox(Point2(x2, y2), h2, l2, w2)
+    a = (x1, y1, h1, l1, w1)
+    b = (x2, y2, h2, l2, w2)
     assert overlap(a, b) == overlap(b, a)
 
 
 def _box_sample_points(box, n_side=100):
     """Grid plus dense edge samples of a box, for the sampling oracle."""
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    hl, hw = box.length / 2, box.width / 2
+    cx, cy, heading, length, width = box
+    c, s = math.cos(heading), math.sin(heading)
+    hl, hw = length / 2, width / 2
     u = np.linspace(-hl, hl, n_side)
     v = np.linspace(-hw, hw, n_side)
     uu, vv = np.meshgrid(u, v)
@@ -298,27 +299,28 @@ def _box_sample_points(box, n_side=100):
     pts.append(np.column_stack([np.full_like(edge_t, -hl), edge_t * hw]))
     local = np.vstack(pts)
     world = np.empty_like(local)
-    world[:, 0] = box.center.x + c * local[:, 0] - s * local[:, 1]
-    world[:, 1] = box.center.y + s * local[:, 0] + c * local[:, 1]
+    world[:, 0] = cx + c * local[:, 0] - s * local[:, 1]
+    world[:, 1] = cy + s * local[:, 0] + c * local[:, 1]
     return world
 
 
 def _any_point_in_box(points, box):
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    dx = points[:, 0] - box.center.x
-    dy = points[:, 1] - box.center.y
+    cx, cy, heading, length, width = box
+    c, s = math.cos(heading), math.sin(heading)
+    dx = points[:, 0] - cx
+    dy = points[:, 1] - cy
     lx = c * dx + s * dy
     ly = -s * dx + c * dy
     eps = 1e-12
-    return bool(np.any((np.abs(lx) <= box.length / 2 + eps) & (np.abs(ly) <= box.width / 2 + eps)))
+    return bool(np.any((np.abs(lx) <= length / 2 + eps) & (np.abs(ly) <= width / 2 + eps)))
 
 
 def _sat_margin(a, b):
     """Signed separation: positive = gap width, negative = penetration depth."""
     ca, cb = _frame(a)[0][0].tolist(), _frame(b)[0][0].tolist()
     gaps = []
-    for box in (a, b):
-        c, s = math.cos(box.heading), math.sin(box.heading)
+    for heading in (a[2], b[2]):
+        c, s = math.cos(heading), math.sin(heading)
         for ax, ay in ((c, s), (-s, c)):
             pa = [x * ax + y * ay for x, y in ca]
             pb = [x * ax + y * ay for x, y in cb]
@@ -330,13 +332,13 @@ def test_boxes_overlap_against_sampling_oracle():
     rng = np.random.Generator(np.random.PCG64(77))
     compared = 0
     for _ in range(1000):
-        a = OrientedBox(
-            Point2(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))),
+        a = (
+            float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
             float(rng.uniform(-math.pi, math.pi)),
             float(rng.uniform(0.5, 5)), float(rng.uniform(0.5, 3)),
         )
-        b = OrientedBox(
-            Point2(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))),
+        b = (
+            float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
             float(rng.uniform(-math.pi, math.pi)),
             float(rng.uniform(0.5, 5)), float(rng.uniform(0.5, 3)),
         )

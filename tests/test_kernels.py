@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from uncplan import geometry
 from uncplan.geometry import (
     MultiPolygon,
-    OrientedBox,
     Point2,
     Polygon,
     Pose2,
@@ -299,8 +298,7 @@ def test_agent_check_matches_reference_with_margin_and_all_modes(cands, agent_li
 @KERNEL_SETTINGS
 @given(trajectories(), st.lists(st.lists(box, min_size=T_F, max_size=T_F), max_size=3))
 def test_collision_rate_matches_per_step_reference(cands, agent_boxes):
-    futures = tuple(tuple(OrientedBox(Point2(b[0], b[1]), b[2], b[3], b[4]) for b in seq) for seq in agent_boxes)
-    gt = GroundTruth(tuple(Point2(0.0, 0.0) for _ in range(T_F)), (0.0,) * T_F, futures, wide_da())
+    gt = GroundTruth(tuple(Point2(0.0, 0.0) for _ in range(T_F)), agent_boxes, wide_da())
     for traj in cands:
         steps = [
             any(ref_overlap((traj.waypoints[t].x, traj.waypoints[t].y, traj.headings[t]) + EGO_DIMS, seq[t]) for seq in agent_boxes)
@@ -984,8 +982,8 @@ def test_invalid_dimensions_raise_when_no_pair_survives(dims):
     agent boxes; the dimensions are still checked."""
     traj = CandidateTrajectory(tuple(Point2(0.0, 0.0) for _ in range(T_F)), (0.0,) * T_F, 0.5)
     far = AgentPrediction("a", (4.5, 2.0), (AgentMode(np.array(((500.0, 500.0, 0.0),) * T_F), 0.9),))
-    boxes = (tuple(OrientedBox(Point2(500.0, 500.0), 0.0, 4.5, 2.0) for _ in range(T_F)),)
-    gt = GroundTruth(traj.waypoints, traj.headings, boxes, wide_da())
+    boxes = (((500.0, 500.0, 0.0, 4.5, 2.0),) * T_F,)
+    gt = GroundTruth(traj.waypoints, boxes, wide_da())
     assert not agent_collision_check(traj, EGO_DIMS, [far]) and not collision_rate_frame(traj, EGO_DIMS, gt, T_F)
     with pytest.raises(ValueError, match="dimensions must be positive and finite"):
         agent_collision_check(traj, dims, [far])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uncplan.geometry import MultiPolygon, OrientedBox, Point2, Polygon
+from uncplan.geometry import MultiPolygon, Point2, Polygon
 from uncplan.metrics import (
     HORIZON_STEPS,
     GroundTruth,
@@ -37,7 +37,7 @@ def traj_along_x(offsets=None, speed=4.0, y=0.0):
 
 def gt_straight(speed=4.0, agents=(), da=None):
     pts = tuple(Point2(speed * 0.5 * (t + 1), 0.0) for t in range(T_F))
-    return GroundTruth(pts, (0.0,) * T_F, agents, da or rect_da(-5, 50, -8, 8))
+    return GroundTruth(pts, agents, da or rect_da(-5, 50, -8, 8))
 
 
 # -- displacement error --------------------------------------------------------
@@ -83,13 +83,11 @@ def test_de_translation_invariant():
         base_wps = [Point2(float(x), float(y)) for x, y in rng.uniform(-10, 10, size=(T_F, 2))]
         gt_pts = [Point2(float(x), float(y)) for x, y in rng.uniform(-10, 10, size=(T_F, 2))]
         traj_a = CandidateTrajectory(tuple(base_wps), (0.0,) * T_F, 0.5)
-        gt_a = GroundTruth(tuple(gt_pts), (0.0,) * T_F, (), rect_da(-60, 60, -60, 60))
+        gt_a = GroundTruth(tuple(gt_pts), (), rect_da(-60, 60, -60, 60))
         traj_b = CandidateTrajectory(
             tuple(Point2(p.x + dx, p.y + dy) for p in base_wps), (0.0,) * T_F, 0.5
         )
-        gt_b = GroundTruth(
-            tuple(Point2(p.x + dx, p.y + dy) for p in gt_pts), (0.0,) * T_F, (), rect_da(-60, 60, -60, 60)
-        )
+        gt_b = GroundTruth(tuple(Point2(p.x + dx, p.y + dy) for p in gt_pts), (), rect_da(-60, 60, -60, 60))
         for h in HORIZON_STEPS:
             assert displacement_error(traj_a, gt_a, h) == pytest.approx(
                 displacement_error(traj_b, gt_b, h), abs=1e-9
@@ -100,17 +98,13 @@ def test_de_translation_invariant():
 
 
 def agent_boxes_static(x, y, dims=(4.0, 1.8)):
-    return tuple(OrientedBox(Point2(x, y), 0.0, dims[0], dims[1]) for _ in range(T_F))
+    """An agent's T_F box rows (cx, cy, heading, length, width), parked at (x, y)."""
+    return ((x, y, 0.0, *dims),) * T_F
 
 
 def agent_boxes_at_step(step, x, y, dims=(4.0, 1.8)):
-    boxes = []
-    for t in range(T_F):
-        if t == step:
-            boxes.append(OrientedBox(Point2(x, y), 0.0, dims[0], dims[1]))
-        else:
-            boxes.append(OrientedBox(Point2(500.0 + t, 200.0), 0.0, dims[0], dims[1]))
-    return tuple(boxes)
+    """An agent's T_F box rows: at (x, y) at step, far away at every other step."""
+    return tuple((x, y, 0.0, *dims) if t == step else (500.0 + t, 200.0, 0.0, *dims) for t in range(T_F))
 
 
 def test_cr_no_agents():
@@ -153,9 +147,7 @@ def test_shrinking_ego_never_increases_cr_or_dacr():
             agent_boxes_static(float(rng.uniform(2, 14)), float(rng.uniform(-3, 3)))
             for _ in range(int(rng.integers(0, 3)))
         )
-        gt = GroundTruth(
-            tuple(Point2(2.0 * (t + 1), 0.0) for t in range(T_F)), (0.0,) * T_F, agents, da
-        )
+        gt = GroundTruth(tuple(Point2(2.0 * (t + 1), 0.0) for t in range(T_F)), agents, da)
         big, small = (4.0, 2.0), (3.2, 1.5)
         for h in HORIZON_STEPS:
             assert int(collision_rate_frame(traj, small, gt, h)) <= int(

@@ -572,9 +572,9 @@ def _arrays(s):
 )
 def test_arrays_read_at_load_are_the_tuple_constructors_arrays(params):
     """On scenarios shaped like the benchmark's workloads, the loader reads
-    back from the file every array that the constructors built for the
-    generated scenario (agent modes from Pose2s, boxes from OrientedBoxes,
-    rings from Point2s), byte for byte, and every array is read-only."""
+    back from the file every array that the constructors built from the
+    generator's float rows (agent modes, boxes, rings, candidates), byte for
+    byte, and every array is read-only."""
     for seed in range(6):
         kind = ScenarioKind.TURN if seed % 3 else ScenarioKind.STRAIGHT
         s = generate_scenario(kind, params, seed)
@@ -828,6 +828,50 @@ def test_a_turn_corridor_that_folds_over_is_refused_naming_its_knobs():
         generate_scenario(ScenarioKind.STRAIGHT, params, scenario_seed(73, i))
 
 
+@pytest.mark.parametrize("held", [[], ["notes.txt"]], ids=["new-directory", "existing-directory"])
+def test_a_refused_suite_leaves_no_file_it_wrote(tmp_path, held):
+    """With a 30 m tail, scenarios 0-2 of seed 3 generate and are written, and turn 3 folds over. The refusal
+    removes the three files and a directory the call created, and keeps what the directory held before."""
+    out = tmp_path / "suite"
+    if held:
+        out.mkdir()
+        (out / held[0]).write_text("not a scenario\n")
+    params = GeneratorParams(corridor_tail=30.0)
+    for i in range(3):
+        generate_scenario(ScenarioKind.TURN, params, scenario_seed(3, i))
+    with pytest.raises(ValueError, match=_RING_REFUSAL):
+        generate_suite(out, 10, 0.5, params, 3)
+    if held:
+        assert [p.name for p in out.iterdir()] == held
+    else:
+        assert not out.exists()
+
+
+def _wrong_types(default):
+    """Values of a knob's neighbouring types, none of them its own kind (told by its default)."""
+    if isinstance(default, bool):
+        return [0.5, 1, np.bool_(default), "true"]
+    if isinstance(default, int):
+        return [float(default), np.int64(default), True, str(default)]
+    if isinstance(default, float):
+        return [True, False, np.True_, str(default), (default,)]
+    return [default[0], list(default), default[:1], (*default, default[1]), (True, default[1]), (str(default[0]), 1.0)]
+
+
+_KINDS = {bool: "a bool", int: "an int", float: "a number", tuple: "a pair of numbers"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(GeneratorParams)])
+def test_generator_params_refuse_a_knob_of_the_wrong_type_naming_it(name):
+    """A float for an int knob or a numpy int (which the manifest cannot write), a number for a bool knob, a
+    bool for a number, text for any knob, and a range that is not a pair of numbers are refused by name."""
+    default = getattr(_DEFAULTS, name)
+    for value in _wrong_types(default):
+        message = rf"^{name} must be {_KINDS[type(default)]}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            GeneratorParams(**{name: value})
+
+
 @pytest.mark.parametrize("build", ["Scenario", "GroundTruth"])
 def test_an_agent_with_too_few_boxes_is_refused_naming_it(build):
     s = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1), scenario_seed(73, 3))
@@ -836,7 +880,7 @@ def test_an_agent_with_too_few_boxes_is_refused_naming_it(build):
         if build == "Scenario":
             replace(s, agent_boxes=short)
         else:
-            GroundTruth(s.ego_poses[:, :2], s.ego_poses[:, 2], short, s.map.drivable_area)
+            GroundTruth(s.ego_poses[:, :2], short, s.map.drivable_area)
 
 
 @pytest.mark.parametrize(
@@ -1145,9 +1189,10 @@ def _loaded_fields(tmp_path):
 
 
 def test_loader_builds_what_the_public_constructors_build(tmp_path):
-    """The loader hands its checked arrays to Scenario and Polygon without a
-    copy or a second check; the values equal those the public constructors
-    build from the same fields, which copy and check them."""
+    """The loader hands its checked arrays to Scenario without a copy or a
+    second check, and builds Polygon through its public constructor; the
+    values equal those the public constructors build from the same fields,
+    which copy and check them."""
     from uncplan.geometry import MultiPolygon, Polygon
 
     loaded, values = _loaded_fields(tmp_path)
