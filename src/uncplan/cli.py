@@ -23,7 +23,7 @@ from .scenario import (
     ScenarioFormatError,
     ScenarioInvariantError,
     generate_suite,
-    load_scenario,
+    load_scenarios,
     load_suite,
 )
 from .selection import FilterValues, SelectionConfig
@@ -44,8 +44,9 @@ _PRESET_FILTERS = {
     "ucas": (True, True, True, None),
 }
 PRESETS = tuple(_PRESET_FILTERS)
-# Scenarios whose filters and metrics run as one kernel call each. The benchmark's suite parts hold
-# 6-25 scenarios, so each is one chunk; a constant, since no result depends on it.
+# Scenarios that are read, filtered and scored as one chunk: each read step, the agent and clearance
+# filters and each metric run once per chunk. The benchmark's suite parts hold 6-25 scenarios, so each
+# is one chunk; a constant, since no result depends on it.
 CHUNK_SIZE = 32
 
 
@@ -115,15 +116,13 @@ def _scoped(error: Exception, scenario_id: str) -> Exception:
 
 def _evaluate_chunk(chunk, runs, base: SelectionConfig, convention: str, verify: bool) -> list[list[ScenarioMetrics]]:
     """Per run, the metrics of each scenario of chunk, (manifest index, (entry, path)) pairs in id order.
-    The agent and clearance filters each run once over the chunk, and CR and DACR once over its
-    distinct (scenario, chosen index) pairs."""
-    scenarios = []
-    for i, (entry, path) in chunk:
-        s = load_scenario(path)
+    The scenarios are read as one chunk, the agent and clearance filters each run once over it, and CR
+    and DACR once over its distinct (scenario, chosen index) pairs."""
+    scenarios = load_scenarios([path for _, (_, path) in chunk])
+    for (i, (entry, _)), s in zip(chunk, scenarios):
         if s.scenario_id != entry["id"]:
             message = f"{entry['id']!r} is not the file's id {s.scenario_id!r}"
             raise ScenarioInvariantError(f"field 'scenarios[{i}].id': {message}")
-        scenarios.append(s)
     values = FilterValues([(s.candidates, s.command, s.map, s.agents, s.ego_dims) for s in scenarios], base)
     reports = [[values.select(n, cfg, limit) for n in range(len(scenarios))] for cfg, limit in runs]
     chosen = {}  # (scenario, chosen index) -> trajectory: the metrics read only the trajectory

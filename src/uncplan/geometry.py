@@ -27,7 +27,9 @@ and paired as without labels.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
 from typing import Sequence
 
@@ -153,7 +155,7 @@ class ArrayValue:
     @classmethod
     def _of(cls, **stored):
         """An instance holding stored as it is, unchecked: arrays a caller has checked already, such as the
-        loader's candidate, mode and polyline tables. Polygon has only its checked constructor."""
+        loader's candidate, mode and polyline tables, and its polygons, whose rings polygon_edges has checked."""
         self = object.__new__(cls)
         self.__dict__.update(stored)
         return self
@@ -179,7 +181,9 @@ class Polygon(ArrayValue):
 
     Rings carry an explicit closing vertex (first == last). Stored: rings,
     the (n, 2) vertex arrays, outer ring first, and edges, the start and end
-    points (E, 2) of the edges of all rings.
+    points (E, 2) of the edges of all rings. The layout is checked by
+    polygon_edges, which the loader runs once over the polygons of a chunk
+    before it builds each of them through ArrayValue._of.
     """
 
     outer: tuple[Point2, ...]
@@ -188,17 +192,10 @@ class Polygon(ArrayValue):
 
     def __init__(self, outer, holes=()) -> None:
         rings = tuple(row_array(ring, 2, row=POINT) for ring in (outer, *holes))
-        rim = _validate_ring(rings[0], want_ccw=True, label="outer")
-        edges = [rim]
-        # the layout under which even-odd parity over all rings is the polygon's area
-        for i, hole in enumerate(rings[1:]):
-            edges.append(_validate_ring(hole, want_ccw=False, label=f"hole {i}"))
-            if _first_crossing(*rim, *edges[-1]) is not None or not _ring_hits(hole[:1], *rim)[0]:
-                raise ValueError(f"hole {i} is not strictly inside the outer ring")
-            for j in range(i):
-                if _regions_meet(edges[j + 1], edges[-1]):
-                    raise ValueError(f"holes {j} and {i} are not disjoint")
-        self.__dict__.update(rings=rings, edges=_concat(edges))
+        edges = polygon_edges([rings])[0]
+        if isinstance(edges, str):
+            raise ValueError(edges)
+        self.__dict__.update(rings=rings, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -313,19 +310,18 @@ def _swept_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, groups=None):
         yield order[k - ends[j] + last[j]], j
 
 
-def _first_crossing(a0, a1, b0=None, b1=None, keep=None) -> tuple[int, int] | None:
-    """First (i, j) in row-major order at which segment a0[i]-a1[i] meets
-    segment b0[j]-b1[j] and keep(i, j) holds, or None; without b, the first
-    i < j at which two segments of a meet. The kernel hits only pairs whose
-    closed bounding boxes meet, so only those are tested: on the axis of
-    larger extent, each box is swept against the boxes whose low end lies in
-    its range, and the other axis filters those pairs."""
+def _crossings(a0, a1, b0=None, b1=None, keep=None, labels=None) -> list[tuple[int, int]]:
+    """Every (i, j), in row-major order, at which segment a0[i]-a1[i] meets segment b0[j]-b1[j] and
+    keep(i, j) holds; without b, every i < j at which two segments of a meet; with labels, one per
+    segment, only segments of one label. Only pairs whose closed bounding boxes meet can hit: on the
+    axis of larger extent (x with labels, where the caller turns each group's longer side), each box
+    is swept against the boxes whose low end lies in its range."""
     off, width = (0, len(a0)) if b0 is None else (len(a0), len(b0))
     e0, e1 = (a0, a1) if b0 is None else (np.concatenate((a0, b0)), np.concatenate((a1, b1)))
     lo, hi = np.minimum(e0, e1), np.maximum(e0, e1)
-    x = int(np.ptp(np.concatenate((lo, hi)), axis=0).argmax())
+    x = 0 if labels is not None else int(np.ptp(np.concatenate((lo, hi)), axis=0).argmax())
     hits = []
-    for t, s in _swept_pairs(lo[:, x], lo[:, x], hi[:, x]):
+    for t, s in _swept_pairs(lo[:, x], lo[:, x], hi[:, x], None if labels is None else (labels, labels)):
         # each pair once, where t's low end comes after s's in (low end, index) order
         later = (lo[t, x] > lo[s, x]) | ((lo[t, x] == lo[s, x]) & (t > s))
         i, j = np.minimum(s, t)[later], np.maximum(s, t)[later]  # a segment of a, and one of b at j - off
@@ -336,7 +332,12 @@ def _first_crossing(a0, a1, b0=None, b1=None, keep=None) -> tuple[int, int] | No
         if i.size:
             hit = _segments_intersect(e0[i], e1[i], e0[j], e1[j])
             hits.extend((i[hit] * width + j[hit] - off).tolist())
-    return divmod(min(hits), width) if hits else None
+    return [divmod(code, width) for code in sorted(hits)]
+
+
+def _first_crossing(a0, a1, b0=None, b1=None, keep=None) -> tuple[int, int] | None:
+    """The first of _crossings(a0, a1, b0, b1, keep), or None."""
+    return next(iter(_crossings(a0, a1, b0, b1, keep)), None)
 
 
 def _ring_signed_area(ring: np.ndarray) -> float:
@@ -348,27 +349,62 @@ def _ring_signed_area(ring: np.ndarray) -> float:
         return 0.5 * (float(np.add.accumulate(x[:-1] * y[1:] - x[1:] * y[:-1])[-1]) + 0.0)
 
 
-def _validate_ring(ring: np.ndarray, want_ccw: bool, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Check one closed ring (n, 2) and return its edges' start and end points."""
+def _ring_fault(ring: np.ndarray, want_ccw: bool) -> str | None:
+    """The first fault of one closed ring (n, 2) other than a self-crossing, worded after "<label> ring", or None."""
     if len(ring) < 4:
-        raise ValueError(f"{label} ring needs at least 4 vertices including the closing one")
+        return "needs at least 4 vertices including the closing one"
     if (ring[0] != ring[-1]).any():
-        raise ValueError(f"{label} ring is not closed (first vertex != last vertex)")
+        return "is not closed (first vertex != last vertex)"
     area = _ring_signed_area(ring)
     if not math.isfinite(area):
-        raise ValueError(f"{label} ring coordinates are too large: its area is not a finite number")
+        return "coordinates are too large: its area is not a finite number"
     if abs(area) < MIN_POLYGON_AREA:
-        raise ValueError(f"{label} ring is degenerate (area {abs(area):.3e} m^2)")
+        return f"is degenerate (area {abs(area):.3e} m^2)"
     if (area > 0) != want_ccw:
-        want = "counterclockwise" if want_ccw else "clockwise"
-        raise ValueError(f"{label} ring must be {want}")
-    edges = ring[:-1], ring[1:]
-    last = len(ring) - 2
-    # adjacent edges legitimately share a vertex: pairs start at j = i + 2 and skip (0, last)
-    crossing = _first_crossing(*edges, keep=lambda i, j: (j >= i + 2) & ((i != 0) | (j != last)))
-    if crossing is not None:
-        raise ValueError(f"{label} ring is self-intersecting (edges {crossing[0]} and {crossing[1]})")
-    return edges
+        return "must be " + ("counterclockwise" if want_ccw else "clockwise")
+    return None
+
+
+def polygon_edges(polygons: Sequence[Sequence[np.ndarray]]) -> list:
+    """Per polygon, given as its closed rings (n, 2), outer first: the edges' start and end points (E, 2)
+    of all its rings if it is a valid Polygon, else the message of its first fault, in Polygon's order
+    (each ring's own checks, then for a hole its place among the earlier rings). The self-crossings of
+    all rings come from one sweep, each edge labelled by its ring, and each ring turned (x <-> y) where
+    its longer side is y, so that it is swept along its longer side; its edges meet as they did."""
+    faults = [_ring_fault(ring, k == 0) for polygon in polygons for k, ring in enumerate(polygon)]
+    edges = [(ring[:-1], ring[1:]) for polygon in polygons for ring in polygon]
+    sound = [k for k, fault in enumerate(faults) if fault is None]
+    if sound:
+        sizes, labels = [len(edges[k][0]) for k in sound], None
+        starts, span = list(accumulate(sizes, initial=0)), sizes[0] - 1  # from a ring's first edge to its last
+        e0, e1 = _concat([edges[k] for k in sound])
+        if len(sound) > 1:  # one ring alone is swept unlabelled, along its longer side
+            span, labels = np.repeat(np.array(sizes) - 1, sizes), np.repeat(np.arange(len(sound)), sizes)
+            extent = np.maximum.reduceat(np.maximum(e0, e1), starts[:-1]) - np.minimum.reduceat(np.minimum(e0, e1), starts[:-1])
+            turn = np.repeat(extent[:, 1] > extent[:, 0], sizes)[:, None]
+            e0, e1 = np.where(turn, e0[:, ::-1], e0), np.where(turn, e1[:, ::-1], e1)
+        # adjacent edges legitimately share a vertex: pairs start at j = i + 2 and skip (first, last)
+        keep = lambda i, j: (j >= i + 2) & (j - i != (span if labels is None else span[i]))
+        for i, j in reversed(_crossings(e0, e1, keep=keep, labels=labels)):
+            n = bisect_right(starts, i) - 1  # in reverse, so that the first crossing of a ring is the one kept
+            faults[sound[n]] = "is self-intersecting (edges %d and %d)" % (i - starts[n], j - starts[n])
+    faults, edges = iter(faults), iter(edges)
+    return [_polygon_layout([(next(faults), next(edges)) for _ in polygon]) for polygon in polygons]
+
+
+def _polygon_layout(rings: Sequence[tuple]):
+    """The edges of a polygon, or the message of its first fault, from (own fault, edges) of each ring."""
+    for k, (fault, (e0, e1)) in enumerate(rings):
+        label = f"hole {k - 1}" if k else "outer"
+        if fault is not None:
+            return f"{label} ring {fault}"
+        # the layout under which even-odd parity over all rings is the polygon's area
+        if k and (_first_crossing(*rings[0][1], e0, e1) is not None or not _ring_hits(e0[:1], *rings[0][1])[0]):
+            return f"{label} is not strictly inside the outer ring"
+        for j in range(1, k):
+            if _regions_meet(rings[j][1], (e0, e1)):
+                return f"holes {j - 1} and {k - 1} are not disjoint"
+    return _concat([edges for _, edges in rings])
 
 
 def _concat(edges: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

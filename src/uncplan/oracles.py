@@ -170,7 +170,7 @@ def oracle_select(
     for i in range(1, n):
         if scores[i] > scores[best]:
             best = i
-        elif scores[i] == scores[best] and effective_risk[i] < effective_risk[best]:
+        elif scores[i] == scores[best] and effective_risk[i] > effective_risk[best]:  # farther from boundaries
             best = i
     if scores[best] > 0.0:
         return best

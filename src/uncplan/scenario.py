@@ -19,6 +19,9 @@ is written down once (_scenario_tree), with each number table an array and
 its schema form: scenario_to_dict expands the tables into dicts and lists,
 and save_scenario formats each with one %r template per item, strings going
 only through json's encoder.
+
+One chunk reader (_read) reads files, each read step over every scenario of a
+chunk (load_scenarios); load_scenario and scenario_from_dict are it on one.
 """
 
 from __future__ import annotations
@@ -27,15 +30,17 @@ import enum
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, asdict
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import (ArrayValue, MultiPolygon, Point2, Polygon, Pose2, frozen, normalize_heading, normalized_poses,
-                       pose_array, row_array)
+                       polygon_edges, pose_array, row_array)
 from .map_model import MapElement, MapElementKind, UncertainMap, perturb_map
 from .metrics import GroundTruth, box_array, scenario_class_of
 from .selection import DT, T_F, CandidateSet, Command
@@ -202,10 +207,10 @@ class Scenario(ArrayValue):
     @classmethod
     def _loaded(cls, **fields) -> "Scenario":
         """The Scenario of fields as the loader reads them: agent_boxes an (A, T_F, 5)
-        and ego_poses an (n, 3) read-only array, their numbers already checked, so
-        not copied or checked again."""
+        and ego_poses an (n, 3) read-only array, headings normalized, their numbers
+        already checked, so not copied or checked again."""
         self = cls._of(**fields)
-        self._settle(normalized_poses(self.ego_poses), lambda boxes: boxes)
+        self._settle(self.ego_poses, lambda boxes: boxes)
         return self
 
     def _settle(self, future: np.ndarray, boxes) -> None:
@@ -630,13 +635,19 @@ def _located(lists, paths, form) -> list:
 
 def _table(rows, shape: tuple, located) -> np.ndarray:
     """The numbers that rows() lists as a read-only float array (n, *shape), if they are ints and floats,
-    all finite; if not, each (item, path, form) of located() is scanned, to raise the error naming the fault."""
+    all finite; if not, each (item, path, form) of located() is scanned, to raise the error naming the fault.
+    The rows are flattened level by level first: numpy reads a flat list in about 60 % of the time that
+    nested lists take."""
     try:
-        table = row_array(leaves := rows(), *shape)
-        for _ in shape:
-            leaves = chain.from_iterable(leaves)
+        leaves = rows()
+        for size in shape:
+            if not {size}.issuperset(map(len, leaves)):
+                raise ValueError(f"expected items of {size}")
+            leaves = list(chain.from_iterable(leaves))
         if _NUMBER_TYPES.issuperset(map(type, leaves)):
-            return table
+            table = frozen(leaves).reshape(-1, *shape)
+            if np.isfinite(table).all():
+                return table
     except (LookupError, TypeError, ValueError, OverflowError):
         pass  # the scan names the fault
     for item, path, form in located():
@@ -653,39 +664,50 @@ def _check(ok: np.ndarray, located, keys: tuple, rule: str) -> None:
         raise ScenarioInvariantError(f"field '{_name((path, keys[column]))}': {rule}, got {item[keys[column]]}")
 
 
-def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
-    """Validate and rebuild a scenario from its plain-data form (JSON types).
+def _split(table: np.ndarray, counts) -> list[np.ndarray]:
+    """table cut into consecutive views of counts[n] rows each."""
+    return [table[start:end] for start, end in pairwise(accumulate(counts, initial=0))]
 
-    The fields are read once, in the order docs/scenario_format.md lists. A list of numbers that
-    repeats per item is one table across the items (_table), and the range checks run on the tables
-    (_check). Only a table that does not read is scanned item by item (_scan), to name its fault."""
-    if not isinstance(data, dict):
-        raise ScenarioFormatError(f"{source}: top level must be an object")
-    _check_version(data, source)
-    scenario_id, seed = _field(data, "id", str, None), _field(data, "seed", int, None)
-    scenario_class = _enum(data, "scenario_class", None, ScenarioKind, "must be Turn or Straight, got {!r}").value
-    command = _enum(data, "command", None, Command, "unknown command {!r}")
-    ego = _field(data, "ego", dict, None)
-    x, y, heading = _floats(_field(ego, "pose", dict, _EGO), (_EGO, "pose"), *_POSE)
-    ego_dims = _floats(_field(ego, "dims", dict, _EGO), (_EGO, "dims"), *_DIMS)
-    if min(ego_dims) <= 0:
-        raise ScenarioInvariantError(f"field 'ego.dims': dimensions must be positive, got {ego_dims}")
-    future = _field(data, "ego_gt_future", list, None)
-    ego_poses = _table(lambda: list(map(_POSE_ROW, future)), (3,),
-                       lambda: _located([future], [(None, "ego_gt_future")], _POSE))
-    uncertain_map = _uncertain_map(_field(data, "map", dict, None))
-    agents, agent_gt = _field(data, "agents", list, None), _field(data, "agent_gt", list, None)
-    agent_paths = [(_AGENTS, i) for i in range(len(agents))]
+
+def _read(items: list) -> list[Scenario]:
+    """The scenarios of items, (plain-data form, source name) pairs: the chunk reader. It runs each of the 13
+    read steps of docs/scenario_format.md over every scenario before the next. A list of numbers that repeats
+    per item is one table across the items of all scenarios (_table), cut into per-scenario read-only views,
+    and each range check runs once on a table (_check); only a table that does not read is scanned item by
+    item (_scan), to name its fault. Each scenario meets its own faults in the documented order."""
+    for data, source in items:
+        if not isinstance(data, dict):
+            raise ScenarioFormatError(f"{source}: top level must be an object")
+        _check_version(data, source)
+    datas = [data for data, _ in items]
+    heads = [(_field(data, "id", str, None), _field(data, "seed", int, None),
+              _enum(data, "scenario_class", None, ScenarioKind, "must be Turn or Straight, got {!r}").value,
+              _enum(data, "command", None, Command, "unknown command {!r}")) for data in datas]
+    egos = []
+    for ego in [_field(data, "ego", dict, None) for data in datas]:
+        x, y, heading = _floats(_field(ego, "pose", dict, _EGO), (_EGO, "pose"), *_POSE)
+        ego_dims = _floats(_field(ego, "dims", dict, _EGO), (_EGO, "dims"), *_DIMS)
+        if min(ego_dims) <= 0:
+            raise ScenarioInvariantError(f"field 'ego.dims': dimensions must be positive, got {ego_dims}")
+        egos.append((Pose2(Point2(x, y), heading), ego_dims))
+    futures = [_field(data, "ego_gt_future", list, None) for data in datas]
+    ego_poses = _table(lambda: [row for future in futures for row in map(_POSE_ROW, future)], (3,),
+                       lambda: _located(futures, [(None, "ego_gt_future")] * len(futures), _POSE))
+    ego_poses = _split(normalized_poses(ego_poses), map(len, futures))
+    maps = _uncertain_maps([_field(data, "map", dict, None) for data in datas])
+    agent_lists, agent_gts = ([_field(data, key, list, None) for data in datas] for key in ("agents", "agent_gt"))
+    agent_paths = [(_AGENTS, i) for agents in agent_lists for i in range(len(agents))]  # of every scenario, in order
     agent_fields = [(_field(agent, "id", str, path), _floats(_field(agent, "dims", dict, path), (path, "dims"), *_DIMS),
-                     _field(agent, "modes", list, path)) for agent, path in zip(agents, agent_paths)]
-    candidates = _field(data, "candidates", dict, None)
-    commands = [_field(candidates, c.value, list, _CANDIDATES) for c in Command]
-    for c, items in zip(Command, commands):
-        if not items:
-            raise ScenarioInvariantError(f"field 'candidates': command {c.name.lower()} needs at least one candidate")
-    mode_lists = [items for *_, items in agent_fields]
-    cands, modes = [c for items in commands for c in items], [m for items in mode_lists for m in items]
-    located_cands = lambda: _located(commands, [(_CANDIDATES, c.value) for c in Command], _CANDIDATE)
+                     _field(agent, "modes", list, path)) for agent, path in zip(chain(*agent_lists), agent_paths)]
+    commands = []  # per scenario, its three candidate lists
+    for candidates in [_field(data, "candidates", dict, None) for data in datas]:
+        commands.append([_field(candidates, c.value, list, _CANDIDATES) for c in Command])
+        for c, items in zip(Command, commands[-1]):
+            if not items:
+                raise ScenarioInvariantError(f"field 'candidates': command {c.name.lower()} needs at least one candidate")
+    cand_lists, mode_lists = list(chain(*commands)), [items for *_, items in agent_fields]
+    cands, modes = list(chain(*cand_lists)), list(chain(*mode_lists))
+    located_cands = lambda: _located(cand_lists, [(_CANDIDATES, c.value) for _ in commands for c in Command], _CANDIDATE)
     located_modes = lambda: _located(mode_lists, [(path, "modes") for path in agent_paths], _MODE)
     located_both = lambda: located_cands() + located_modes()
     confidences = _table(lambda: [r["confidence"] for r in (*cands, *modes)], (), located_both)
@@ -694,49 +716,70 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     yaw = _table(lambda: [c["headings"] for c in cands], (T_F,), located_cands)
     poses = _table(lambda: [list(map(_POSE_ROW, m["trajectory"])) for m in modes], (T_F, 3), located_modes)
     poses = normalized_poses(poses.reshape(-1, 3)).reshape(-1, T_F, 3)
-    boxes = _table(lambda: [list(map(_BOX_ROW, seq)) for seq in agent_gt], (T_F, 5),
-                   lambda: _located([agent_gt], [(None, "agent_gt")], (_BOX, T_F)))
-    located_boxes = lambda: _located(agent_gt, [((None, "agent_gt"), i) for i in range(len(agent_gt))], _BOX)
+    boxes = _table(lambda: [list(map(_BOX_ROW, seq)) for gt in agent_gts for seq in gt], (T_F, 5),
+                   lambda: _located(agent_gts, [(None, "agent_gt")] * len(agent_gts), (_BOX, T_F)))
+    located_boxes = lambda: _located(list(chain(*agent_gts)), [((None, "agent_gt"), i) for gt in agent_gts
+                                                               for i in range(len(gt))], _BOX)
     _check(boxes[..., 3:] > 0, located_boxes, _DIMS, "must be positive")
     mode_values = iter([AgentMode._of(poses=p, confidence=c) for p, c in zip(poses, confidences[len(cands):].tolist())])
-    ends = list(accumulate(map(len, commands)))
-    batches = {c: (xy[start:end], yaw[start:end], confidences[start:end])
-               for c, start, end in zip(Command, [0, *ends], ends)}
-    agents = [_build(path, AgentPrediction, agent_id, dims, [next(mode_values) for _ in items])
-              for path, (agent_id, dims, items) in zip(agent_paths, agent_fields)]
-    return _build((None, "<scenario>"), Scenario._loaded, scenario_id=scenario_id, seed=seed, map=uncertain_map,
-                  agents=agents, agent_boxes=boxes, ego_pose=Pose2(Point2(x, y), heading), ego_dims=ego_dims,
-                  command=command, candidates=CandidateSet._of(batches=batches), ego_poses=ego_poses,
-                  scenario_class=scenario_class)
+    agents = iter([_build(path, AgentPrediction, agent_id, dims, [next(mode_values) for _ in items])
+                   for path, (agent_id, dims, items) in zip(agent_paths, agent_fields)])
+    sizes = list(map(len, cand_lists))  # the candidates of each command of each scenario
+    batches = iter(zip(*(_split(table, sizes) for table in (xy, yaw, confidences[:len(cands)]))))
+    scenarios = []
+    for n, ((scenario_id, seed, scenario_class, command), (ego_pose, ego_dims), box) in enumerate(
+            zip(heads, egos, _split(boxes, map(len, agent_gts)))):
+        candidate_set = CandidateSet._of(batches={c: next(batches) for c in Command})
+        scenarios.append(_build((None, "<scenario>"), Scenario._loaded, scenario_id=scenario_id, seed=seed,
+                                map=maps[n], agents=[next(agents) for _ in agent_lists[n]], agent_boxes=box,
+                                ego_pose=ego_pose, ego_dims=ego_dims, command=command, candidates=candidate_set,
+                                ego_poses=ego_poses[n], scenario_class=scenario_class))
+    return scenarios
 
 
-def _uncertain_map(map_data: dict) -> UncertainMap:
-    """The map field: the points of all elements as one table, each drivable-area ring as one."""
-    elements = _field(map_data, "elements", list, _MAP)
-    paths = [((_MAP, "elements"), i) for i in range(len(elements))]
+def _uncertain_maps(map_datas: list) -> list[UncertainMap]:
+    """The map field of each scenario: the points of all elements of all of them as one table, then the
+    drivable areas polygon by polygon, the rings of polygon p of every scenario as one table."""
+    element_lists = [_field(map_data, "elements", list, _MAP) for map_data in map_datas]
+    paths = [((_MAP, "elements"), i) for elements in element_lists for i in range(len(elements))]
+    elements = list(chain(*element_lists))  # of every scenario, each scenario's in order
     kinds = [_enum(element, "kind", path, MapElementKind, "unknown kind {!r}") for element, path in zip(elements, paths)]
-    point_lists = [_field(element, "points", list, path) for element, path in zip(elements, paths)]
-    point_paths = [(path, "points") for path in paths]
-    if not all(point_lists):
-        path = point_paths[point_lists.index([])]
-        raise ScenarioInvariantError(f"field '{_name(path)}': uncertain polyline needs at least one point")
-    located = lambda: _located(point_lists, point_paths, _VERTEX)
-    table = _table(lambda: [row for points in point_lists for row in map(_VERTEX_ROW, points)], (4,), located)
+    lists = [_field(element, "points", list, path) for element, path in zip(elements, paths)]
+    ps = [(path, "points") for path in paths]
+    if not all(lists):
+        raise ScenarioInvariantError(f"field '{_name(ps[lists.index([])])}': uncertain polyline needs at least one point")
+    located = lambda: _located(lists, ps, _VERTEX)
+    table = _table(lambda: [row for points in lists for row in map(_VERTEX_ROW, points)], (4,), located)
     _check(table[:, 2:] >= B_MIN, located, tuple(_VERTEX)[2:], f"scale must be >= {B_MIN}")
-    ends = list(accumulate(map(len, point_lists)))
-    lines = [UncertainPolyline._of(table=table[start:end]) for start, end in zip([0, *ends], ends)]
-    for line, kind, path in zip(lines, kinds, point_paths):
+    lines = [UncertainPolyline._of(table=rows) for rows in _split(table, map(len, lists))]
+    for line, kind, path in zip(lines, kinds, ps):
         if kind is MapElementKind.BOUNDARY:  # the clearance filter measures to its mu segments
             _build(path, lambda: line.mu)
-    area_path, polygons = (_MAP, "drivable_area"), []
-    for i, polygon in enumerate(_field(map_data, "drivable_area", list, _MAP)):
-        path = (area_path, i)
-        rings = [_field(polygon, "outer", list, path), *_field(polygon, "holes", list, path)]
-        ring_paths = [(path, "outer"), *(((path, "holes"), h) for h in range(len(rings) - 1))]
-        tables = [_table(lambda: ring, (2,), lambda: [(ring, ring_path, (_PAIR, None))])
-                  for ring, ring_path in zip(rings, ring_paths)]
-        polygons.append(_build(path, Polygon, tables[0], tables[1:]))
-    return _build(_MAP, UncertainMap, list(map(MapElement, lines, kinds)), _build(area_path, MultiPolygon, polygons))
+    areas = [_field(map_data, "drivable_area", list, _MAP) for map_data in map_datas]
+    polygons = [[] for _ in areas]
+    for p in range(max(map(len, areas), default=0)):
+        at, path = [n for n, area in enumerate(areas) if len(area) > p], ((_MAP, "drivable_area"), p)
+        ring_lists = [[_field(areas[n][p], "outer", list, path), *_field(areas[n][p], "holes", list, path)] for n in at]
+        rings = list(chain(*ring_lists))
+        ring_paths = lambda: [ring_path for ring_list in ring_lists for ring_path in
+                              [(path, "outer"), *(((path, "holes"), h) for h in range(len(ring_list) - 1))]]
+        # a hole that is not a list makes the rows a list of no pairs, for the scan to name it
+        table = _table(lambda: list(chain(*rings)) if all(type(ring) is list for ring in rings) else [None], (2,),
+                       lambda: [(ring, ring_path, (_PAIR, None)) for ring, ring_path in zip(rings, ring_paths())])
+        tables = iter(_split(table, map(len, rings)))
+        ring_tables = [tuple(next(tables) for _ in ring_list) for ring_list in ring_lists]
+        for n, ring_table, edges in zip(at, ring_tables, polygon_edges(ring_tables)):
+            if isinstance(edges, str):
+                raise ScenarioInvariantError(f"field '{_name(path)}': {edges}")
+            polygons[n].append(Polygon._of(rings=ring_table, edges=edges))
+    elements = iter(map(MapElement, lines, kinds))
+    return [_build(_MAP, UncertainMap, [next(elements) for _ in element_list],
+                   _build((_MAP, "drivable_area"), MultiPolygon, area)) for element_list, area in zip(element_lists, polygons)]
+
+
+def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
+    """Validate and rebuild a scenario from its plain-data form (JSON types): _read of it alone."""
+    return _read([(data, source)])[0]
 
 
 def _decode(text: str, path: Path):
@@ -757,10 +800,15 @@ def _decode(text: str, path: Path):
         raise ScenarioFormatError(f"{path}: invalid JSON: nested deeper than the decoder reads") from None
 
 
+def load_scenarios(paths) -> list[Scenario]:
+    """Load and validate scenario files as one chunk (see _read); errors name the offending field."""
+    paths = list(map(Path, paths))
+    return _read([(_decode(path.read_text(encoding="utf-8"), path), str(path)) for path in paths])
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate one scenario file; errors name the offending field."""
-    path = Path(path)
-    return scenario_from_dict(_decode(path.read_text(encoding="utf-8"), path), source=str(path))
+    return load_scenarios([path])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -777,43 +825,40 @@ def generate_suite(
     """Write `count` scenario files plus a manifest; fully determined by master_seed.
 
     The first round(count * turn_fraction) scenarios are turns, the rest straight.
-    Returns the manifest path. Each scenario is written as it is generated; a call that raises
-    first removes the scenario files it wrote, and out_dir if it created it.
+    Returns the manifest path. The suite is built in a temporary directory inside
+    out_dir (.generate-*); then any earlier manifest is removed and each file is
+    moved into place with os.replace, the manifest last. A call that raises removes
+    the temporary directory and every directory it created: refused while
+    generating, it leaves an earlier suite in out_dir as it was; cut short while
+    moving files, it leaves no manifest. A killed process leaves .generate-* behind.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not 0.0 <= turn_fraction <= 1.0:
         raise ValueError(f"turn_fraction must be in [0, 1], got {turn_fraction}")
     out_dir = Path(out_dir)
-    created = not out_dir.exists()
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
     out_dir.mkdir(parents=True, exist_ok=True)
     n_turn = round(count * turn_fraction)
-    entries, written = [], []
+    entries = []
     try:
-        for i in range(count):
-            kind = ScenarioKind.TURN if i < n_turn else ScenarioKind.STRAIGHT
-            s = generate_scenario(kind, params, scenario_seed(master_seed, i))
-            fname = f"{s.scenario_id}.json"
-            written.append(out_dir / fname)  # before the write, so that a file cut short is removed too
-            save_scenario(s, written[-1])
-            entries.append({"id": s.scenario_id, "kind": kind.value, "path": fname})
-        manifest = {
-            "version": SCHEMA_VERSION,
-            "master_seed": master_seed,
-            "count": count,
-            "turn_fraction": turn_fraction,
-            "params": asdict(params),
-            "scenarios": entries,
-        }
-        manifest_path = out_dir / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
-    except BaseException:  # a refused scenario, a full disk or an interrupt: leave no half-written suite
-        for path in written:
-            path.unlink(missing_ok=True)
+        with tempfile.TemporaryDirectory(dir=out_dir, prefix=".generate-") as tmp:
+            for i in range(count):
+                kind = ScenarioKind.TURN if i < n_turn else ScenarioKind.STRAIGHT
+                s = generate_scenario(kind, params, scenario_seed(master_seed, i))
+                save_scenario(s, Path(tmp, f"{s.scenario_id}.json"))
+                entries.append({"id": s.scenario_id, "kind": kind.value, "path": f"{s.scenario_id}.json"})
+            manifest = dict(version=SCHEMA_VERSION, master_seed=master_seed, count=count, turn_fraction=turn_fraction,
+                            params=asdict(params), scenarios=entries)
+            Path(tmp, "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+            (out_dir / "manifest.json").unlink(missing_ok=True)  # so that no manifest lists a mix of two suites
+            for name in [entry["path"] for entry in entries] + ["manifest.json"]:
+                os.replace(Path(tmp, name), out_dir / name)
+    except BaseException:  # a refused scenario, a full disk or an interrupt: leave no directory this call made
         if created:
-            out_dir.rmdir()
+            shutil.rmtree(created[-1], ignore_errors=True)
         raise
-    return manifest_path
+    return out_dir / "manifest.json"
 
 
 def load_suite(manifest_path: str | Path) -> tuple[dict, list[Path]]:

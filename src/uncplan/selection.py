@@ -264,12 +264,13 @@ class FilterValues:
     parameters of cfg. A scene is (candidate_set, command, uncertain_map,
     agents, ego_dims). The candidates of all scenes are laid end to end, K rows
     in all, each row labelled with its scene's slot. Each filter runs when first
-    read: risk once per scene, the agent check and the clearance filter once over
-    all rows. Every kernel decides each candidate alone, so a scene's values are
-    those it has in a chunk of its own, and its first k values are those of
-    head(k). A chunk of one scene keeps its own arrays and passes the kernels no
-    labels, which they read as one group: building the labels and the joined
-    rows made a single selection 10-18 % slower."""
+    read: risk once per scene (one padded grid over all rows saved under 5 us per
+    scene), the agent check and the clearance filter once over all rows. Every
+    kernel decides each candidate alone, so a scene's values are those it has in
+    a chunk of its own, and its first k values are those of head(k). A chunk of
+    one scene keeps its own arrays and passes the kernels no labels, which they
+    read as one group: building the labels and the joined rows made a single
+    selection 10-18 % slower."""
 
     def __init__(self, scenes: Sequence[tuple], cfg: SelectionConfig) -> None:
         self.cfg = cfg
@@ -334,10 +335,11 @@ class FilterValues:
         when None) of the scene at slot under the filters and threshold of cfg.
 
         final_score = confidence, zeroed when an enabled filter flags the
-        candidate. Winner: highest score, ties broken by lower risk_nll, then by
-        lowest index. If every score is zero the fallback prefers candidates
-        without agent collisions and takes the one farthest from uncertain
-        boundaries (highest risk_nll); if all collide, the raw-confidence argmax.
+        candidate. Winner: highest score, ties broken by higher risk_nll (farther
+        from uncertain boundaries, as the fallback prefers), then by lowest index.
+        If every score is zero the fallback prefers candidates without agent
+        collisions and takes the one farthest from uncertain boundaries (highest
+        risk_nll); if all collide, the raw-confidence argmax.
         """
         xy, headings, confidences = self.scenes[slot][:3]
         confidences = confidences[:limit].tolist()
@@ -354,7 +356,7 @@ class FilterValues:
 
         fallback_used = max(scores) == 0.0
         if not fallback_used:
-            chosen_index = max(range(n), key=lambda i: (scores[i], -risks[i], -i))
+            chosen_index = max(range(n), key=lambda i: (scores[i], risks[i], -i))
         else:
             non_colliding = [i for i in range(n) if not agent_flags[i]]
             if non_colliding:

@@ -29,6 +29,7 @@ from uncplan.scenario import (
     ScenarioVersionError,
     generate_scenario,
     load_scenario,
+    load_scenarios,
     scenario_to_dict,
 )
 from uncplan.selection import SelectionConfig, ucas_select
@@ -587,17 +588,19 @@ def test_eval_and_ablate_parse_their_shared_options_alike():
 def test_ablate_loads_each_scenario_once(small_suite, tmp_path, monkeypatch):
     import uncplan.cli as cli_mod
 
-    loaded = []
+    loaded, chunks = [], []
 
-    def counting_load(path):
-        loaded.append(Path(path).name)
-        return load_scenario(path)
+    def counting_load(paths):
+        chunks.append(len(paths))
+        loaded.extend(Path(path).name for path in paths)
+        return load_scenarios(paths)
 
-    monkeypatch.setattr(cli_mod, "load_scenario", counting_load)
+    monkeypatch.setattr(cli_mod, "load_scenarios", counting_load)
     assert run(["ablate", "--suite", small_suite, "--out", tmp_path / "abl"]) == EXIT_OK
     names = [entry["path"] for entry in json.loads(small_suite.read_text())["scenarios"]]
     assert sorted(loaded) == sorted(names)
     assert len(loaded) == len(names) == 8
+    assert chunks == [8]  # one chunk, read as one
 
 
 def test_ablate_runs_each_filter_once_and_scores_each_distinct_choice_once(small_suite, tmp_path, monkeypatch):

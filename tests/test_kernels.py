@@ -429,6 +429,48 @@ def test_ring_check_matches_pair_loop(points):
         assert message == f"outer ring is self-intersecting (edges {crossing[0]} and {crossing[1]})"
 
 
+def _reference_faults(rings):
+    """Each ring's own fault, or else its first crossing from the pair loop, as Polygon words them."""
+    faults = []
+    for k, ring in enumerate(rings):
+        fault = geometry._ring_fault(ring, k == 0)
+        crossing = None if fault else ref_first_ring_crossing(ring.tolist())
+        faults.append(fault or (crossing and "is self-intersecting (edges %d and %d)" % crossing))
+    return faults
+
+
+ring_drafts = st.tuples(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10, unique=True),
+    st.integers(0, 5),  # 0: the ring turns the wrong way
+    st.integers(0, 7),  # 0: the closing vertex is left off
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(ring_drafts, min_size=1, max_size=3), min_size=1, max_size=6))
+def test_grouped_ring_validator_equals_per_ring_validation(layout):
+    """One polygon_edges call over 1-6 polygons of 1-3 rings each, all on one small integer grid (so
+    rings of different polygons cross and touch, and a ring's own touching and collinear edges are
+    common), gives each polygon the verdict, first crossing and edges of a call on it alone, and of
+    the polygon's checks run on each ring's own fault or first crossing from the pair loop."""
+    polygons = []
+    for rings in layout:
+        polygon = []
+        for k, (points, wrong_way, open_ring) in enumerate(rings):
+            xy = _xy(_ring_from(points))  # counterclockwise, as an outer ring turns
+            xy = xy if (k == 0) == (wrong_way != 0) else xy[::-1]
+            polygon.append(np.ascontiguousarray(xy if open_ring else xy[:-1]))
+        polygons.append(tuple(polygon))
+    grouped = geometry.polygon_edges(polygons)
+    for polygon, found in zip(polygons, grouped, strict=True):
+        reference = [(fault, (ring[:-1], ring[1:])) for fault, ring in zip(_reference_faults(polygon), polygon)]
+        for expected in (*geometry.polygon_edges([polygon]), geometry._polygon_layout(reference)):
+            if isinstance(expected, str) or isinstance(found, str):
+                assert found == expected
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(found, expected, strict=True))
+
+
 def test_bow_tie_reports_edges_0_and_2():
     # counterclockwise by signed area, so the ring reaches the pair check
     bow_tie = (Point2(0, 0), Point2(2, 2), Point2(2, 0), Point2(0, 3), Point2(0, 0))

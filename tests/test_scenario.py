@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import random
 import re
 import tempfile
 import warnings
@@ -31,6 +33,7 @@ from uncplan.scenario import (
     generate_scenario,
     generate_suite,
     load_scenario,
+    load_scenarios,
     load_suite,
     save_scenario,
     scenario_from_dict,
@@ -548,6 +551,78 @@ def test_every_single_fault_keeps_its_recorded_class_and_field():
     assert counts == {"format": 1621, "invariant": 422, "accepted": 13}
 
 
+def _chunk_outcome(tmp: Path, data: dict, goods: list[str]):
+    """The error class and first named field with which evaluate_suite refuses a suite of data (as
+    scenario file f.json) and a valid copy of it under each id of goods, all in one chunk; None if it
+    accepts the suite. The error must name the scenario of data."""
+    from uncplan.cli import evaluate_suite
+    from uncplan.selection import SelectionConfig
+
+    (tmp / "f.json").write_text(json.dumps(data).replace("Infinity", "1e999"))
+    entries = [{"id": _SINGLE_FAULTS_BASE_ID, "path": "f.json"}] + [{"id": g, "path": f"{g}.json"} for g in goods]
+    (tmp / "manifest.json").write_text(json.dumps({"version": 1, "scenarios": entries}))
+    try:
+        evaluate_suite(tmp / "manifest.json", ("ucas",), SelectionConfig(), "cumulative")
+    except (ScenarioFormatError, ScenarioInvariantError) as e:
+        assert str(e).startswith(f"scenario {_SINGLE_FAULTS_BASE_ID}: "), e
+        named = re.search(r"field '([^']*)'", str(e))
+        return ["format" if isinstance(e, ScenarioFormatError) else "invariant", named and named.group(1)]
+    return None
+
+
+_SINGLE_FAULTS_BASE = scenario_to_dict(
+    generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(n_agents=1, n_candidates=1, n_element_points=2), 5))
+_SINGLE_FAULTS_BASE_ID = _SINGLE_FAULTS_BASE["id"]  # "straight-...": "a..." ids sort before it, "z..." ids after
+# good scenarios around the faulted one, so that it is read first, in the middle or last of its chunk
+_PLACES = {"first": ["z0", "z1"], "middle": ["a0", "z0"], "last": ["a0", "a1"]}
+
+
+def test_every_single_fault_in_a_chunk_is_reported_by_its_scenario(tmp_path):
+    """Each recorded single fault, put first, in the middle or last among good scenarios of one chunk:
+    evaluate_suite refuses the suite naming the faulted scenario, with its recorded class and field.
+    The places rotate over the faults of each entry, so every entry is tried in all three."""
+    for name in {g for goods in _PLACES.values() for g in goods}:
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(_SINGLE_FAULTS_BASE, id=name)))
+    places = Counter()
+    for path, outcomes in json.loads(_SINGLE_FAULTS.read_text()):
+        faulty = [(fault, expected) for fault, expected in zip(_FAULTS, outcomes) if expected is not None]
+        for k, (fault, (kind, field)) in enumerate(faulty):
+            place = list(_PLACES)[k % 3]
+            got = _chunk_outcome(tmp_path, _faulted(_SINGLE_FAULTS_BASE, tuple(path), fault), _PLACES[place])
+            assert got is not None and got[0] == kind and got[1] is not None, (path, fault, place, got)
+            assert field == "<scenario>" or got[1] == field or got[1].startswith((field + ".", field + "[")), (
+                path, fault, place, got, field)
+            places[place] += 1
+    assert sum(places.values()) == 1621 + 422 and min(places.values()) > 500
+
+
+@pytest.fixture(scope="module")
+def benchmark_suites(tmp_path_factory):
+    """The scenario paths of the three seed-73 benchmark suites, in manifest order."""
+    out = tmp_path_factory.mktemp("suites")
+    shapes = {"canonical": (400, GeneratorParams()), "wide-candidates": (150, GeneratorParams(n_candidates=20)),
+              "dense-map": (100, GeneratorParams(n_element_points=80))}
+    return {name: load_suite(generate_suite(out / name, count, 0.65, params, 73))[1]
+            for name, (count, params) in shapes.items()}
+
+
+@pytest.mark.parametrize("name", ["canonical", "wide-candidates", "dense-map", "mixed"])
+def test_chunk_reader_equals_loading_each_file_alone(benchmark_suites, name):
+    """Random splits of a suite into chunks of 1 to 32 scenarios read as each file read alone, every
+    array of them read-only; "mixed" shuffles the three suites together, so that the scenarios of a
+    chunk differ in candidates and map vertices too."""
+    rng, start, sizes = random.Random(name), 0, set()
+    paths = benchmark_suites.get(name) or rng.sample(sum(benchmark_suites.values(), []), 250)
+    alone = [load_scenario(path) for path in paths]
+    while start < len(paths):
+        size = rng.randint(1, 32)
+        for s, expected in zip(load_scenarios(paths[start:start + size]), alone[start:start + size], strict=True):
+            assert s == expected
+            assert not any(array.flags.writeable for array in _arrays(s).values())
+        start, sizes = start + size, sizes | {min(size, len(paths) - start)}
+    assert 1 < len(sizes)
+
+
 def _arrays(s):
     """Every array a scenario holds, by name."""
     out = {"ego_poses": s.ego_poses, "agent_boxes": s.agent_boxes}
@@ -845,6 +920,44 @@ def test_a_refused_suite_leaves_no_file_it_wrote(tmp_path, held):
         assert [p.name for p in out.iterdir()] == held
     else:
         assert not out.exists()
+
+
+def test_a_refused_suite_leaves_an_earlier_suite_in_its_directory_as_it_was(tmp_path):
+    """A second suite refused at turn 3 (a 30 m tail folds it over) leaves the first suite's 11 files
+    byte-identical, and its manifest lists only files that exist."""
+    out = tmp_path / "suite"
+    generate_suite(out, 10, 0.5, GeneratorParams(), 3)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(ValueError, match=_RING_REFUSAL):
+        generate_suite(out, 10, 0.5, GeneratorParams(corridor_tail=30.0), 3)
+    assert len(before) == 11 and {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert all(path.exists() for path in load_suite(out / "manifest.json")[1])
+
+
+def test_a_refused_suite_leaves_no_directory_it_created(tmp_path):
+    with pytest.raises(ValueError, match=_RING_REFUSAL):
+        generate_suite(tmp_path / "x" / "a" / "suite", 10, 0.5, GeneratorParams(corridor_tail=30.0), 3)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_suite_cut_short_while_moving_its_files_leaves_no_manifest(tmp_path, monkeypatch):
+    """A failure on the fourth file moved into a directory that holds an earlier suite leaves no manifest
+    to list a mix of the two suites' files, and no temporary directory."""
+    out = tmp_path / "suite"
+    generate_suite(out, 10, 0.5, GeneratorParams(), 3)
+    replace, moved = os.replace, []
+
+    def failing_replace(src, dst):
+        if len(moved) == 3:
+            raise OSError("no space left on device")
+        moved.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space left"):
+        generate_suite(out, 10, 0.5, GeneratorParams(noise_scale=0.5), 3)
+    assert len(moved) == 3 and not (out / "manifest.json").exists()
+    assert len(list(out.glob("*.json"))) == 10 and not list(out.glob(".generate-*"))
 
 
 def _wrong_types(default):

@@ -8,6 +8,7 @@ import pytest
 from uncplan.cli import PRESETS, preset_selection
 from uncplan.geometry import MultiPolygon, Point2, Polygon, Pose2, box_corners
 from uncplan.metrics import evaluate_trajectories, evaluate_trajectory
+from uncplan.oracles import oracle_select
 from uncplan.map_model import MapElement, MapElementKind, UncertainMap
 from uncplan.scenario import AgentMode, AgentPrediction, GeneratorParams, ScenarioKind, generate_scenario
 from uncplan.selection import (
@@ -266,17 +267,19 @@ def test_disabling_all_filters_is_pure_argmax():
     assert [r.final_score for r in report.records] == confidences
 
 
-def test_tie_broken_by_lower_risk():
-    # equal confidence, both above threshold; closer-to-boundary one wins ties
-    a = straight_candidate(3.0, 0.5)
-    b = straight_candidate(6.0, 0.5)
-    cands = (a, b)
-    s = CandidateSet(cands, cands, cands)
-    m = map_with_boundaries([9.0], b=0.5)
+def test_tie_broken_by_higher_risk():
+    # equal confidence, both above threshold; the one farther from the uncertain boundary wins the tie,
+    # whichever index it has, and the oracle agrees
     cfg = SelectionConfig(nll_threshold=2.0, enable_agent_filter=False, enable_boundary_filter=False)
-    report = ucas_select(s, Command.GO_STRAIGHT, m, [], EGO_DIMS, cfg)
-    assert report.records[1].risk_nll < report.records[0].risk_nll
-    assert report.chosen_index == 1
+    m = map_with_boundaries([9.0], b=0.5)
+    for offsets, farther in (((3.0, 6.0), 0), ((6.0, 3.0), 1)):
+        cands = tuple(straight_candidate(offset, 0.5) for offset in offsets)
+        s = CandidateSet(cands, cands, cands)
+        report = ucas_select(s, Command.GO_STRAIGHT, m, [], EGO_DIMS, cfg)
+        risks = [r.risk_nll for r in report.records]
+        assert risks[farther] > risks[1 - farther] >= cfg.nll_threshold
+        assert report.chosen_index == farther
+        assert oracle_select(s, Command.GO_STRAIGHT, cfg, risks, [False] * 2, [False] * 2) == farther
 
 
 def test_filter_monotonicity_and_rescaling():
