@@ -228,6 +228,8 @@ class Scenario(ArrayValue):
                 f"(15 degree rule says {expected!r})"
             )
         ego_dims = (float(self.ego_dims[0]), float(self.ego_dims[1]))
+        if not all(0 < d < math.inf for d in ego_dims):
+            raise ValueError(f"ego dims must be positive and finite, got {ego_dims}")
         self.__dict__.update(agents=agents, agent_boxes=agent_boxes, ego_poses=future, ego_dims=ego_dims)
 
     def ground_truth(self) -> GroundTruth:

@@ -534,7 +534,22 @@ def test_kernel_calls_no_hit_on_pairs_with_disjoint_boxes():
     assert d1 * d2 < 0 and d3 * d4 < 0  # the crossing signs
     assert geometry._segments_intersect(p1, p2, q1, q2).tolist() == [False]
     assert not ref_segments_intersect(*DISJOINT_BOX_HIT)
-    assert geometry._first_crossing(p1, p2, q1, q2) is None
+    assert not geometry._sets_cross((p1, p2), (q1, q2))
+    assert _first_between(p1, p2, q1, q2) is None
+
+
+def _first(e0, e1, keep):
+    """The first of _crossings(e0, e1, keep), or None."""
+    return next(iter(geometry._crossings(e0, e1, keep)), None)
+
+
+def _first_between(a0, a1, b0, b1, keep=None):
+    """The row-major first (i, j) at which segment a[i] meets segment b[j] and keep(i, j) holds, or None:
+    _crossings over a and b laid end to end, keeping only the pairs that join them."""
+    n = len(a0)
+    join = lambda i, j: (i < n) & (j >= n) & (True if keep is None else keep(i, j - n))
+    first = _first(np.concatenate((a0, b0)), np.concatenate((a1, b1)), join)
+    return None if first is None else (first[0], first[1] - n)
 
 
 def _matrix_first(a0, a1, b0, b1, keep=None):
@@ -560,7 +575,7 @@ def test_first_crossing_matches_the_unmasked_matrix(monkeypatch, block):
         a0, a1, b0, b1 = p1, p2, np.concatenate([q1, p1]), np.concatenate([q2, p2])
         keep = (lambda i, j: (j >= i + 2) | (j < len(q1))) if rng.random() < 0.5 else None
         first = _matrix_first(a0, a1, b0, b1, keep)
-        assert geometry._first_crossing(a0, a1, b0, b1, keep) == first
+        assert _first_between(a0, a1, b0, b1, keep) == first
         found += first is not None
     assert found > 100
 
@@ -607,16 +622,16 @@ def test_sweep_matches_the_masked_matrix(monkeypatch, block):
         keep = (lambda i, j: (j >= i + 2) | (j == 0)) if rng.random() < 0.5 else None
         for a0, a1, b0, b1 in ((*a, *b), tuple(map(_quarter_turn, (*a, *b)))):
             first = _matrix_first(a0, a1, b0, b1, keep)
-            assert geometry._first_crossing(a0, a1, b0, b1, keep) == first
-            assert geometry._first_crossing(b0, b1, b0, b1, keep) == _matrix_first(b0, b1, b0, b1, keep)
-            assert geometry._first_crossing(b0, b1) == _matrix_first(b0, b1, b0, b1, lambda i, j: j > i)
+            assert _first_between(a0, a1, b0, b1, keep) == first
+            assert _first_between(b0, b1, b0, b1, keep) == _matrix_first(b0, b1, b0, b1, keep)
+            assert _first(b0, b1, lambda i, j: j > i) == _matrix_first(b0, b1, b0, b1, lambda i, j: j > i)
             found.append(first is not None)
     for _ in range(150):
         ring = _xy(_ring_from(rng.integers(-4, 5, size=(int(rng.integers(3, 16)), 2)).tolist()))
         for xy in (ring, _quarter_turn(ring)):
             edges = xy[:-1], xy[1:]
             first = _matrix_first(*edges, *edges, _ring_keep(xy))
-            assert geometry._first_crossing(*edges, keep=_ring_keep(xy)) == first
+            assert _first(*edges, _ring_keep(xy)) == first
             found.append(first is not None)
     # rim-hole and hole-hole pairs, and whole areas against each other
     rings = [(xy[:-1], xy[1:]) for poly in CONTAINMENT_POLYGONS for xy in poly.rings]
@@ -627,7 +642,8 @@ def test_sweep_matches_the_masked_matrix(monkeypatch, block):
                 for eb in sets:
                     eb = tuple(_quarter_turn(v + shift) if turn else v + shift for v in eb)
                     first = _matrix_first(*ea, *eb)
-                    assert geometry._first_crossing(*ea, *eb) == first
+                    assert _first_between(*ea, *eb) == first
+                    assert geometry._sets_cross(ea, eb) == (first is not None)
                     found.append(first is not None)
     assert 0.25 < np.mean(found) < 0.75  # hits and misses both common
 
@@ -729,7 +745,7 @@ def test_sweep_work_grows_with_the_edges_not_their_pairs(monkeypatch):
             swept.append(np.broadcast(i, j).size)
             return _ring_keep(xy)(i, j)
 
-        assert geometry._first_crossing(xy[:-1], xy[1:], keep=keep) is None
+        assert geometry._crossings(xy[:-1], xy[1:], keep) == []
         return sum(swept)
 
     monkeypatch.setattr(geometry, "_segments_intersect", counting_kernel)
@@ -795,7 +811,7 @@ def test_polygon_edges_touch_matches_pair_loop(points):
         ref_segments_intersect((p.x, p.y), (q.x, q.y), (r.x, r.y), (s.x, s.y))
         for p, q in zip(a, a[1:]) for r, s in zip(b, b[1:])
     )
-    assert (geometry._first_crossing(*pa.edges, *pb.edges) is not None) == expected
+    assert geometry._sets_cross(pa.edges, pb.edges) == expected
 
 
 # -- broad phase ------------------------------------------------------------------

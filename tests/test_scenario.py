@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from uncplan import geometry
 from uncplan.geometry import normalize_heading
 from uncplan.metrics import GroundTruth, dacr_frame, scenario_class_of
 from uncplan.scenario import (
@@ -623,6 +624,34 @@ def test_chunk_reader_equals_loading_each_file_alone(benchmark_suites, name):
     assert 1 < len(sizes)
 
 
+def test_the_workload_ring_checks_hand_the_narrow_phase_no_pair(benchmark_suites, monkeypatch, tmp_path):
+    """The ring checks of the three seed-73 benchmark suites, loaded in chunks of 25, and of 100 scenarios of
+    each kind generated with each workload's settings (5 and 20 candidates, 20 and 80 element points) hand
+    _segments_intersect no pair: the sweep's box test drops every pair. Turn corridors of 3 element points
+    do reach it, and are generated and load back equal. If the narrow phase comes onto the benchmark's
+    path, this test says so."""
+    kernel, handed = geometry._segments_intersect, []
+
+    def counting_kernel(p1, p2, q1, q2):
+        handed.append(len(p1))
+        return kernel(p1, p2, q1, q2)
+
+    monkeypatch.setattr(geometry, "_segments_intersect", counting_kernel)
+    for paths in benchmark_suites.values():
+        for start in range(0, len(paths), 25):
+            load_scenarios(paths[start:start + 25])
+    for params in (GeneratorParams(), GeneratorParams(n_candidates=20), GeneratorParams(n_element_points=80)):
+        for kind in ScenarioKind:
+            for i in range(100):
+                generate_scenario(kind, params, scenario_seed(73, i))
+    assert handed == []
+    for i in range(20):
+        turn = generate_scenario(ScenarioKind.TURN, GeneratorParams(n_element_points=3), scenario_seed(73, i))
+        save_scenario(turn, tmp_path / "turn.json")
+        assert load_scenario(tmp_path / "turn.json") == turn
+    assert len(handed) > 10 and sum(handed) > len(handed)
+
+
 def _arrays(s):
     """Every array a scenario holds, by name."""
     out = {"ego_poses": s.ego_poses, "agent_boxes": s.agent_boxes}
@@ -994,6 +1023,18 @@ def test_an_agent_with_too_few_boxes_is_refused_naming_it(build):
             replace(s, agent_boxes=short)
         else:
             GroundTruth(s.ego_poses[:, :2], short, s.map.drivable_area)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["length", "width"])
+@pytest.mark.parametrize("value", [-4.2, math.nan, math.inf, 0.0])
+def test_ego_dims_that_are_not_positive_and_finite_are_refused(side, value):
+    """As AgentPrediction refuses its dims, so that no Scenario holds ego dims that save_scenario would
+    write and load_scenario, or selection, would then refuse."""
+    s = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(), scenario_seed(73, 3))
+    dims = (value, 1.9) if side == 0 else (4.2, value)
+    with pytest.raises(ValueError, match=rf"^ego dims must be positive and finite, got \({dims[0]}, {dims[1]}\)$"):
+        replace(s, ego_dims=dims)
+    assert replace(s, ego_dims=(4.2, 1.9)) == s
 
 
 @pytest.mark.parametrize(
