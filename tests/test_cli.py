@@ -22,6 +22,7 @@ from uncplan.cli import (
 )
 from uncplan.metrics import evaluate_trajectories
 from uncplan.scenario import (
+    CACHE_DIR,
     GeneratorParams,
     ScenarioFormatError,
     ScenarioInvariantError,
@@ -779,6 +780,50 @@ def test_lowest_failing_id_and_its_first_fault_decide_the_error(small_suite, tmp
     else:
         assert code == EXIT_PARSE
         assert err.startswith(f"parse error: scenario {ids[1]}: ") and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("target", ["scenario", "manifest"])
+@pytest.mark.parametrize("fault, byte, reason", [
+    (b"\xff", 100, "invalid start byte"), (b"\x80", 100, "invalid start byte"),
+    ("\u20ac".encode()[:2], None, "unexpected end of data")], ids=["0xff", "lone-0x80", "multibyte-cut-at-the-end"])
+def test_text_that_is_not_utf8_is_parse_error_naming_the_file_and_the_byte(small_suite, tmp_path, capsys, target,
+                                                                            fault, byte, reason):
+    """A byte 0xff, a lone continuation byte 0x80 at byte 100, or the first two of the three bytes of a
+    character at the end of the file, in a scenario file or in the manifest: exit 3, naming the file and where
+    its text stops being UTF-8."""
+    manifest, sid = _edited_suite(small_suite, tmp_path, "bytes", lambda text: text)
+    victim = manifest
+    if target == "scenario":
+        victim = manifest.parent / json.loads(manifest.read_text())["scenarios"][0]["path"]
+    data = victim.read_bytes()
+    victim.write_bytes(data + fault if byte is None else data[:byte] + fault + data[byte + 1:])
+    assert run(["eval", "--suite", manifest, "--out", tmp_path / "x"]) == EXIT_PARSE
+    scope = "" if target == "manifest" else f"scenario {sid}: "
+    at = len(data) if byte is None else byte
+    assert capsys.readouterr().err == f"parse error: {scope}{victim}: not UTF-8 text at byte {at}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", [["eval"], ["eval", "--verify"], ["ablate"]], ids=["eval", "verify", "ablate"])
+def test_reports_are_byte_identical_cold_and_warm(small_suite, tmp_path, monkeypatch, capsys, command):
+    """A run that decodes every file (no decode cache) and one that decodes none but the manifest (every
+    scenario file's values from the cache the first wrote) write the same bytes."""
+    import shutil
+
+    import uncplan.scenario as scenario_module
+
+    suite = tmp_path / "suite"
+    shutil.copytree(small_suite.parent, suite)
+    shutil.rmtree(suite / CACHE_DIR, ignore_errors=True)
+    decode, decoded = scenario_module._decode, []
+    monkeypatch.setattr(scenario_module, "_decode", lambda data, path: decoded.append(path.name) or decode(data, path))
+    reports, counts = [], []
+    for _ in ("cold", "warm"):
+        del decoded[:]
+        assert run([*command, "--suite", suite / "manifest.json", "--out", tmp_path / "r"]) == EXIT_OK
+        reports.append({p.name: p.read_bytes() for p in tmp_path.glob("r.*")})
+        reports[-1]["stdout"] = capsys.readouterr().out.encode()
+        counts.append(len(decoded))
+    assert counts == [1 + 8, 1] and len(reports[0]) == (4 if command[0] == "eval" else 3) and reports[0] == reports[1]
 
 
 def test_manifest_nested_too_deep_is_parse_error(tmp_path, capsys):

@@ -3,10 +3,12 @@ import copy
 import hashlib
 import io
 import json
+import marshal
 import math
 import os
 import random
 import re
+import shutil
 import tempfile
 import warnings
 from collections import Counter
@@ -19,9 +21,11 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from uncplan import geometry
+from uncplan import scenario as scenario_module
 from uncplan.geometry import normalize_heading
 from uncplan.metrics import GroundTruth, dacr_frame, scenario_class_of
 from uncplan.scenario import (
+    CACHE_DIR,
     KNOB_LIMIT,
     AgentMode,
     AgentPrediction,
@@ -578,23 +582,38 @@ _SINGLE_FAULTS_BASE_ID = _SINGLE_FAULTS_BASE["id"]  # "straight-...": "a..." ids
 _PLACES = {"first": ["z0", "z1"], "middle": ["a0", "z0"], "last": ["a0", "a1"]}
 
 
-def test_every_single_fault_in_a_chunk_is_reported_by_its_scenario(tmp_path):
+def test_every_single_fault_in_a_chunk_is_reported_by_its_scenario(tmp_path, monkeypatch):
     """Each recorded single fault, put first, in the middle or last among good scenarios of one chunk:
     evaluate_suite refuses the suite naming the faulted scenario, with its recorded class and field.
-    The places rotate over the faults of each entry, so every entry is tried in all three."""
+    The places rotate over the faults of each entry, so every entry is tried in all three. The cases run
+    twice: cold, each chunk decoded, then warm, every scenario file's values taken from the decode cache."""
     for name in {g for goods in _PLACES.values() for g in goods}:
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(_SINGLE_FAULTS_BASE, id=name)))
-    places = Counter()
-    for path, outcomes in json.loads(_SINGLE_FAULTS.read_text()):
-        faulty = [(fault, expected) for fault, expected in zip(_FAULTS, outcomes) if expected is not None]
-        for k, (fault, (kind, field)) in enumerate(faulty):
-            place = list(_PLACES)[k % 3]
-            got = _chunk_outcome(tmp_path, _faulted(_SINGLE_FAULTS_BASE, tuple(path), fault), _PLACES[place])
-            assert got is not None and got[0] == kind and got[1] is not None, (path, fault, place, got)
-            assert field == "<scenario>" or got[1] == field or got[1].startswith((field + ".", field + "[")), (
-                path, fault, place, got, field)
-            places[place] += 1
-    assert sum(places.values()) == 1621 + 422 and min(places.values()) > 500
+    for cache in ("cold", "warm"):
+        if cache == "warm":
+            _forbid_decoding_scenario_files(monkeypatch)
+        places = Counter()
+        for path, outcomes in json.loads(_SINGLE_FAULTS.read_text()):
+            faulty = [(fault, expected) for fault, expected in zip(_FAULTS, outcomes) if expected is not None]
+            for k, (fault, (kind, field)) in enumerate(faulty):
+                place = list(_PLACES)[k % 3]
+                got = _chunk_outcome(tmp_path, _faulted(_SINGLE_FAULTS_BASE, tuple(path), fault), _PLACES[place])
+                assert got is not None and got[0] == kind and got[1] is not None, (cache, path, fault, place, got)
+                assert field == "<scenario>" or got[1] == field or got[1].startswith((field + ".", field + "[")), (
+                    cache, path, fault, place, got, field)
+                places[place] += 1
+        assert sum(places.values()) == 1621 + 422 and min(places.values()) > 500
+
+
+def _forbid_decoding_scenario_files(monkeypatch) -> None:
+    """From now on, decoding any file but a manifest fails the test: its values must come from the cache."""
+    decode = scenario_module._decode
+
+    def manifests_only(data, path):
+        assert Path(path).name == "manifest.json", f"{path} was decoded, not read from the cache"
+        return decode(data, path)
+
+    monkeypatch.setattr(scenario_module, "_decode", manifests_only)
 
 
 @pytest.fixture(scope="module")
@@ -650,6 +669,148 @@ def test_the_workload_ring_checks_hand_the_narrow_phase_no_pair(benchmark_suites
         save_scenario(turn, tmp_path / "turn.json")
         assert load_scenario(tmp_path / "turn.json") == turn
     assert len(handed) > 10 and sum(handed) > len(handed)
+
+
+# -- decode cache --------------------------------------------------------------
+
+
+def _same(a, b) -> bool:
+    """a == b with the same type at every level, the same key order in every object and floats equal bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same(a[key], b[key]) for key in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a.hex() == b.hex() if type(a) is float else a == b
+
+
+def test_the_type_exact_check_tells_apart_values_that_compare_equal():
+    assert _same({"a": [1, 1.5, True, None, "x", {}]}, {"a": [1, 1.5, True, None, "x", {}]})
+    for a, b in ((1, 1.0), (1, True), (0.0, -0.0), ({"a": 1, "b": 2}, {"b": 2, "a": 1}), ([{"a": 1}], [{"a": 1.0}])):
+        assert a == b and not _same(a, b)
+
+
+def _decoding_counted(monkeypatch) -> list:
+    """The names of the files that scenario._decode reads from now on, in order."""
+    decode, decoded = scenario_module._decode, []
+
+    def counting(data, path):
+        decoded.append(Path(path).name)
+        return decode(data, path)
+
+    monkeypatch.setattr(scenario_module, "_decode", counting)
+    return decoded
+
+
+def _cold_and_warm(paths: list, decoded: list) -> None:
+    """With no cache entry the chunk paths decode as json.loads reads each file's text; read again, nothing is
+    decoded, and the values from the entry equal those type-exactly."""
+    shutil.rmtree(paths[0].parent / CACHE_DIR, ignore_errors=True)
+    del decoded[:]
+    cold = scenario_module._decoded(paths)
+    assert decoded == [path.name for path in paths]
+    assert _same(cold, [json.loads(path.read_text(encoding="utf-8")) for path in paths])
+    warm = scenario_module._decoded(paths)
+    assert len(decoded) == len(paths) and _same(warm, cold)
+
+
+@pytest.mark.parametrize("name", ["canonical", "wide-candidates", "dense-map"])
+def test_a_warm_decode_equals_a_cold_one_type_exactly(benchmark_suites, monkeypatch, name):
+    """The seed-73 benchmark suites split at random into chunks of 1 to 32 files."""
+    decoded, rng, start = _decoding_counted(monkeypatch), random.Random(name), 0
+    paths = benchmark_suites[name]
+    while start < len(paths):
+        size = rng.randint(1, 32)
+        _cold_and_warm(paths[start:start + size], decoded)
+        start += size
+
+
+def test_a_warm_decode_equals_a_cold_one_type_exactly_on_every_single_fault(tmp_path, monkeypatch):
+    """Each recorded single fault as a file (infinity as 1e999, 10**400 as its digits), in chunks of 32 files."""
+    paths = []
+    for path, outcomes in json.loads(_SINGLE_FAULTS.read_text()):
+        for fault, _ in zip(_FAULTS, outcomes):
+            paths.append(tmp_path / f"f{len(paths)}.json")
+            text = json.dumps(_faulted(_SINGLE_FAULTS_BASE, tuple(path), fault))
+            paths[-1].write_text(text.replace("Infinity", "1e999"))
+    decoded = _decoding_counted(monkeypatch)
+    for start in range(0, len(paths), 32):
+        _cold_and_warm(paths[start:start + 32], decoded)
+    assert len(paths) == 1621 + 422 + 13
+
+
+@pytest.fixture
+def three_files(tmp_path) -> list:
+    """The paths of a suite of three scenarios, the first a turn."""
+    return load_suite(generate_suite(tmp_path, 3, 0.34, GeneratorParams(), 11))[1]
+
+
+_DAMAGES = {"cut-short": lambda entry: entry[:len(entry) // 2], "garbage": lambda entry: b"not a marshal entry\n",
+            "wrong-length": lambda entry: marshal.dumps(marshal.loads(entry)[:-1]),
+            "not-a-list": lambda entry: marshal.dumps(tuple(marshal.loads(entry))),
+            "null-item": lambda entry: b"[\x01\x00\x00\x000"}  # marshal's TypeError: a NULL object in a list
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGES))
+def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(three_files, monkeypatch, damage):
+    cold = load_scenarios(three_files)
+    (entry,) = (three_files[0].parent / CACHE_DIR).iterdir()
+    good = entry.read_bytes()
+    entry.write_bytes(_DAMAGES[damage](good))
+    decoded = _decoding_counted(monkeypatch)
+    assert load_scenarios(three_files) == cold and decoded == [path.name for path in three_files]
+    assert list(entry.parent.iterdir()) == [entry] and _same(marshal.loads(entry.read_bytes()), marshal.loads(good))
+    assert load_scenarios(three_files) == cold and len(decoded) == 3
+
+
+def test_a_file_edited_after_its_entry_was_written_misses(three_files, monkeypatch):
+    """An entry is found by the bytes of the chunk's files: an edited file misses, and its old bytes hit again."""
+    first = load_scenarios(three_files)
+    original = three_files[1].read_bytes()
+    data = json.loads(original)
+    data["candidates"]["GoStraight"][0]["confidence"] /= 2
+    three_files[1].write_text(json.dumps(data, indent=2) + "\n")
+    decoded = _decoding_counted(monkeypatch)
+    edited = load_scenarios(three_files)
+    assert decoded == [path.name for path in three_files]
+    assert len(list((three_files[0].parent / CACHE_DIR).iterdir())) == 2
+    confidence = [s.candidates.batches[Command.GO_STRAIGHT][2][0] for s in (first[1], edited[1])]
+    assert confidence[1] == confidence[0] / 2
+    three_files[1].write_bytes(original)
+    assert load_scenarios(three_files) == first and len(decoded) == 3
+
+
+@pytest.mark.parametrize("target", ["os.replace", "Path.mkdir"])
+def test_a_cache_that_cannot_be_written_means_only_no_entry(three_files, monkeypatch, target):
+    """As in a read-only suite directory (root ignores chmod, so the write is made to fail): every load
+    succeeds, decoding its files each time, and no entry or temporary file is left behind."""
+    expected = [scenario_from_dict(json.loads(path.read_text())) for path in three_files]
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(*((os, "replace") if target == "os.replace" else (Path, "mkdir")), refuse)
+    decoded = _decoding_counted(monkeypatch)
+    for _ in range(2):
+        assert load_scenarios(three_files) == expected and load_scenario(three_files[0]) == expected[0]
+    assert len(decoded) == 2 * 4
+    cache = three_files[0].parent / CACHE_DIR
+    assert (list(cache.iterdir()) == []) if target == "os.replace" else not cache.exists()
+
+
+def test_a_chunk_that_does_not_read_or_decode_raises_its_first_fault_and_writes_no_entry(three_files, tmp_path):
+    """A file that cannot be read makes the chunk decode file by file as without the cache, so the first
+    fault in file order is raised; a chunk that does not decode is not cached."""
+    broken, missing = tmp_path / "broken.json", tmp_path / "missing.json"
+    broken.write_text('{"version": 1,')
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{broken}: invalid JSON at line 1 column 15")):
+        load_scenarios([three_files[0], broken, missing])
+    with pytest.raises(FileNotFoundError):
+        load_scenarios([three_files[0], missing, broken])
+    with pytest.raises(ScenarioFormatError):
+        load_scenarios([*three_files, broken])
+    assert not (tmp_path / CACHE_DIR).exists()
 
 
 def _arrays(s):
@@ -773,6 +934,43 @@ def test_json_nested_beyond_the_recursion_limit_is_a_parse_error_naming_the_file
     with pytest.raises(ScenarioFormatError) as err:
         load(p)
     assert str(err.value).startswith(f"{p}: invalid JSON: ")
+
+
+_NOT_UTF8 = {"0xff": (lambda data: data[:100] + b"\xff" + data[101:], 100, "invalid start byte"),
+             "lone-0x80": (lambda data: data[:100] + b"\x80" + data[101:], 100, "invalid start byte"),
+             "multibyte-cut-at-the-end": (lambda data: data + "\u20ac".encode()[:2], None, "unexpected end of data")}
+
+
+@pytest.mark.parametrize("load", [load_scenario, load_suite], ids=["scenario", "manifest"])
+@pytest.mark.parametrize("fault", list(_NOT_UTF8))
+def test_bytes_that_are_not_utf8_are_a_parse_error_naming_the_file_and_the_byte(tmp_path, load, fault):
+    edit, offset, reason = _NOT_UTF8[fault]
+    manifest = generate_suite(tmp_path, 1, 0.0, GeneratorParams(), 2)
+    p = manifest if load is load_suite else load_suite(manifest)[1][0]
+    data = p.read_bytes()
+    p.write_bytes(edit(data))
+    with pytest.raises(ScenarioFormatError) as err:
+        load(p)
+    assert str(err.value) == f"{p}: not UTF-8 text at byte {len(data) if offset is None else offset}: {reason}"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_json_errors_keep_the_line_and_column_of_the_text_read_with_universal_newlines(tmp_path, newline):
+    """Read as Path.read_text reads it, a file with other line ends than \\n loads as the same scenario, and its
+    broken JSON names the line and column of that text."""
+    s = generate_scenario(ScenarioKind.STRAIGHT, GeneratorParams(), 2)
+    text = json.dumps(scenario_to_dict(s), indent=2).replace("\n", newline)
+    p = tmp_path / "s.json"
+    p.write_bytes(text.encode())
+    assert load_scenario(p) == s
+    p.write_bytes(text.replace('"seed": ', '"seed": ,', 1).encode())
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(p.read_text(encoding="utf-8"))
+    assert expected.value.lineno > 1
+    with pytest.raises(ScenarioFormatError) as err:
+        load_scenario(p)
+    assert str(err.value) == (f"{p}: invalid JSON at line {expected.value.lineno} column {expected.value.colno}: "
+                              f"{expected.value.msg}")
 
 
 # -- suites --------------------------------------------------------------------
@@ -951,16 +1149,34 @@ def test_a_refused_suite_leaves_no_file_it_wrote(tmp_path, held):
         assert not out.exists()
 
 
+def _files(directory: Path) -> dict:
+    """The bytes of every file under directory, by its path relative to directory."""
+    return {str(p.relative_to(directory)): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
 def test_a_refused_suite_leaves_an_earlier_suite_in_its_directory_as_it_was(tmp_path):
     """A second suite refused at turn 3 (a 30 m tail folds it over) leaves the first suite's 11 files
-    byte-identical, and its manifest lists only files that exist."""
+    byte-identical, and the decode cache entries of its loads too, and its manifest lists only files that exist."""
     out = tmp_path / "suite"
-    generate_suite(out, 10, 0.5, GeneratorParams(), 3)
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    paths = load_suite(generate_suite(out, 10, 0.5, GeneratorParams(), 3))[1]
+    load_scenarios(paths)
+    load_scenario(paths[0])
+    before = _files(out)
     with pytest.raises(ValueError, match=_RING_REFUSAL):
         generate_suite(out, 10, 0.5, GeneratorParams(corridor_tail=30.0), 3)
-    assert len(before) == 11 and {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert len(before) == 11 + 2 and len(list((out / CACHE_DIR).iterdir())) == 2 and _files(out) == before
     assert all(path.exists() for path in load_suite(out / "manifest.json")[1])
+
+
+def test_a_regenerated_suite_removes_the_decode_cache_entries_of_the_files_it_replaced(tmp_path):
+    """Each regeneration removes the suite directory's decode cache, so that entries of files that are
+    gone do not pile up; the next load writes its entry again."""
+    out = tmp_path / "suite"
+    for noise in (0.5, 0.25, 0.5):
+        paths = load_suite(generate_suite(out, 10, 0.5, GeneratorParams(noise_scale=noise), 3))[1]
+        assert not (out / CACHE_DIR).exists()
+        load_scenarios(paths)
+        assert len(list((out / CACHE_DIR).iterdir())) == 1
 
 
 def test_a_refused_suite_leaves_no_directory_it_created(tmp_path):
