@@ -781,6 +781,13 @@ def test_a_file_edited_after_its_entry_was_written_misses(three_files, monkeypat
     assert load_scenarios(three_files) == first and len(decoded) == 3
 
 
+def test_the_same_files_in_another_order_are_another_entry(three_files, monkeypatch):
+    """The key follows file order: the files of a chunk reversed miss the entry of the chunk."""
+    forward = load_scenarios(three_files)
+    decoded = _decoding_counted(monkeypatch)
+    assert load_scenarios(three_files[::-1]) == forward[::-1] and decoded == [path.name for path in three_files[::-1]]
+
+
 @pytest.mark.parametrize("target", ["os.replace", "Path.mkdir"])
 def test_a_cache_that_cannot_be_written_means_only_no_entry(three_files, monkeypatch, target):
     """As in a read-only suite directory (root ignores chmod, so the write is made to fail): every load
