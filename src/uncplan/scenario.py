@@ -22,13 +22,14 @@ only through json's encoder.
 
 One chunk reader (_read) reads files, each read step over every scenario of a
 chunk (load_scenarios); load_scenario and scenario_from_dict are it on one.
-What json.loads returned for a chunk is kept, marshalled, in a CACHE_DIR beside
-its first file, keyed by the SHA-256 of the files' bytes; _read checks every
-value on every load, and the directory may be deleted at any time.
+What json.loads returned for a chunk is kept, marshalled, in this user's
+CACHE_DIR, keyed by the SHA-256 of the files' bytes; _read checks every value
+on every load, and the directory may be deleted at any time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import json
@@ -56,7 +57,7 @@ SCHEMA_VERSION = 1
 _MASK64 = (1 << 64) - 1
 KNOB_LIMIT = 1e6  # the largest value of a float generator knob, in metres, m/s or as a factor
 _KNOB_KINDS = {bool: "a bool", int: "an int", float: "a number", tuple: "a pair of numbers"}  # by its default's type
-CACHE_DIR = ".uncplan-cache"  # beside a chunk's first file: its decoded JSON, one entry per chunk
+CACHE_DIR = Path(os.path.expanduser("~"), ".cache", "uncplan")  # this user's decoded JSON, one entry per chunk
 _CACHE_TAG = f"{sys.implementation.cache_tag}-{marshal.version}"  # an entry is read by the Python that wrote it
 
 
@@ -799,10 +800,12 @@ def _decode(data: bytes, path: Path):
     def reject(token: str):
         raise ScenarioFormatError(f"{path}: non-finite number {token} in JSON; only finite numbers are allowed")
 
-    try:  # with read_text's universal newlines, so that an error's line and column stay as they were
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ScenarioFormatError(f"{path}: not UTF-8 text at byte {e.start}: {e.reason}") from None
+    if "\r" in text:  # read_text's universal newlines, so that an error's line and column stay as they were
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
@@ -823,20 +826,18 @@ def _decoded(paths: list[Path]) -> list:
     except OSError:  # read and decoded in file order, so the first fault in that order is raised
         return [_decode(path.read_bytes(), path) for path in paths]
     key = hashlib.sha256(b"".join(hashlib.sha256(blob).digest() for blob in blobs)).hexdigest()
-    entry = paths[0].parent / CACHE_DIR / f"{key}.{_CACHE_TAG}"
-    try:
+    entry = CACHE_DIR / f"{key}.{_CACHE_TAG}"
+    with contextlib.suppress(OSError, EOFError, ValueError, TypeError):  # no entry, or one cut short or overwritten
         values = marshal.loads(entry.read_bytes())
-    except (OSError, EOFError, ValueError, TypeError):  # no entry, or one cut short or overwritten: a miss
-        values = None
-    if type(values) is list and len(values) == len(paths):
-        return values
+        if type(values) is list and len(values) == len(paths):
+            return values
     values = [_decode(blob, path) for blob, path in zip(blobs, paths)]
     temporary = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
-    try:
-        entry.parent.mkdir(exist_ok=True)
+    with contextlib.suppress(OSError, ValueError):  # a read-only home, say: no entry
+        CACHE_DIR.mkdir(parents=True, exist_ok=True)
         temporary.write_bytes(marshal.dumps(values))
         os.replace(temporary, entry)
-    except (OSError, ValueError):  # a read-only suite, say: no entry, and no temporary left behind
+    with contextlib.suppress(OSError):  # and no temporary left behind; on a read-only mount even this unlink raises
         temporary.unlink(missing_ok=True)
     return values
 
@@ -867,11 +868,11 @@ def generate_suite(
 
     The first round(count * turn_fraction) scenarios are turns, the rest straight.
     Returns the manifest path. The suite is built in a temporary directory inside
-    out_dir (.generate-*); then any earlier manifest is removed, each file moved into
-    place with os.replace, the manifest last, and out_dir's CACHE_DIR removed. A call
-    that raises removes the temporary directory and every directory it created: refused
-    while generating, it leaves out_dir (an earlier suite, its cache) as it was; cut short
-    while moving files, it leaves no manifest. A killed process leaves .generate-* behind.
+    out_dir (.generate-*); then any earlier manifest is removed and each file is
+    moved into place with os.replace, the manifest last. A call that raises removes
+    the temporary directory and every directory it created: refused while
+    generating, it leaves an earlier suite in out_dir as it was; cut short while
+    moving files, it leaves no manifest. A killed process leaves .generate-* behind.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -895,7 +896,6 @@ def generate_suite(
             (out_dir / "manifest.json").unlink(missing_ok=True)  # so that no manifest lists a mix of two suites
             for name in [entry["path"] for entry in entries] + ["manifest.json"]:
                 os.replace(Path(tmp, name), out_dir / name)
-        shutil.rmtree(out_dir / CACHE_DIR, ignore_errors=True)  # the entries of the files just replaced
     except BaseException:  # a refused scenario, a full disk or an interrupt: leave no directory this call made
         if created:
             shutil.rmtree(created[-1], ignore_errors=True)

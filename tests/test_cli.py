@@ -22,7 +22,6 @@ from uncplan.cli import (
 )
 from uncplan.metrics import evaluate_trajectories
 from uncplan.scenario import (
-    CACHE_DIR,
     GeneratorParams,
     ScenarioFormatError,
     ScenarioInvariantError,
@@ -804,16 +803,13 @@ def test_text_that_is_not_utf8_is_parse_error_naming_the_file_and_the_byte(small
 
 
 @pytest.mark.parametrize("command", [["eval"], ["eval", "--verify"], ["ablate"]], ids=["eval", "verify", "ablate"])
-def test_reports_are_byte_identical_cold_and_warm(small_suite, tmp_path, monkeypatch, capsys, command):
-    """A run that decodes every file (no decode cache) and one that decodes none but the manifest (every
-    scenario file's values from the cache the first wrote) write the same bytes."""
-    import shutil
-
+def test_reports_are_byte_identical_cold_and_warm(small_suite, tmp_path, cache_dir, monkeypatch, capsys,
+                                                  command):
+    """A run that decodes every file (this test's decode cache is empty) and one that decodes none but the
+    manifest (every scenario file's values from the cache the first wrote) write the same bytes."""
     import uncplan.scenario as scenario_module
 
-    suite = tmp_path / "suite"
-    shutil.copytree(small_suite.parent, suite)
-    shutil.rmtree(suite / CACHE_DIR, ignore_errors=True)
+    suite = small_suite.parent
     decode, decoded = scenario_module._decode, []
     monkeypatch.setattr(scenario_module, "_decode", lambda data, path: decoded.append(path.name) or decode(data, path))
     reports, counts = [], []

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -25,7 +26,6 @@ from uncplan import scenario as scenario_module
 from uncplan.geometry import normalize_heading
 from uncplan.metrics import GroundTruth, dacr_frame, scenario_class_of
 from uncplan.scenario import (
-    CACHE_DIR,
     KNOB_LIMIT,
     AgentMode,
     AgentPrediction,
@@ -582,7 +582,7 @@ _SINGLE_FAULTS_BASE_ID = _SINGLE_FAULTS_BASE["id"]  # "straight-...": "a..." ids
 _PLACES = {"first": ["z0", "z1"], "middle": ["a0", "z0"], "last": ["a0", "a1"]}
 
 
-def test_every_single_fault_in_a_chunk_is_reported_by_its_scenario(tmp_path, monkeypatch):
+def test_every_single_fault_in_a_chunk_is_reported_by_its_scenario(tmp_path, cache_dir, monkeypatch):
     """Each recorded single fault, put first, in the middle or last among good scenarios of one chunk:
     evaluate_suite refuses the suite naming the faulted scenario, with its recorded class and field.
     The places rotate over the faults of each entry, so every entry is tried in all three. The cases run
@@ -706,7 +706,7 @@ def _decoding_counted(monkeypatch) -> list:
 def _cold_and_warm(paths: list, decoded: list) -> None:
     """With no cache entry the chunk paths decode as json.loads reads each file's text; read again, nothing is
     decoded, and the values from the entry equal those type-exactly."""
-    shutil.rmtree(paths[0].parent / CACHE_DIR, ignore_errors=True)
+    shutil.rmtree(scenario_module.CACHE_DIR, ignore_errors=True)
     del decoded[:]
     cold = scenario_module._decoded(paths)
     assert decoded == [path.name for path in paths]
@@ -716,7 +716,7 @@ def _cold_and_warm(paths: list, decoded: list) -> None:
 
 
 @pytest.mark.parametrize("name", ["canonical", "wide-candidates", "dense-map"])
-def test_a_warm_decode_equals_a_cold_one_type_exactly(benchmark_suites, monkeypatch, name):
+def test_a_warm_decode_equals_a_cold_one_type_exactly(benchmark_suites, cache_dir, monkeypatch, name):
     """The seed-73 benchmark suites split at random into chunks of 1 to 32 files."""
     decoded, rng, start = _decoding_counted(monkeypatch), random.Random(name), 0
     paths = benchmark_suites[name]
@@ -726,7 +726,7 @@ def test_a_warm_decode_equals_a_cold_one_type_exactly(benchmark_suites, monkeypa
         start += size
 
 
-def test_a_warm_decode_equals_a_cold_one_type_exactly_on_every_single_fault(tmp_path, monkeypatch):
+def test_a_warm_decode_equals_a_cold_one_type_exactly_on_every_single_fault(tmp_path, cache_dir, monkeypatch):
     """Each recorded single fault as a file (infinity as 1e999, 10**400 as its digits), in chunks of 32 files."""
     paths = []
     for path, outcomes in json.loads(_SINGLE_FAULTS.read_text()):
@@ -753,9 +753,9 @@ _DAMAGES = {"cut-short": lambda entry: entry[:len(entry) // 2], "garbage": lambd
 
 
 @pytest.mark.parametrize("damage", list(_DAMAGES))
-def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(three_files, monkeypatch, damage):
+def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(three_files, cache_dir, monkeypatch, damage):
     cold = load_scenarios(three_files)
-    (entry,) = (three_files[0].parent / CACHE_DIR).iterdir()
+    (entry,) = cache_dir.iterdir()
     good = entry.read_bytes()
     entry.write_bytes(_DAMAGES[damage](good))
     decoded = _decoding_counted(monkeypatch)
@@ -764,7 +764,7 @@ def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(three_files, monkeypat
     assert load_scenarios(three_files) == cold and len(decoded) == 3
 
 
-def test_a_file_edited_after_its_entry_was_written_misses(three_files, monkeypatch):
+def test_a_file_edited_after_its_entry_was_written_misses(three_files, cache_dir, monkeypatch):
     """An entry is found by the bytes of the chunk's files: an edited file misses, and its old bytes hit again."""
     first = load_scenarios(three_files)
     original = three_files[1].read_bytes()
@@ -774,39 +774,48 @@ def test_a_file_edited_after_its_entry_was_written_misses(three_files, monkeypat
     decoded = _decoding_counted(monkeypatch)
     edited = load_scenarios(three_files)
     assert decoded == [path.name for path in three_files]
-    assert len(list((three_files[0].parent / CACHE_DIR).iterdir())) == 2
+    assert len(list(cache_dir.iterdir())) == 2
     confidence = [s.candidates.batches[Command.GO_STRAIGHT][2][0] for s in (first[1], edited[1])]
     assert confidence[1] == confidence[0] / 2
     three_files[1].write_bytes(original)
     assert load_scenarios(three_files) == first and len(decoded) == 3
 
 
-def test_the_same_files_in_another_order_are_another_entry(three_files, monkeypatch):
+def test_the_same_files_in_another_order_are_another_entry(three_files, cache_dir, monkeypatch):
     """The key follows file order: the files of a chunk reversed miss the entry of the chunk."""
     forward = load_scenarios(three_files)
     decoded = _decoding_counted(monkeypatch)
     assert load_scenarios(three_files[::-1]) == forward[::-1] and decoded == [path.name for path in three_files[::-1]]
 
 
-@pytest.mark.parametrize("target", ["os.replace", "Path.mkdir"])
-def test_a_cache_that_cannot_be_written_means_only_no_entry(three_files, monkeypatch, target):
-    """As in a read-only suite directory (root ignores chmod, so the write is made to fail): every load
+_REFUSALS = {"os.replace": [(os, "replace", PermissionError(errno.EACCES, "Permission denied"))],
+             "Path.mkdir": [(Path, "mkdir", PermissionError(errno.EACCES, "Permission denied"))],
+             # a read-only mount under a cache directory that exists: the cleanup's unlink is refused too
+             "read-only": [(Path, name, OSError(errno.EROFS, "Read-only file system"))
+                           for name in ("write_bytes", "unlink")]}
+
+
+@pytest.mark.parametrize("target", list(_REFUSALS))
+def test_a_cache_that_cannot_be_written_means_only_no_entry(three_files, cache_dir, monkeypatch, target):
+    """As in a read-only home directory (root ignores chmod, so the write is made to fail): every load
     succeeds, decoding its files each time, and no entry or temporary file is left behind."""
     expected = [scenario_from_dict(json.loads(path.read_text())) for path in three_files]
+    if target == "read-only":
+        cache_dir.mkdir()
+    for owner, name, error in _REFUSALS[target]:
+        def refuse(*args, error=error, **kwargs):
+            raise error
 
-    def refuse(*args, **kwargs):
-        raise PermissionError(13, "Permission denied")
-
-    monkeypatch.setattr(*((os, "replace") if target == "os.replace" else (Path, "mkdir")), refuse)
+        monkeypatch.setattr(owner, name, refuse)
     decoded = _decoding_counted(monkeypatch)
     for _ in range(2):
         assert load_scenarios(three_files) == expected and load_scenario(three_files[0]) == expected[0]
     assert len(decoded) == 2 * 4
-    cache = three_files[0].parent / CACHE_DIR
-    assert (list(cache.iterdir()) == []) if target == "os.replace" else not cache.exists()
+    assert (list(cache_dir.iterdir()) == []) if target != "Path.mkdir" else not cache_dir.exists()
 
 
-def test_a_chunk_that_does_not_read_or_decode_raises_its_first_fault_and_writes_no_entry(three_files, tmp_path):
+def test_a_chunk_that_does_not_read_or_decode_raises_its_first_fault_and_writes_no_entry(three_files, tmp_path,
+                                                                                        cache_dir):
     """A file that cannot be read makes the chunk decode file by file as without the cache, so the first
     fault in file order is raised; a chunk that does not decode is not cached."""
     broken, missing = tmp_path / "broken.json", tmp_path / "missing.json"
@@ -817,7 +826,27 @@ def test_a_chunk_that_does_not_read_or_decode_raises_its_first_fault_and_writes_
         load_scenarios([three_files[0], missing, broken])
     with pytest.raises(ScenarioFormatError):
         load_scenarios([*three_files, broken])
-    assert not (tmp_path / CACHE_DIR).exists()
+    assert not cache_dir.exists()
+
+
+def _files(directory: Path) -> dict:
+    """The bytes of every file under directory, by its path relative to directory."""
+    return {str(p.relative_to(directory)): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_an_entry_follows_the_bytes_of_the_files_not_their_directory(three_files, cache_dir, tmp_path_factory,
+                                                                      monkeypatch):
+    """The entries live in the cache directory alone, so a load writes nothing beside the files it reads and a
+    suite sent by someone else brings none; a copy of the files in another directory hits the same entry."""
+    suite = three_files[0].parent
+    before = _files(suite)
+    first = load_scenarios(three_files)
+    assert _files(suite) == before and len(list(cache_dir.iterdir())) == 1
+    copy_dir = tmp_path_factory.mktemp("copy") / "suite"
+    shutil.copytree(suite, copy_dir)
+    decoded = _decoding_counted(monkeypatch)
+    copies = [copy_dir / path.name for path in three_files]
+    assert load_scenarios(copies) == first and decoded == []
 
 
 def _arrays(s):
@@ -1156,34 +1185,16 @@ def test_a_refused_suite_leaves_no_file_it_wrote(tmp_path, held):
         assert not out.exists()
 
 
-def _files(directory: Path) -> dict:
-    """The bytes of every file under directory, by its path relative to directory."""
-    return {str(p.relative_to(directory)): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
-
-
 def test_a_refused_suite_leaves_an_earlier_suite_in_its_directory_as_it_was(tmp_path):
     """A second suite refused at turn 3 (a 30 m tail folds it over) leaves the first suite's 11 files
-    byte-identical, and the decode cache entries of its loads too, and its manifest lists only files that exist."""
+    byte-identical, and its manifest lists only files that exist."""
     out = tmp_path / "suite"
-    paths = load_suite(generate_suite(out, 10, 0.5, GeneratorParams(), 3))[1]
-    load_scenarios(paths)
-    load_scenario(paths[0])
-    before = _files(out)
+    generate_suite(out, 10, 0.5, GeneratorParams(), 3)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
     with pytest.raises(ValueError, match=_RING_REFUSAL):
         generate_suite(out, 10, 0.5, GeneratorParams(corridor_tail=30.0), 3)
-    assert len(before) == 11 + 2 and len(list((out / CACHE_DIR).iterdir())) == 2 and _files(out) == before
+    assert len(before) == 11 and {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert all(path.exists() for path in load_suite(out / "manifest.json")[1])
-
-
-def test_a_regenerated_suite_removes_the_decode_cache_entries_of_the_files_it_replaced(tmp_path):
-    """Each regeneration removes the suite directory's decode cache, so that entries of files that are
-    gone do not pile up; the next load writes its entry again."""
-    out = tmp_path / "suite"
-    for noise in (0.5, 0.25, 0.5):
-        paths = load_suite(generate_suite(out, 10, 0.5, GeneratorParams(noise_scale=noise), 3))[1]
-        assert not (out / CACHE_DIR).exists()
-        load_scenarios(paths)
-        assert len(list((out / CACHE_DIR).iterdir())) == 1
 
 
 def test_a_refused_suite_leaves_no_directory_it_created(tmp_path):
